@@ -7,8 +7,8 @@ and the synthetic benchmark (``dataset``/``training``/``evaluate``/
 ``heatmaps``).
 """
 
-from .accounting import (LayerSpec, ParamReport, count_macs, count_params,
-                         count_params_condensed, preset_report, sweep)
+from .accounting import (LayerSpec, ParamReport, count_params, count_params_condensed,
+                         preset_report, sweep)
 from .dataset import ToyDatasetSpec, ToyExample, generate_dataset, read_dataset, write_dataset
 from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet,
                         concentration_forward, extract_key_parts, init_discovery_params,

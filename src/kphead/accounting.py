@@ -13,6 +13,7 @@ published definitions allow (see each preset's note).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from dataclasses import dataclass, field
 
@@ -124,11 +125,6 @@ def count_params(layers: list[LayerSpec], title: str = "head",
     report = ParamReport(title=title, baseline_params=baseline_params)
     report.rows = [(l.name, l.params(), l.macs()) for l in layers]
     return report
-
-
-def count_macs(layers: list[LayerSpec], title: str = "head") -> ParamReport:
-    """Per-proposal MAC counting (same rows; MAC column is the object here)."""
-    return count_params(layers, title=title)
 
 
 # -- layer builders -----------------------------------------------------------
@@ -291,12 +287,8 @@ def _condensed_cascade() -> tuple[list[LayerSpec], int | None, list[str]]:
     layers = []
     for stage, blocks in enumerate((2, 3, 4)):
         head, disc = _fpn_configs(20, num_parts=16, pool_len=5, num_blocks=blocks)
-        stage_layers = condensed_head_layers(head, disc)
-        layers += [LayerSpec(f"stage{stage}.{l.name}", l.kind, c_in=l.c_in, c_out=l.c_out,
-                             kernel=l.kernel, groups=l.groups, dilation=l.dilation,
-                             h_out=l.h_out, w_out=l.w_out, d_in=l.d_in, d_out=l.d_out,
-                             bias=l.bias)
-                   for l in stage_layers]
+        layers += [dataclasses.replace(l, name=f"stage{stage}.{l.name}")
+                   for l in condensed_head_layers(head, disc)]
     baseline = count_params(_baseline_cascade()[0]).total_params
     return layers, baseline, ["concentration depth 2/3/4 across the three stages"]
 

@@ -11,6 +11,7 @@ grids and the on-disk format (which stores 32-bit floats) agree exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -194,8 +195,13 @@ def read_dataset(path) -> tuple[dict, list[ToyExample]]:
             raise ContractViolation(f"{path}: unsupported format version {version}")
         info = {"channels": c, "height": h, "width": w, "num_classes": num_classes,
                 "parts_per_class": d, "count": count, "seed": seed}
-        examples = []
         grid_bytes = c * h * w * 4
+        expected = _HEADER_LEN + count * (2 + 16 + 2 * d + grid_bytes)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ContractViolation(
+                f"{path}: {size} bytes, but a header of {count} examples needs {expected}")
+        examples = []
         for _ in range(count):
             y_hat, class_id = struct.unpack("<BB", fh.read(2))
             box = np.frombuffer(fh.read(16), dtype="<f4").astype(np.float64)

@@ -92,9 +92,6 @@ class DiscoveryParams:
         named.append(("discovery.predict.bias", self.predict.bias))
         return named
 
-    def scalar_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
-
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
@@ -173,15 +170,7 @@ def tmr_squash(raw: Tensor, alpha: float = 0.5, epsilon: float = 0.1) -> Tensor:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     if raw.data.ndim != 3:
         raise ContractViolation(f"tmr_squash needs K x H x W maps, got shape {raw.shape}")
-    k, h, w = raw.shape
-    squashed = []
-    for idx in range(k):
-        m = T.channel(raw, idx)
-        row, col, _ = T.argmax2d(m)
-        peak = T.value_at2d(m, row, col)
-        denom = T.relu(peak + (alpha - 1.0)) + (1.0 + epsilon)
-        squashed.append(T.relu((m + alpha) / denom))
-    return T.reshape(T.concat(squashed), (k, h, w))
+    return T.truncated_max_squash(raw, alpha, epsilon)
 
 
 def extract_key_parts(maps: Tensor) -> KeyPartSet:

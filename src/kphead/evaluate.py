@@ -78,10 +78,7 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
         if pred == ex.class_id:
             correct += 1
         if ex.class_id != BACKGROUND:
-            if model.head_cfg.reg_per_class:
-                start = (ex.class_id - 1) * 4
-            else:
-                start = 0
+            start = model.head_cfg.reg_start(ex.class_id)
             pred_box = out.v_reg.data[start:start + 4]
             box_err_sum += float(np.mean(np.abs(pred_box - ex.box_target)))
             box_count += 1

@@ -82,6 +82,10 @@ class HeadConfig:
     def reg_len(self) -> int:
         return 4 * self.num_classes if self.reg_per_class else 4
 
+    def reg_start(self, class_id: int) -> int:
+        """Index in ``v_reg`` of the first of foreground ``class_id``'s 4 box offsets."""
+        return (class_id - 1) * 4 if self.reg_per_class else 0
+
 
 @dataclass
 class LinearParams:
@@ -109,9 +113,6 @@ class HeadParams:
             ("head.reg.weight", self.reg.weight),
             ("head.reg.bias", self.reg.bias),
         ]
-
-    def scalar_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
 
 
 def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
@@ -231,9 +232,6 @@ class BaselineParams:
             ("baseline.reg.weight", self.reg.weight),
             ("baseline.reg.bias", self.reg.bias),
         ]
-
-    def scalar_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
 
 
 def init_baseline_params(cfg: HeadConfig, rng: np.random.Generator) -> BaselineParams:

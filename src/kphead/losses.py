@@ -42,13 +42,6 @@ def _check_batch(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> None:
             raise ContractViolation(f"labels must be 0 or 1, got {y!r}")
 
 
-def map_peak(maps: Tensor, k: int) -> Tensor:
-    """Differentiable peak confidence of map k (argmax frozen, row-major ties)."""
-    m = T.channel(maps, k)
-    row, col, _ = T.argmax2d(m)
-    return T.value_at2d(m, row, col)
-
-
 def discriminative_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
                         batch_mean: bool = False) -> Tensor:
     """Sum over examples and maps of smooth_l1(peak confidence, label).
@@ -58,11 +51,8 @@ def discriminative_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
     is a plain sum).
     """
     _check_batch(maps_batch, labels)
-    terms = []
-    for maps, y in zip(maps_batch, labels):
-        target = Tensor(float(y))
-        for k in range(maps.shape[0]):
-            terms.append(T.smooth_l1(map_peak(maps, k), target))
+    terms = [T.sum_all(T.smooth_l1(T.map_peaks(maps), Tensor(float(y))))
+             for maps, y in zip(maps_batch, labels)]
     total = T.add_n(terms)
     return total * (1.0 / len(maps_batch)) if batch_mean else total
 
@@ -79,10 +69,8 @@ def uniqueness_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
     for maps, y in zip(maps_batch, labels):
         if y == 0:
             continue
-        summed = T.channel_sum(maps)
-        row, col, _ = T.argmax2d(summed)
-        peak = T.value_at2d(summed, row, col)
-        terms.append(T.smooth_l1(peak, Tensor(1.0)))
+        peak = T.map_peaks(T.channel_sum(maps))
+        terms.append(T.sum_all(T.smooth_l1(peak, Tensor(1.0))))
     if not terms:
         return Tensor(0.0)
     total = T.add_n(terms)
@@ -106,10 +94,7 @@ def detection_loss(out: HeadOutput, target_class: int, target_box: Sequence[floa
     ce = T.logsumexp(out.v_cls) - T.item_at(out.v_cls, target_class)
     if target_class == BACKGROUND:
         return ce
-    if cfg.reg_per_class:
-        start = (target_class - 1) * 4
-    else:
-        start = 0
+    start = cfg.reg_start(target_class)
     pred = T.slice1d(out.v_reg, start, start + 4)
     reg = T.sum_all(T.smooth_l1(pred, Tensor(list(target_box))))
     return T.add(ce, reg)

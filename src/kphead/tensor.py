@@ -2,8 +2,9 @@
 
 The operation set is exactly what the condensed detection head needs:
 convolution (grouped, dilated, same-padded), adaptive average pooling,
-affine maps, relu/add/concat plumbing, peak lookup and feature gathering,
-plus the scalar arithmetic the training objectives are built from.
+affine maps, relu/add/concat plumbing, the truncated-max squash, peak lookup
+and feature gathering, plus the scalar arithmetic the training objectives
+are built from.
 
 The recorded graph lives in the output tensors themselves: every operation
 stores its tag, its input references and a backward closure over the saved
@@ -19,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, GraphStateError, NonFiniteError
+from .errors import ConfigError, ContractViolation, GraphStateError, NonFiniteError
 
 Shape = tuple[int, ...]
 
@@ -382,43 +383,27 @@ def item_at(t: Tensor, flat_index: int) -> Tensor:
     return _record(np.asarray(t.data.reshape(-1)[flat_index]), "item_at", (t,), bwd)
 
 
-def value_at2d(t: Tensor, row: int, col: int) -> Tensor:
-    """Differentiable scalar lookup on an H x W map."""
-    if t.data.ndim != 2:
-        raise ContractViolation(f"value_at2d needs a 2-D map, got shape {t.shape}")
-    h, w = t.shape
-    if not (0 <= row < h and 0 <= col < w):
-        raise ContractViolation(f"value_at2d: point ({row}, {col}) outside {h}x{w} map")
-    return item_at(t, row * w + col)
-
-
-def channel(t: Tensor, index: int) -> Tensor:
-    """Slice channel ``index`` from a C x H x W tensor; gradient scatters back."""
-    if t.data.ndim != 3:
-        raise ContractViolation(f"channel needs a 3-D tensor, got shape {t.shape}")
-    if not (0 <= index < t.shape[0]):
-        raise ContractViolation(f"channel: index {index} out of bounds for {t.shape[0]} channels")
-
-    def bwd(g):
-        buf = np.zeros_like(t.data)
-        buf[index] = g
-        _accumulate(t, buf)
-
-    return _record(t.data[index].copy(), "channel", (t,), bwd)
-
-
 def channel_sum(t: Tensor) -> Tensor:
-    """Sum a C x H x W tensor over channels into an H x W map."""
+    """Sum a C x H x W tensor over channels into a 1 x H x W map."""
     if t.data.ndim != 3:
         raise ContractViolation(f"channel_sum needs a 3-D tensor, got shape {t.shape}")
 
     def bwd(g):
         _accumulate(t, np.broadcast_to(g, t.shape).copy())
 
-    return _record(t.data.sum(axis=0), "channel_sum", (t,), bwd)
+    return _record(t.data.sum(axis=0, keepdims=True), "channel_sum", (t,), bwd)
 
 
 # -- peak lookup and gathering ---------------------------------------------
+
+def _first_peaks(flat: np.ndarray) -> np.ndarray:
+    """Row-major index of each row's first maximum; notes the gap between
+    each row's two largest values as a kink margin."""
+    if _kink_watches and flat.shape[1] > 1:
+        top_two = np.partition(flat, -2, axis=1)[:, -2:]
+        _note_kink_margin(float(np.min(top_two[:, 1] - top_two[:, 0])))
+    return np.argmax(flat, axis=1)
+
 
 def argmax2d(map2d: Tensor | np.ndarray) -> tuple[int, int, float]:
     """Coordinates and value of the maximum of an H x W map.
@@ -429,12 +414,65 @@ def argmax2d(map2d: Tensor | np.ndarray) -> tuple[int, int, float]:
     data = map2d.data if isinstance(map2d, Tensor) else np.asarray(map2d)
     if data.ndim != 2 or data.size == 0:
         raise ContractViolation(f"argmax2d needs a non-empty 2-D map, got shape {data.shape}")
-    flat = int(np.argmax(data))
-    row, col = divmod(flat, data.shape[1])
-    if _kink_watches and data.size > 1:
-        top_two = np.partition(data.reshape(-1), -2)[-2:]
-        _note_kink_margin(float(top_two[1] - top_two[0]))
+    row, col = divmod(int(_first_peaks(data.reshape(1, -1))[0]), data.shape[1])
     return row, col, float(data[row, col])
+
+
+def _maps_as_rows(t: Tensor, op: str) -> np.ndarray:
+    """View a non-empty K x H x W tensor as K rows of H*W values."""
+    if t.data.ndim != 3 or t.size == 0:
+        raise ContractViolation(f"{op} needs non-empty K x H x W maps, got shape {t.shape}")
+    return t.data.reshape(t.shape[0], -1)
+
+
+def map_peaks(maps: Tensor) -> Tensor:
+    """Each K x H x W map's value at its first row-major maximum, as a K-vector.
+
+    The argmax is frozen: peak k's gradient goes to that one position of map k.
+    """
+    flat = _maps_as_rows(maps, "map_peaks")
+    rows = np.arange(flat.shape[0])
+    peak_idx = _first_peaks(flat)
+
+    def bwd(g):
+        buf = np.zeros_like(maps.data)
+        buf.reshape(flat.shape)[rows, peak_idx] = g
+        _accumulate(maps, buf)
+
+    return _record(flat[rows, peak_idx], "map_peaks", (maps,), bwd)
+
+
+def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
+    """Squash K x H x W maps into [0, 1) by each map's truncated maximum.
+
+    Map k with peak value c_m (first row-major maximum) becomes
+    ``relu((c + alpha) / (relu(c_m + alpha - 1) + 1 + epsilon))``.  The peak
+    position gets gradient through both the numerator and the denominator.
+    """
+    flat = _maps_as_rows(raw, "truncated_max_squash")
+    k = flat.shape[0]
+    rows = np.arange(k)
+    peak_idx = _first_peaks(flat)
+    shifted = flat[rows, peak_idx] + (alpha - 1.0)
+    truncated = shifted > 0.0
+    denom = (np.where(truncated, shifted, 0.0) + (1.0 + epsilon)).reshape(k, 1, 1)
+    num = raw.data + alpha
+    squashed = num / denom
+    positive = squashed > 0.0
+    if _kink_watches:
+        _note_kink_margin(float(np.min(np.abs(shifted))))
+        _note_kink_margin(float(np.min(np.abs(squashed))))
+
+    def bwd(g):
+        g = g * positive
+        grad = g / denom
+        g_denom = -g * num / (denom * denom)
+        # one np.sum per map: the rounding of a scalar denominator's gradient
+        g_peak = np.array([np.sum(term) for term in g_denom]) * truncated
+        grad.reshape(flat.shape)[rows, peak_idx] += g_peak
+        _accumulate(raw, grad)
+
+    return _record(np.where(positive, squashed, 0.0), "truncated_max_squash", (raw,), bwd)
 
 
 def gather_at(t: Tensor, points: Sequence[tuple[int, int]]) -> Tensor:
@@ -491,8 +529,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
     unique zero-padding that preserves the spatial size; any other value is
     rejected.
     """
-    from .errors import ConfigError
-
     if x.data.ndim != 3:
         raise ContractViolation(f"conv2d: input must be C x H x W, got shape {x.shape}")
     if weight.data.ndim != 4:
@@ -578,8 +614,6 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     analogous column range; adjacent bins may overlap when L does not
     divide the extent.
     """
-    from .errors import ConfigError
-
     if x.data.ndim != 3:
         raise ContractViolation(f"adaptive_avg_pool: input must be C x H x W, got {x.shape}")
     c, h, w = x.shape

@@ -242,15 +242,23 @@ def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray
             key, _, value = line.partition(" = ")
             meta[key.strip()] = value.strip()
         else:
-            name, shape_s, offset_s = line.split()
-            shape = tuple(int(s) for s in shape_s.split("x"))
-            rows.append((name, shape, int(offset_s)))
+            try:
+                name, shape_s, offset_s = line.split()
+                shape = tuple(int(s) for s in shape_s.split("x"))
+                rows.append((name, shape, int(offset_s)))
+            except ValueError:
+                raise ContractViolation(
+                    f"{manifest_path(payload_path)}: malformed tensor row {line!r}") from None
     kind = meta.pop("model", "")
     payload = np.fromfile(payload_path, dtype="<f4")
     tensors: dict[str, np.ndarray] = {}
     for name, shape, offset in rows:
         count = int(np.prod(shape))
         start = offset // 4
+        if offset < 0 or offset % 4 or min(shape) < 0 or start + count > payload.size:
+            raise ContractViolation(
+                f"{payload_path}: tensor {name!r} ({count} values at byte {offset}) "
+                f"lies outside the {payload.size * 4}-byte payload")
         tensors[name] = payload[start:start + count].astype(np.float64).reshape(shape)
     return kind, meta, tensors
 

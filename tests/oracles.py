@@ -104,6 +104,27 @@ def tmr_loops(raw, alpha, epsilon):
     return out
 
 
+def tmr_vjp_loops(raw, alpha, epsilon, g):
+    """Gradient of sum(g * tmr(raw)) w.r.t. raw, one element at a time.
+
+    Each map's maximum c_m is read at its first row-major maximum, which
+    gets the denominator term on top of its own numerator term.
+    """
+    grad = np.zeros_like(raw)
+    for k in range(raw.shape[0]):
+        pr, pc, c_m = argmax2d_loops(raw[k])
+        denom = max(0.0, (c_m + alpha) - 1.0) + 1.0 + epsilon
+        denom_term = 0.0
+        for r in range(raw.shape[1]):
+            for c in range(raw.shape[2]):
+                if (raw[k, r, c] + alpha) / denom > 0.0:
+                    grad[k, r, c] += g[k, r, c] / denom
+                    denom_term -= g[k, r, c] * (raw[k, r, c] + alpha) / denom ** 2
+        if c_m + alpha > 1.0:
+            grad[k, pr, pc] += denom_term
+    return grad
+
+
 def smooth_l1_ref(a, b):
     d = a - b
     return 0.5 * d * d if abs(d) < 1.0 else abs(d) - 0.5

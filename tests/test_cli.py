@@ -129,6 +129,30 @@ class TestToyTrainEvalHeatmaps:
                    "--params", str(tmp_path / "nope.bin")])
         assert rc == 2
 
+    def test_truncated_params_payload_exits_2(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        params = tmp_path / "p.bin"
+        assert main(["toy", "train", "--data", str(data), "--out", str(params)]
+                    + BASE_FLAGS) == 0
+        params.write_bytes(params.read_bytes()[:1000])
+        capsys.readouterr()
+        rc = main(["toy", "eval", "--data", str(data), "--params", str(params)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_truncated_dataset_exits_2(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        params = tmp_path / "p.bin"
+        assert main(["toy", "train", "--data", str(data), "--out", str(params)]
+                    + BASE_FLAGS) == 0
+        data.write_bytes(data.read_bytes()[:500])
+        capsys.readouterr()
+        rc = main(["toy", "eval", "--data", str(data), "--params", str(params)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_divergent_training_exits_3(self, tmp_path):
         data = gen(tmp_path)
         rc = main(["toy", "train", "--data", str(data), "--out",

@@ -151,6 +151,13 @@ class TestTruncatedMaxSquash:
         assert raw.grad[0, 0, 0] != raw.grad[0, 0, 1]
         assert raw.grad[0, 0, 0] < raw.grad[0, 0, 1]  # peak growth hurts the others
 
+    def test_tied_raw_maximum_is_a_kink(self):
+        raw = np.random.default_rng(16).uniform(-1, 1, size=(2, 4, 4))
+        raw[1, 0, 3] = raw[1, 2, 1] = 2.0
+        with T.KinkWatch() as watch:
+            tmr_squash(Tensor(raw))
+        assert watch.min_margin == 0.0
+
 
 class TestExtractKeyParts:
     def test_planted_peaks(self):

@@ -10,6 +10,7 @@ from kphead.errors import ContractViolation
 from kphead.head import (HeadConfig, baseline_forward, full_condensed_forward,
                          global_modeling, head_forward, init_baseline_params,
                          init_head_params, key_part_modeling)
+from kphead.runconfig import RunConfig
 from kphead.tensor import Tensor, backward
 
 TOY_HEAD = HeadConfig(channels=8, num_classes=3, num_parts=2, pool_len=3,
@@ -197,6 +198,23 @@ class TestFullForward:
         assert np.all(np.isfinite(x.grad))
         gathered = {p for p in fwd.parts.points}
         assert any(abs(x.grad[:, r, c]).sum() > 0 for r, c in gathered)
+
+    def test_toy_forward_graph_stays_small(self):
+        """TMR records one node for all K maps, not a chain per map."""
+        cfg = RunConfig()
+        rng = np.random.default_rng(17)
+        disc_cfg, head_cfg = cfg.discovery_config(), cfg.head_config()
+        x = Tensor(rng.standard_normal((head_cfg.channels, head_cfg.height, head_cfg.width)))
+        fwd = full_condensed_forward(x, init_discovery_params(disc_cfg, rng),
+                                     init_head_params(head_cfg, rng), disc_cfg, head_cfg)
+        seen, stack = {}, [fwd.output.v_cls, fwd.output.v_reg]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(t._parents)
+        # op nodes a backward pass runs
+        assert sum(t._backward_fn is not None for t in seen.values()) <= 19
 
 
 class TestBaselineHead:

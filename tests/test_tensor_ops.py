@@ -180,6 +180,49 @@ class TestArgmax2d:
         assert T.argmax2d(Tensor(m)) == oracles.argmax2d_loops(m)
 
 
+class TestFusedPeakOps:
+    @staticmethod
+    def maps_with_hard_cases(rng):
+        """Random maps; map 0 has a tied raw maximum, map 1 has c_m + alpha < 1."""
+        raw = rng.standard_normal((4, 5, 6)) * 2.0
+        raw[0, 1, 4] = raw[0, 3, 2] = raw[0].max() + 1.0
+        raw[1] = rng.uniform(-2.0, 0.3, size=(5, 6))
+        return raw
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_truncated_max_squash_matches_loop_oracle(self, case):
+        rng = np.random.default_rng([14, case])
+        raw_data = self.maps_with_hard_cases(rng)
+        g = rng.standard_normal(raw_data.shape)
+        raw = Tensor(raw_data, requires_grad=True)
+        out = T.truncated_max_squash(raw, 0.5, 0.1)
+        np.testing.assert_allclose(out.data, oracles.tmr_loops(raw_data, 0.5, 0.1),
+                                   atol=1e-12)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        np.testing.assert_allclose(raw.grad, oracles.tmr_vjp_loops(raw_data, 0.5, 0.1, g),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_map_peaks_tie_break_matches_argmax_oracle(self, case):
+        rng = np.random.default_rng([15, case])
+        maps_data = rng.integers(0, 3, size=(4, 5, 6)).astype(float)  # many ties
+        maps = Tensor(maps_data, requires_grad=True)
+        peaks = T.map_peaks(maps)
+        T.backward(T.sum_all(T.mul(peaks, Tensor(np.arange(1.0, 5.0)))))
+        for k in range(4):
+            r, c, value = oracles.argmax2d_loops(maps_data[k])
+            assert peaks.data[k] == value
+            want = np.zeros((5, 6))
+            want[r, c] = k + 1.0
+            np.testing.assert_array_equal(maps.grad[k], want)
+
+    @pytest.mark.parametrize("op", [T.map_peaks,
+                                    lambda t: T.truncated_max_squash(t, 0.5, 0.1)])
+    def test_non_map_input_rejected(self, op):
+        with pytest.raises(ContractViolation):
+            op(Tensor(np.zeros((3, 3))))
+
+
 class TestGatherAt:
     def test_origin_fiber(self):
         x = Tensor(np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3))
