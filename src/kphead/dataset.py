@@ -24,6 +24,7 @@ _MAGIC = b"OKPD"
 _VERSION = 1
 _HEADER_LEN = 32
 _SENTINEL = 0xFF  # planted-point byte for background examples
+_READ_CHUNK = 64  # examples decoded per read
 
 _SIG_STREAM = 101
 _TRAIN_STREAM = 1
@@ -195,23 +196,44 @@ def read_dataset(path) -> tuple[dict, list[ToyExample]]:
             raise ContractViolation(f"{path}: unsupported format version {version}")
         info = {"channels": c, "height": h, "width": w, "num_classes": num_classes,
                 "parts_per_class": d, "count": count, "seed": seed}
-        grid_bytes = c * h * w * 4
-        expected = _HEADER_LEN + count * (2 + 16 + 2 * d + grid_bytes)
+        layout = np.dtype([("y_hat", "u1"), ("class_id", "u1"), ("box", "<f4", (4,)),
+                           ("points", "u1", (d, 2)), ("grid", "<f4", (c, h, w))])
+        expected = _HEADER_LEN + count * layout.itemsize
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ContractViolation(
                 f"{path}: {size} bytes, but a header of {count} examples needs {expected}")
         examples = []
-        for _ in range(count):
-            y_hat, class_id = struct.unpack("<BB", fh.read(2))
-            box = np.frombuffer(fh.read(16), dtype="<f4").astype(np.float64)
-            points = []
-            for _ in range(d):
-                r, col = struct.unpack("<BB", fh.read(2))
-                if r != _SENTINEL:
-                    points.append((r, col))
-            grid = np.frombuffer(fh.read(grid_bytes), dtype="<f4").astype(
-                np.float64).reshape(c, h, w)
-            examples.append(ToyExample(x=Tensor(grid), y_hat=y_hat, class_id=class_id,
-                                       box_target=box, planted_points=points))
+        for first in range(0, count, _READ_CHUNK):
+            # a chunk at a time, so the raw bytes of the whole file are never held
+            records = np.frombuffer(fh.read(min(_READ_CHUNK, count - first) * layout.itemsize),
+                                    dtype=layout)
+            _check_records(path, records, first, num_classes, h, w)
+            examples += [
+                ToyExample(x=Tensor(grid), y_hat=int(y_hat), class_id=int(class_id),
+                           box_target=box,
+                           planted_points=[(r, col) for r, col in points if r != _SENTINEL])
+                for y_hat, class_id, points, grid, box in zip(
+                    records["y_hat"], records["class_id"], records["points"].tolist(),
+                    records["grid"].astype(np.float64), records["box"].astype(np.float64))]
     return info, examples
+
+
+def _check_records(path, records: np.ndarray, first: int, num_classes: int, h: int,
+                   w: int) -> None:
+    """Reject the first kind of value that breaks the format's contract,
+    naming the first example (counted from ``first``) that has it."""
+    rows, cols = records["points"][..., 0], records["points"][..., 1]
+    problems = [
+        ("y_hat is not 0 or 1", records["y_hat"] > 1),
+        (f"class_id exceeds the header's {num_classes} classes",
+         records["class_id"] > num_classes),
+        (f"planted point outside the {h}x{w} grid",
+         ((rows != _SENTINEL) & ((rows >= h) | (cols >= w))).any(axis=1)),
+        ("non-finite box target", ~np.isfinite(records["box"]).all(axis=1)),
+        ("non-finite grid value", ~np.isfinite(records["grid"]).all(axis=(1, 2, 3))),
+    ]
+    for problem, bad in problems:
+        if bad.any():
+            raise ContractViolation(
+                f"{path}: example {first + int(np.argmax(bad))}: {problem}")

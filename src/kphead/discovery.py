@@ -179,12 +179,8 @@ def extract_key_parts(maps: Tensor) -> KeyPartSet:
     Peaks may coincide across maps: spreading them apart is a training-time
     pressure, not a structural guarantee.
     """
-    if maps.data.ndim != 3:
-        raise ContractViolation(f"extract_key_parts needs K x H x W maps, got {maps.shape}")
-    points: list[tuple[int, int]] = []
-    confidences: list[float] = []
-    for k in range(maps.shape[0]):
-        row, col, value = T.argmax2d(maps.data[k])
-        points.append((row, col))
-        confidences.append(value)
-    return KeyPartSet(points=points, confidences=confidences)
+    flat = T._maps_as_rows(maps, "extract_key_parts")
+    peak_idx = T._first_peaks(flat)
+    rows, cols = np.divmod(peak_idx, maps.shape[2])
+    return KeyPartSet(points=list(zip(rows.tolist(), cols.tolist())),
+                      confidences=flat[np.arange(flat.shape[0]), peak_idx].tolist())

@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from .dataset import ToyExample
+from .errors import ContractViolation
 
 CONFIDENCE_THRESHOLD = 0.1  # parts above this are flagged in the sidecar
 
@@ -25,13 +26,23 @@ def read_pgm(path) -> np.ndarray:
     """Read back an 8-bit binary graymap into values in [0, 1]."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"{path}: not a binary graymap")
         dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        data = np.frombuffer(fh.read(h * w), dtype=np.uint8)
-    return data.reshape(h, w).astype(np.float64) / maxval
+        maxval = fh.readline().strip()
+        data = fh.read()
+    if magic != b"P5":
+        raise ContractViolation(f"{path}: not a binary graymap")
+    if len(dims) != 2 or not all(d.isdigit() and int(d) > 0 for d in dims):
+        raise ContractViolation(
+            f"{path}: graymap dimensions {b' '.join(dims).decode(errors='replace')!r} "
+            f"are not two positive integers")
+    w, h = int(dims[0]), int(dims[1])
+    if not (maxval.isdigit() and 1 <= int(maxval) <= 255):
+        raise ContractViolation(
+            f"{path}: graymap maxval {maxval.decode(errors='replace')!r} outside 1..255")
+    if len(data) != h * w:
+        raise ContractViolation(
+            f"{path}: {len(data)} pixel bytes, but a {w}x{h} graymap needs {h * w}")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).astype(np.float64) / int(maxval)
 
 
 def normalize01(values: np.ndarray) -> np.ndarray:

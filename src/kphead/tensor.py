@@ -483,20 +483,23 @@ def gather_at(t: Tensor, points: Sequence[tuple[int, int]]) -> Tensor:
     """
     if t.data.ndim != 3:
         raise ContractViolation(f"gather_at needs a C x H x W tensor, got shape {t.shape}")
-    c, h, w = t.shape
-    points = [(int(r), int(col)) for r, col in points]
-    for k, (r, col) in enumerate(points):
-        if not (0 <= r < h and 0 <= col < w):
-            raise ContractViolation(f"gather_at: point {k} = ({r}, {col}) outside {h}x{w} grid")
-    out = np.stack([t.data[:, r, col] for r, col in points]) if points else np.zeros((0, c))
+    _, h, w = t.shape
+    try:
+        rows, cols = np.array(points, dtype=np.intp).reshape(len(points), 2).T
+    except OverflowError:
+        raise ContractViolation(f"gather_at: a point lies outside the {h}x{w} grid") from None
+    outside = np.flatnonzero((rows < 0) | (rows >= h) | (cols < 0) | (cols >= w))
+    if outside.size:
+        k = int(outside[0])
+        raise ContractViolation(
+            f"gather_at: point {k} = ({rows[k]}, {cols[k]}) outside {h}x{w} grid")
 
     def bwd(g):
         buf = np.zeros_like(t.data)
-        for k, (r, col) in enumerate(points):
-            buf[:, r, col] += g[k]
+        np.add.at(buf, (slice(None), rows, cols), g.T)
         _accumulate(t, buf)
 
-    return _record(out, "gather_at", (t,), bwd)
+    return _record(t.data[:, rows, cols].T, "gather_at", (t,), bwd)
 
 
 # -- layers -----------------------------------------------------------------
@@ -558,53 +561,41 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
             f"(needs {dilation * (k - 1) // 2} for k={k}, dilation={dilation})")
 
     cig = c_in // groups
-    cog = c_out // groups
     xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
     xp[:, padding:padding + h, padding:padding + w] = x.data
-
-    out = np.empty((c_out, h, w))
-    for g_idx in range(groups):
-        xg = xp[g_idx * cig:(g_idx + 1) * cig]
-        wg = weight.data[g_idx * cog:(g_idx + 1) * cog]
-        acc = np.zeros((cog, h, w))
-        for i in range(k):
-            for j in range(k):
-                patch = xg[:, i * dilation:i * dilation + h, j * dilation:j * dilation + w]
-                acc += np.einsum("oc,chw->ohw", wg[:, :, i, j], patch)
-        out[g_idx * cog:(g_idx + 1) * cog] = acc + bias.data[g_idx * cog:(g_idx + 1) * cog,
-                                                             None, None]
-
+    s_c, s_h, s_w = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, shape=(c_in, k, k, h, w),
+        strides=(s_c, dilation * s_h, dilation * s_w, s_h, s_w), writeable=False)
+    # im2col: column (c, i, j) of group g holds input channel c's tap (i, j)
+    cols = taps.reshape(groups, cig * k * k, h * w)
     w_data = weight.data.copy()
+    w_mat = w_data.reshape(groups, c_out // groups, cig * k * k)
+    out = (w_mat @ cols).reshape(c_out, h, w) + bias.data[:, None, None]
 
     def bwd(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w_data)
-        gb = np.zeros(c_out)
-        for g_idx in range(groups):
-            xg = xp[g_idx * cig:(g_idx + 1) * cig]
-            wg = w_data[g_idx * cog:(g_idx + 1) * cog]
-            go = g[g_idx * cog:(g_idx + 1) * cog]
+        g_mat = g.reshape(w_mat.shape[:2] + (h * w,))
+        _accumulate(weight, (g_mat @ cols.transpose(0, 2, 1)).reshape(w_data.shape))
+        _accumulate(bias, g.sum(axis=(1, 2)))
+        if x.requires_grad:
+            g_taps = (w_mat.transpose(0, 2, 1) @ g_mat).reshape(c_in, k, k, h, w)
+            gxp = np.zeros_like(xp)
             for i in range(k):
                 for j in range(k):
-                    rows = slice(i * dilation, i * dilation + h)
-                    cols = slice(j * dilation, j * dilation + w)
-                    patch = xg[:, rows, cols]
-                    gw[g_idx * cog:(g_idx + 1) * cog, :, i, j] += np.einsum(
-                        "ohw,chw->oc", go, patch)
-                    gxp[g_idx * cig:(g_idx + 1) * cig, rows, cols] += np.einsum(
-                        "oc,ohw->chw", wg[:, :, i, j], go)
-            gb[g_idx * cog:(g_idx + 1) * cog] = go.sum(axis=(1, 2))
-        _accumulate(x, gxp[:, padding:padding + h, padding:padding + w])
-        _accumulate(weight, gw)
-        _accumulate(bias, gb)
+                    gxp[:, i * dilation:i * dilation + h,
+                        j * dilation:j * dilation + w] += g_taps[:, i, j]
+            _accumulate(x, gxp[:, padding:padding + h, padding:padding + w])
 
     return _record(out, "conv2d", (x, weight, bias), bwd)
 
 
-def _pool_bins(extent: int, out_len: int) -> list[tuple[int, int]]:
-    """Half-open bin ranges [floor(i*E/L), ceil((i+1)*E/L)) per output index."""
-    return [(math.floor(i * extent / out_len), math.ceil((i + 1) * extent / out_len))
-            for i in range(out_len)]
+def _pool_matrix(extent: int, out_len: int) -> np.ndarray:
+    """L x E matrix whose row i averages [floor(i*E/L), ceil((i+1)*E/L))."""
+    bins = np.arange(out_len + 1) * extent
+    start, stop = bins[:-1] // out_len, -(-bins[1:] // out_len)
+    pos = np.arange(extent)
+    inside = (pos >= start[:, None]) & (pos < stop[:, None])
+    return inside / (stop - start)[:, None]
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
@@ -616,25 +607,16 @@ def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     """
     if x.data.ndim != 3:
         raise ContractViolation(f"adaptive_avg_pool: input must be C x H x W, got {x.shape}")
-    c, h, w = x.shape
+    _, h, w = x.shape
     if not (1 <= out_len <= h and out_len <= w):
         raise ConfigError(f"adaptive_avg_pool: out_len={out_len} outside [1, min({h}, {w})]")
-    row_bins = _pool_bins(h, out_len)
-    col_bins = _pool_bins(w, out_len)
-
-    out = np.empty((c, out_len, out_len))
-    for i, (r0, r1) in enumerate(row_bins):
-        for j, (c0, c1) in enumerate(col_bins):
-            out[:, i, j] = x.data[:, r0:r1, c0:c1].mean(axis=(1, 2))
+    rows = _pool_matrix(h, out_len)
+    cols = _pool_matrix(w, out_len)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(row_bins):
-            for j, (c0, c1) in enumerate(col_bins):
-                gx[:, r0:r1, c0:c1] += g[:, i, j, None, None] / ((r1 - r0) * (c1 - c0))
-        _accumulate(x, gx)
+        _accumulate(x, rows.T @ g @ cols)
 
-    return _record(out, "adaptive_avg_pool", (x,), bwd)
+    return _record(rows @ x.data @ cols.T, "adaptive_avg_pool", (x,), bwd)
 
 
 # -- finite-difference oracle ------------------------------------------------

@@ -250,16 +250,22 @@ def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray
                 raise ContractViolation(
                     f"{manifest_path(payload_path)}: malformed tensor row {line!r}") from None
     kind = meta.pop("model", "")
-    payload = np.fromfile(payload_path, dtype="<f4")
+    payload = np.fromfile(payload_path, dtype=np.uint8)
+    covered = np.zeros(payload.size, dtype=bool)
     tensors: dict[str, np.ndarray] = {}
     for name, shape, offset in rows:
         count = int(np.prod(shape))
-        start = offset // 4
-        if offset < 0 or offset % 4 or min(shape) < 0 or start + count > payload.size:
+        stop = offset + 4 * count
+        if offset < 0 or offset % 4 or min(shape) < 0 or stop > payload.size:
             raise ContractViolation(
                 f"{payload_path}: tensor {name!r} ({count} values at byte {offset}) "
-                f"lies outside the {payload.size * 4}-byte payload")
-        tensors[name] = payload[start:start + count].astype(np.float64).reshape(shape)
+                f"lies outside the {payload.size}-byte payload")
+        tensors[name] = payload[offset:stop].view("<f4").astype(np.float64).reshape(shape)
+        covered[offset:stop] = True
+    if not covered.all():
+        raise ContractViolation(
+            f"{payload_path}: payload byte {int(np.argmin(covered))} lies in no tensor "
+            f"of the manifest")
     return kind, meta, tensors
 
 

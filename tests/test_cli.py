@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, file outputs."""
 
+import numpy as np
 import pytest
 
 from kphead import gradcheck
@@ -152,6 +153,33 @@ class TestToyTrainEvalHeatmaps:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_params_payload_with_extra_bytes_exits_2(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        params = tmp_path / "p.bin"
+        assert main(["toy", "train", "--data", str(data), "--out", str(params)]
+                    + BASE_FLAGS) == 0
+        params.write_bytes(params.read_bytes() + b"\x00" * 64)
+        capsys.readouterr()
+        rc = main(["toy", "eval", "--data", str(data), "--params", str(params)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nan_grid_value_exits_2(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        params = tmp_path / "p.bin"
+        assert main(["toy", "train", "--data", str(data), "--out", str(params)]
+                    + BASE_FLAGS) == 0
+        blob = bytearray(data.read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # last grid value
+        data.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["toy", "eval", "--data", str(data), "--params", str(params)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite grid value" in err
 
     def test_divergent_training_exits_3(self, tmp_path):
         data = gen(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 
 from kphead.dataset import (ToyDatasetSpec, class_signatures, generate_dataset,
                             nearest_signature_accuracy, read_dataset, write_dataset)
-from kphead.errors import ConfigError
+from kphead.errors import ConfigError, ContractViolation
 
 SMALL = ToyDatasetSpec(channels=16, num_classes=3, parts_per_class=4,
                        n_train=40, n_test=24, seed=5)
@@ -130,4 +130,37 @@ class TestFileFormat:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a dataset at all, promise!" + b"\x00" * 10)
         with pytest.raises(Exception):
+            read_dataset(path)
+
+    # byte offsets inside the first example: y_hat, class_id, box, points, grid
+    NAN = np.array([np.nan], dtype="<f4").tobytes()
+    POINTS_AT = 32 + 2 + 16
+
+    @pytest.mark.parametrize("offset, patch, problem", [
+        (32, b"\x02", "y_hat is not 0 or 1"),
+        (33, b"\x04", "class_id exceeds the header's 3"),
+        (34, NAN, "non-finite box"),
+        (POINTS_AT, b"\x07\x00", "planted point"),
+        (POINTS_AT + 2 * SMALL.parts_per_class + 4 * 17, NAN, "non-finite grid"),
+    ], ids=["y_hat", "class_id", "box", "point", "grid"])
+    def test_bad_example_values_rejected(self, tmp_path, offset, patch, problem):
+        train, _ = generate_dataset(SMALL)
+        path = tmp_path / "d.bin"
+        write_dataset(path, SMALL, train)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractViolation, match=f"example 0: {problem}"):
+            read_dataset(path)
+
+    def test_bad_value_past_the_first_read_chunk_names_its_example(self, tmp_path):
+        spec = ToyDatasetSpec(channels=16, num_classes=3, parts_per_class=4,
+                              n_train=70, n_test=1, seed=5)
+        train, _ = generate_dataset(spec)
+        path = tmp_path / "d.bin"
+        write_dataset(path, spec, train)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = self.NAN
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractViolation, match="example 69: non-finite grid value"):
             read_dataset(path)

@@ -1,8 +1,10 @@
 """Graymap export: file count, round trips, normalization guard, sidecar."""
 
 import numpy as np
+import pytest
 
 from kphead.dataset import ToyDatasetSpec, generate_dataset
+from kphead.errors import ContractViolation
 from kphead.heatmaps import export_heatmaps, normalize01, read_pgm, write_pgm
 from kphead.runconfig import RunConfig
 from kphead.training import build_condensed
@@ -36,6 +38,24 @@ class TestPgm:
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n5 3\n255\n")
         assert len(blob) == len(b"P5\n5 3\n255\n") + 15
+
+    @pytest.mark.parametrize("blob, problem", [
+        (b"P6\n4 4\n255\n" + bytes(16), "not a binary graymap"),
+        (b"P5\n4 x\n255\n" + bytes(16), "dimensions"),
+        (b"P5\n4 0\n255\n", "dimensions"),
+        (b"P5\n4\n255\n" + bytes(4), "dimensions"),
+        (b"P5\n4 4\n0\n" + bytes(16), "maxval"),
+        (b"P5\n4 4\n256\n" + bytes(16), "maxval"),
+        (b"P5\n4 4\n255\n" + bytes(11), "11 pixel bytes"),
+        (b"P5\n4 4\n255\n" + bytes(17), "17 pixel bytes"),
+    ], ids=["magic", "text_dim", "zero_dim", "one_dim", "maxval_0", "maxval_256",
+            "truncated", "overlong"])
+    def test_malformed_graymap_rejected_naming_path(self, tmp_path, blob, problem):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ContractViolation, match=problem) as info:
+            read_pgm(path)
+        assert str(path) in str(info.value)
 
 
 class TestNormalization:

@@ -34,8 +34,8 @@ class TestConv2d:
         expected = oracles.conv2d_loops(x.data, w.data, b.data, groups=2, dilation=2)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("case", range(20))
-    def test_random_cases_match_oracle(self, case):
+    @staticmethod
+    def random_case(case):
         rng = np.random.default_rng([7, case])
         groups = int(rng.choice([1, 2, 4]))
         dilation = int(rng.choice([1, 2]))
@@ -44,12 +44,31 @@ class TestConv2d:
         cog = int(rng.integers(1, 3))
         c_in, c_out = groups * cig, groups * cog
         h, w_ = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-        x = Tensor(rng.standard_normal((c_in, h, w_)))
-        w = Tensor(rng.standard_normal((c_out, cig, k, k)))
-        b = Tensor(rng.standard_normal(c_out))
+        x = Tensor(rng.standard_normal((c_in, h, w_)), requires_grad=True)
+        w = Tensor(rng.standard_normal((c_out, cig, k, k)), requires_grad=True)
+        b = Tensor(rng.standard_normal(c_out), requires_grad=True)
+        return x, w, b, groups, dilation
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_random_cases_match_oracle(self, case):
+        x, w, b, groups, dilation = self.random_case(case)
         out = T.conv2d(x, w, b, groups=groups, dilation=dilation)
         expected = oracles.conv2d_loops(x.data, w.data, b.data, groups, dilation)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+        g = np.random.default_rng([8, case]).standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        for t in (x, w, b):
+            want = T.finite_diff_grad(lambda _: T.sum_all(T.mul(
+                T.conv2d(x, w, b, groups=groups, dilation=dilation), Tensor(g))), t)
+            np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-6)
+
+    def test_random_cases_cover_every_variant(self):
+        cases = [self.random_case(case) for case in range(20)]
+        assert {w.shape[2] for _, w, _, _, _ in cases} == {1, 3}
+        assert {groups for *_, groups, _ in cases} == {1, 2, 4}
+        assert {dilation for *_, dilation in cases} == {1, 2}
+        assert any(x.shape[1] != x.shape[2] for x, *_ in cases)
 
     def test_group_mismatch_rejected(self):
         x = Tensor(np.zeros((3, 4, 4)))
@@ -91,16 +110,33 @@ class TestAdaptiveAvgPool:
         np.testing.assert_allclose(out.data, oracles.adaptive_avg_pool_loops(x.data, 5),
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("case", range(10))
-    def test_random_cases_match_oracle(self, case):
+    @staticmethod
+    def random_case(case):
         rng = np.random.default_rng([11, case])
         h = int(rng.integers(2, 10))
         w = int(rng.integers(2, 10))
         out_len = int(rng.integers(1, min(h, w) + 1))
-        x = Tensor(rng.standard_normal((int(rng.integers(1, 5)), h, w)))
-        np.testing.assert_allclose(T.adaptive_avg_pool(x, out_len).data,
+        x = Tensor(rng.standard_normal((int(rng.integers(1, 5)), h, w)), requires_grad=True)
+        return x, out_len
+
+    @pytest.mark.parametrize("case", range(10))
+    def test_random_cases_match_oracle(self, case):
+        x, out_len = self.random_case(case)
+        out = T.adaptive_avg_pool(x, out_len)
+        np.testing.assert_allclose(out.data,
                                    oracles.adaptive_avg_pool_loops(x.data, out_len),
                                    atol=1e-12)
+
+        g = np.random.default_rng([12, case]).standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        want = T.finite_diff_grad(
+            lambda t: T.sum_all(T.mul(T.adaptive_avg_pool(t, out_len), Tensor(g))), x)
+        np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-6)
+
+    def test_random_cases_cover_non_dividing_bins(self):
+        cases = [self.random_case(case) for case in range(10)]
+        assert any(x.shape[1] != x.shape[2] for x, _ in cases)
+        assert any(x.shape[1] % out_len or x.shape[2] % out_len for x, out_len in cases)
 
     def test_out_of_range_rejected(self):
         x = Tensor(np.zeros((1, 4, 4)))
@@ -242,9 +278,24 @@ class TestGatherAt:
         np.testing.assert_allclose(T.gather_at(x, points).data,
                                    oracles.gather_loops(x.data, points), atol=1e-12)
 
+    def test_no_points_give_empty_rows(self):
+        assert T.gather_at(Tensor(np.zeros((5, 3, 4))), []).shape == (0, 5)
+
+    def test_duplicate_points_accumulate_gradient(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        g = rng.standard_normal((3, 3))
+        T.backward(T.sum_all(T.mul(T.gather_at(x, [(1, 2), (3, 4), (1, 2)]), Tensor(g))))
+        want = np.zeros((3, 4, 5))
+        want[:, 1, 2] = g[0] + g[2]
+        want[:, 3, 4] = g[1]
+        np.testing.assert_array_equal(x.grad, want)
+
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ContractViolation):
             T.gather_at(Tensor(np.zeros((1, 3, 3))), [(3, 0)])
+        with pytest.raises(ContractViolation):
+            T.gather_at(Tensor(np.zeros((1, 3, 3))), [(0, 0), (2**70, 0)])
 
 
 class TestDeterminism:
