@@ -23,7 +23,7 @@ from .head import (BaselineParams, CondensedForward, HeadConfig, HeadOutput, Hea
 from .heatmaps import export_heatmaps, read_pgm, write_pgm
 from .losses import (detection_loss, discovery_objective, discriminative_loss,
                      smooth_l1, uniqueness_loss)
-from .tensor import Tensor, argmax2d, backward, finite_diff_grad
+from .tensor import Tensor, backward, finite_diff_grad
 from .training import (TrainConfig, build_baseline, build_condensed, load_params,
                        save_params, train)
 

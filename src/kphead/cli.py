@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 check failure (gradcheck), 2 usage/configuration
-errors or missing files, 3 training divergence.
+errors or missing or malformed files, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -216,10 +216,23 @@ def _load_model(params_path):
     return model
 
 
+def _read_for_model(data_path, model):
+    """Read a dataset file whose grid shape and class count are the model's."""
+    info, examples = read_dataset(data_path)
+    cfg = model.head_cfg
+    have = tuple(info[key] for key in ("channels", "height", "width", "num_classes"))
+    want = (cfg.channels, cfg.height, cfg.width, cfg.num_classes)
+    if have != want:
+        raise ContractViolation(
+            f"{data_path}: channels, height, width, classes = {have}, but the "
+            f"parameters are for {want}")
+    return examples
+
+
 def _cmd_toy_eval(args) -> int:
     _require_file(args.data)
     model = _load_model(args.params)
-    _, examples = read_dataset(args.data)
+    examples = _read_for_model(args.data, model)
     metrics = evaluate(model, examples)
     print(Metrics.CSV_HEADER)
     print(metrics.csv_row())
@@ -234,7 +247,7 @@ def _cmd_toy_heatmaps(args) -> int:
     model = _load_model(args.params)
     if model.kind != "condensed":
         raise ConfigError("heatmaps need a condensed model")
-    _, examples = read_dataset(args.data)
+    examples = _read_for_model(args.data, model)
     if not (0 <= args.index < len(examples)):
         raise ContractViolation(
             f"--index {args.index} outside dataset of {len(examples)} examples")

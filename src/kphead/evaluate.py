@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ToyExample
+from .errors import ContractViolation
 from .losses import BACKGROUND
 
 
@@ -58,6 +59,8 @@ def key_part_recall(points: list[tuple[int, int]],
 
 
 def evaluate(model, examples: list[ToyExample]) -> Metrics:
+    if not examples:
+        raise ContractViolation("evaluate: empty dataset")
     condensed = model.kind == "condensed"
     correct = 0
     box_err_sum = 0.0

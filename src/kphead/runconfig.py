@@ -139,15 +139,19 @@ def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a config file (optional) and apply flag overrides on top."""
     cfg = RunConfig()
     if path is not None:
-        with open(path) as fh:
-            for line_no, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                set_key(cfg, key.strip(), value)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+        for line_no, raw in enumerate(lines, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            set_key(cfg, key.strip(), value)
     for key, value in (overrides or {}).items():
         set_key(cfg, key, value)
     return _revalidate(cfg)

@@ -10,7 +10,10 @@ The recorded graph lives in the output tensors themselves: every operation
 stores its tag, its input references and a backward closure over the saved
 intermediates.  ``backward(loss)`` replays the recording reverse-
 topologically, visiting each node exactly once; a second backward over the
-same recording is rejected.
+same recording is rejected.  Weight gradients are summed once per backward:
+a layer hands its per-example weight gradient to ``backward`` as a factor
+pair, and each leaf weight's pairs are multiplied out in one contraction when
+the reverse pass ends.
 """
 
 from __future__ import annotations
@@ -156,6 +159,30 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+# Leaf id -> (leaf, left factors, right factors) awaiting the end of the
+# running backward pass; None outside one.
+_pending_products: dict[int, tuple[Tensor, list[np.ndarray], list[np.ndarray]]] | None = None
+
+
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """Add ``a @ b``, reshaped to ``t``, to ``t.grad``.
+
+    Inside ``backward`` a leaf's factor pairs are kept and multiplied out
+    together when the pass ends: the products of one leaf (a weight shared by
+    every example of a batch) then cost one matmul instead of one full-size
+    write each.  A tensor with a backward closure gets its product at once,
+    because the closure reads ``grad`` later in the same pass.
+    """
+    if not t.requires_grad:
+        return
+    if _pending_products is None or t._backward_fn is not None:
+        _accumulate(t, (a @ b).reshape(t.shape))
+        return
+    entry = _pending_products.setdefault(id(t), (t, [], []))
+    entry[1].append(a)
+    entry[2].append(b)
+
+
 # -- backward pass -------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
@@ -173,11 +200,19 @@ def backward(loss: Tensor) -> None:
         raise GraphStateError("backward already ran over this recording; run a new forward pass")
     loss._backward_done = True
 
+    global _pending_products
     order = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+    _pending_products = {}
+    try:
+        for node in reversed(order):
+            if node._backward_fn is not None and node.grad is not None:
+                node._backward_fn(node.grad)
+        for t, lefts, rights in _pending_products.values():
+            product = np.concatenate(lefts, axis=-1) @ np.concatenate(rights, axis=-2)
+            _accumulate(t, product.reshape(t.shape))
+    finally:
+        _pending_products = None
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -405,19 +440,6 @@ def _first_peaks(flat: np.ndarray) -> np.ndarray:
     return np.argmax(flat, axis=1)
 
 
-def argmax2d(map2d: Tensor | np.ndarray) -> tuple[int, int, float]:
-    """Coordinates and value of the maximum of an H x W map.
-
-    Ties break to the smallest row-major linear index.  Not differentiable;
-    used to freeze gather indices for the forward pass.
-    """
-    data = map2d.data if isinstance(map2d, Tensor) else np.asarray(map2d)
-    if data.ndim != 2 or data.size == 0:
-        raise ContractViolation(f"argmax2d needs a non-empty 2-D map, got shape {data.shape}")
-    row, col = divmod(int(_first_peaks(data.reshape(1, -1))[0]), data.shape[1])
-    return row, col, float(data[row, col])
-
-
 def _maps_as_rows(t: Tensor, op: str) -> np.ndarray:
     """View a non-empty K x H x W tensor as K rows of H*W values."""
     if t.data.ndim != 3 or t.size == 0:
@@ -516,8 +538,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x_data, w_data = x.data, weight.data
 
     def bwd(g):
-        _accumulate(x, w_data.T @ g)
-        _accumulate(weight, np.outer(g, x_data))
+        if x.requires_grad:
+            _accumulate(x, w_data.T @ g)
+        _accumulate_product(weight, g[:, None], x_data[None, :])
         _accumulate(bias, g)
 
     return _record(w_data @ x_data + bias.data, "linear", (x, weight, bias), bwd)
@@ -569,13 +592,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
         strides=(s_c, dilation * s_h, dilation * s_w, s_h, s_w), writeable=False)
     # im2col: column (c, i, j) of group g holds input channel c's tap (i, j)
     cols = taps.reshape(groups, cig * k * k, h * w)
-    w_data = weight.data.copy()
-    w_mat = w_data.reshape(groups, c_out // groups, cig * k * k)
+    w_mat = weight.data.reshape(groups, c_out // groups, cig * k * k).copy()
     out = (w_mat @ cols).reshape(c_out, h, w) + bias.data[:, None, None]
 
     def bwd(g):
         g_mat = g.reshape(w_mat.shape[:2] + (h * w,))
-        _accumulate(weight, (g_mat @ cols.transpose(0, 2, 1)).reshape(w_data.shape))
+        _accumulate_product(weight, g_mat, cols.transpose(0, 2, 1))
         _accumulate(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
             g_taps = (w_mat.transpose(0, 2, 1) @ g_mat).reshape(c_in, k, k, h, w)

@@ -3,6 +3,7 @@ plus flat-file parameter serialization (f32 payload + plain-text manifest)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,10 +226,17 @@ def save_params(payload_path, model, meta: dict[str, str]) -> None:
 
 def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray]]:
     """Read (model kind, metadata, tensor name -> float64 array)."""
-    with open(manifest_path(payload_path)) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != _PARAMS_BANNER:
-        raise ContractViolation(f"{manifest_path(payload_path)}: not a parameter manifest")
+    path = manifest_path(payload_path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ContractViolation(f"{path}: manifest is not UTF-8 text") from None
+    lines = text.split("\n")
+    if lines[0] != _PARAMS_BANNER:
+        raise ContractViolation(f"{path}: not a parameter manifest")
+    if lines.pop() != "":
+        raise ContractViolation(f"{path}: manifest is cut short (no final newline)")
     meta: dict[str, str] = {}
     rows: list[tuple[str, tuple[int, ...], int]] = []
     in_tensors = False
@@ -247,20 +255,24 @@ def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray
                 shape = tuple(int(s) for s in shape_s.split("x"))
                 rows.append((name, shape, int(offset_s)))
             except ValueError:
-                raise ContractViolation(
-                    f"{manifest_path(payload_path)}: malformed tensor row {line!r}") from None
+                raise ContractViolation(f"{path}: malformed tensor row {line!r}") from None
     kind = meta.pop("model", "")
     payload = np.fromfile(payload_path, dtype=np.uint8)
     covered = np.zeros(payload.size, dtype=bool)
     tensors: dict[str, np.ndarray] = {}
     for name, shape, offset in rows:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         stop = offset + 4 * count
         if offset < 0 or offset % 4 or min(shape) < 0 or stop > payload.size:
             raise ContractViolation(
                 f"{payload_path}: tensor {name!r} ({count} values at byte {offset}) "
                 f"lies outside the {payload.size}-byte payload")
-        tensors[name] = payload[offset:stop].view("<f4").astype(np.float64).reshape(shape)
+        values = payload[offset:stop].view("<f4")
+        if not np.isfinite(values).all():
+            raise ContractViolation(
+                f"{payload_path}: tensor {name!r} holds a non-finite value at index "
+                f"{int(np.argmin(np.isfinite(values)))}")
+        tensors[name] = values.astype(np.float64).reshape(shape)
         covered[offset:stop] = True
     if not covered.all():
         raise ContractViolation(

@@ -82,6 +82,89 @@ class TestGradientRouting:
         assert x.grad.sum() == 4.0
 
 
+class TestWeightGradientSums:
+    """Each leaf weight's per-example gradients are summed once, when the
+    reverse pass ends; the result is the plain sum of the per-use terms."""
+
+    @staticmethod
+    def shared_weights(rng):
+        return (Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+                Tensor(rng.standard_normal(3), requires_grad=True),
+                Tensor(rng.standard_normal((4, 1, 3, 3)), requires_grad=True),
+                Tensor(rng.standard_normal(4), requires_grad=True))
+
+    def test_shared_leaf_weights_match_finite_differences(self):
+        rng = np.random.default_rng(3)
+        w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
+        grids = [Tensor(rng.standard_normal((2, 5, 6))) for _ in range(2)]
+        data_vec = Tensor(rng.standard_normal(4))
+        coeffs = Tensor(rng.standard_normal(9))
+
+        def loss(_=None):
+            fibers = [T.flatten(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2,
+                                                     dilation=2), [(1, 4)]))
+                      for x in grids]
+            outs = [T.linear(v, w_lin, b_lin) for v in fibers + [data_vec]]
+            return T.sum_all(T.mul(T.concat(outs), coeffs))
+
+        backward(loss())
+        for w in (w_lin, b_lin, w_conv, b_conv):
+            np.testing.assert_allclose(w.grad, finite_diff_grad(loss, w),
+                                       rtol=1e-6, atol=1e-8)
+
+    def test_second_backward_adds_onto_existing_grad(self):
+        rng = np.random.default_rng(4)
+        w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
+        x = Tensor(rng.standard_normal((2, 4, 4)))
+        w_conv.grad = np.full(w_conv.shape, 0.5)
+
+        def run():
+            fiber = T.flatten(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2), [(2, 1)]))
+            backward(T.sum_all(T.linear(fiber, w_lin, b_lin)))
+
+        run()
+        first_lin, first_conv = w_lin.grad.copy(), w_conv.grad - 0.5
+        run()
+        np.testing.assert_array_equal(w_lin.grad, first_lin + first_lin)
+        np.testing.assert_allclose(w_conv.grad, 0.5 + 2.0 * first_conv, rtol=1e-12)
+
+    def test_non_leaf_weight_used_twice(self):
+        rng = np.random.default_rng(5)
+        base = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        bias = Tensor(np.zeros(3))
+        xs = [Tensor(rng.standard_normal(4)) for _ in range(2)]
+        coeffs = Tensor(rng.standard_normal(6))
+
+        def loss(_=None):
+            w = base * 2.0
+            return T.sum_all(T.mul(T.concat([T.linear(x, w, bias) for x in xs]), coeffs))
+
+        backward(loss())
+        np.testing.assert_allclose(base.grad, finite_diff_grad(loss, base),
+                                   rtol=1e-6, atol=1e-8)
+        want = 2.0 * sum(np.outer(coeffs.data[3 * i:3 * i + 3], x.data)
+                         for i, x in enumerate(xs))
+        np.testing.assert_allclose(base.grad, want, rtol=1e-12)
+
+    def test_backward_after_a_failed_backward(self):
+        rng = np.random.default_rng(6)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        bias = Tensor(np.zeros(3))
+        x_leaf = Tensor(rng.standard_normal(4), requires_grad=True)
+
+        def closure_fails(g):
+            raise RuntimeError("closure failed")
+
+        x = x_leaf * 1.0
+        x._backward_fn = closure_fails  # runs after linear's closure has handed on w's terms
+        with pytest.raises(RuntimeError, match="closure failed"):
+            backward(T.sum_all(T.linear(x, w, bias)))
+        assert w.grad is None and T._pending_products is None
+
+        backward(T.sum_all(T.linear(x_leaf, w, bias)))
+        np.testing.assert_array_equal(w.grad, np.outer(np.ones(3), x_leaf.data))
+
+
 class TestFiniteDifferenceOracle:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0]))

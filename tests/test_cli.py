@@ -1,7 +1,12 @@
 """Command-line surface: exit codes, determinism, file outputs."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kphead import gradcheck
 from kphead.cli import main, sibling_test_path
@@ -17,6 +22,37 @@ def gen(tmp_path, name="d.bin", seed="1"):
     out = tmp_path / name
     assert main(["toy", "gen", "--out", str(out), "--seed", seed] + BASE_FLAGS) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """File name -> bytes of a test split and condensed parameters trained
+    on its train split, made once per module."""
+    root = tmp_path_factory.mktemp("trained")
+    data = gen(root)
+    assert main(["toy", "train", "--data", str(data), "--out", str(root / "p.bin")]
+                + BASE_FLAGS) == 0
+    return {name: (root / name).read_bytes()
+            for name in ("d.test.bin", "p.bin", "p.bin.manifest")}
+
+
+def run_on(workdir, files, command, **replaced):
+    """Write ``files`` with ``replaced`` contents into ``workdir`` and run
+    ``kphead toy <command>`` on them; return (exit code, stderr)."""
+    for name, blob in {**files, **replaced}.items():
+        (workdir / name).write_bytes(blob)
+    argv = ["toy", command, "--data", str(workdir / "d.test.bin"),
+            "--params", str(workdir / "p.bin")]
+    if command == "heatmaps":
+        argv += ["--out", str(workdir / "maps")]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def is_one_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1
 
 
 class TestParamsCommand:
@@ -193,6 +229,80 @@ class TestToyTrainEvalHeatmaps:
         rc = main(["toy", "train", "--data", str(data), "--out",
                    str(tmp_path / "b.bin"), "--model", "baseline"] + BASE_FLAGS)
         assert rc == 0
+
+
+class TestCorruptedFiles:
+    @pytest.mark.parametrize("command", ["eval", "heatmaps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_exits_2(self, tmp_path, trained, command, value):
+        blob = bytearray(trained["p.bin"])
+        blob[:4] = np.array([value], dtype="<f4").tobytes()
+        rc, err = run_on(tmp_path, trained, command, **{"p.bin": bytes(blob)})
+        assert rc == 2 and is_one_error_line(err)
+        assert "discovery.block0.reduce.weight" in err and "non-finite" in err
+
+    def test_non_utf8_manifest_exits_2(self, tmp_path, trained):
+        manifest = b"\xff" + trained["p.bin.manifest"]
+        rc, err = run_on(tmp_path, trained, "eval", **{"p.bin.manifest": manifest})
+        assert rc == 2 and is_one_error_line(err)
+        assert "p.bin.manifest" in err
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"data.channels = 16\n# caf\xe9\n")
+        assert main(["params", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert is_one_error_line(err) and "run.cfg" in err
+
+    def test_manifest_without_final_newline_exits_2(self, tmp_path, trained):
+        manifest = trained["p.bin.manifest"][:-1]
+        rc, err = run_on(tmp_path, trained, "eval", **{"p.bin.manifest": manifest})
+        assert rc == 2 and is_one_error_line(err)
+
+    def test_manifest_shape_overflowing_int64_exits_2(self, tmp_path, trained):
+        lines = trained["p.bin.manifest"].decode().split("\n")
+        row = lines.index("tensors:") + 1
+        name, _, offset = lines[row].split()
+        lines[row] = f"{name} 65536x65536x65536x65536 {offset}"  # 2**64 values
+        manifest = "\n".join(lines).encode()
+        rc, err = run_on(tmp_path, trained, "eval", **{"p.bin.manifest": manifest})
+        assert rc == 2 and is_one_error_line(err)
+
+    def test_dataset_with_more_classes_than_the_model_exits_2(self, tmp_path, trained):
+        blob = bytearray(trained["d.test.bin"])
+        blob[12:14] = (200).to_bytes(2, "little")  # header class count
+        blob[32:34] = bytes([1, 150])  # example 0: foreground of class 150
+        rc, err = run_on(tmp_path, trained, "eval", **{"d.test.bin": bytes(blob)})
+        assert rc == 2 and is_one_error_line(err)
+
+    def test_empty_dataset_exits_2(self, tmp_path, trained):
+        header = bytearray(trained["d.test.bin"][:32])
+        header[16:20] = bytes(4)  # example count 0
+        rc, err = run_on(tmp_path, trained, "eval", **{"d.test.bin": bytes(header)})
+        assert rc == 2 and is_one_error_line(err)
+
+    @pytest.mark.parametrize("name", ["d.test.bin", "p.bin", "p.bin.manifest"])
+    @settings(max_examples=50, deadline=None)
+    @given(draw=st.data())
+    def test_truncated_or_overwritten_file(self, tmp_path_factory, trained, name, draw):
+        """Eval exits 0 or 2, never with a traceback; a truncated file always
+        exits 2 with one ``error:`` line."""
+        blob = bytearray(trained[name])
+        truncate = draw.draw(st.booleans(), label="truncate")
+        if truncate:
+            blob = blob[:draw.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            edits = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+            for pos, value in draw.draw(st.lists(edits, min_size=1, max_size=4),
+                                        label="edits"):
+                blob[pos] = value
+        workdir = tmp_path_factory.mktemp("corrupt")
+        rc, err = run_on(workdir, trained, "eval", **{name: bytes(blob)})
+        assert rc in (0, 2)
+        if rc == 2:
+            assert is_one_error_line(err), err
+        if truncate:
+            assert rc == 2
 
 
 class TestConfigCommand:

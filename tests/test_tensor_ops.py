@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from kphead import tensor as T
+from kphead.discovery import extract_key_parts
 from kphead.errors import ConfigError, ContractViolation
 from kphead.tensor import Tensor
 
@@ -195,25 +196,33 @@ class TestElementwiseAndConcat:
 
 
 class TestArgmax2d:
+    """The 2-D argmax ``extract_key_parts`` reads a key part at: the first
+    row-major maximum of each map."""
+
+    @staticmethod
+    def argmax2d(m):
+        parts = extract_key_parts(Tensor(m[None]))
+        return parts.points[0] + (parts.confidences[0],)
+
     def test_all_equal_breaks_to_origin(self):
-        assert T.argmax2d(Tensor(np.zeros((3, 3))))[:2] == (0, 0)
+        assert self.argmax2d(np.zeros((3, 3)))[:2] == (0, 0)
 
     def test_planted_peak(self):
         m = np.zeros((7, 7))
         m[3, 5] = 2.0
-        assert T.argmax2d(Tensor(m)) == (3, 5, 2.0)
+        assert self.argmax2d(m) == (3, 5, 2.0)
 
     def test_row_major_tie_break(self):
         m = np.zeros((4, 4))
         m[1, 2] = 1.0
         m[2, 1] = 1.0
-        assert T.argmax2d(Tensor(m))[:2] == (1, 2)
+        assert self.argmax2d(m)[:2] == (1, 2)
 
     @pytest.mark.parametrize("case", range(10))
     def test_matches_scan_oracle(self, case):
         rng = np.random.default_rng([13, case])
         m = rng.standard_normal((6, 5))
-        assert T.argmax2d(Tensor(m)) == oracles.argmax2d_loops(m)
+        assert self.argmax2d(m) == oracles.argmax2d_loops(m)
 
 
 class TestFusedPeakOps:
