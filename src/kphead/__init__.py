@@ -16,13 +16,12 @@ from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet,
 from .errors import (ConfigError, ContractViolation, GraphStateError, NonFiniteError,
                      TrainingDivergence)
 from .evaluate import Metrics, chance_recall_estimate, evaluate
-from .head import (BaselineParams, CondensedForward, HeadConfig, HeadOutput, HeadParams,
-                   baseline_forward, full_condensed_forward, global_modeling,
-                   head_forward, init_baseline_params, init_head_params,
-                   key_part_modeling)
+from .head import (BaselineParams, Forward, HeadConfig, HeadOutput, HeadParams,
+                   baseline_forward, full_condensed_forward, head_forward,
+                   init_baseline_params, init_head_params, key_part_modeling)
 from .heatmaps import export_heatmaps, read_pgm, write_pgm
 from .losses import (detection_loss, discovery_objective, discriminative_loss,
-                     smooth_l1, uniqueness_loss)
+                     uniqueness_loss)
 from .tensor import Tensor, backward, finite_diff_grad
 from .training import (TrainConfig, build_baseline, build_condensed, load_params,
                        save_params, train)

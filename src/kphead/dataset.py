@@ -24,7 +24,7 @@ _MAGIC = b"OKPD"
 _VERSION = 1
 _HEADER_LEN = 32
 _SENTINEL = 0xFF  # planted-point byte for background examples
-_READ_CHUNK = 64  # examples decoded per read
+_CHUNK = 64  # examples encoded per write and decoded per read
 
 _SIG_STREAM = 101
 _TRAIN_STREAM = 1
@@ -161,27 +161,39 @@ def nearest_signature_accuracy(examples: list[ToyExample], spec: ToyDatasetSpec)
 
 # -- binary file format -------------------------------------------------------
 
+def _record_layout(c: int, h: int, w: int, d: int) -> np.dtype:
+    """One example's packed record: y_hat u8, class_id u8, 4 f32 box targets,
+    D planted points as (row, col) u8 pairs, then C*H*W f32 grid values."""
+    return np.dtype([("y_hat", "u1"), ("class_id", "u1"), ("box", "<f4", (4,)),
+                     ("points", "u1", (d, 2)), ("grid", "<f4", (c, h, w))])
+
+
 def write_dataset(path, spec: ToyDatasetSpec, examples: list[ToyExample]) -> None:
     """Header: magic, version u16, C/H/W/num_classes/D u16, count u32,
-    seed u64 (little-endian), zero-padded to 32 bytes.  Per example: y_hat u8,
-    class_id u8, 4 f32 box targets, D planted points as (row, col) u8 pairs
-    (0xFF 0xFF sentinel pairs for background), then C*H*W f32 grid values."""
+    seed u64 (little-endian), zero-padded to 32 bytes.  Then one
+    ``_record_layout`` record per example; a background example's points are
+    0xFF 0xFF sentinel pairs."""
     header = _MAGIC + struct.pack(
         "<HHHHHHIQ", _VERSION, spec.channels, spec.height, spec.width,
         spec.num_classes, spec.parts_per_class, len(examples), spec.seed)
     header += b"\x00" * (_HEADER_LEN - len(header))
+    d = spec.parts_per_class
+    layout = _record_layout(spec.channels, spec.height, spec.width, d)
     with open(path, "wb") as fh:
         fh.write(header)
-        for ex in examples:
-            fh.write(struct.pack("<BB", ex.y_hat, ex.class_id))
-            fh.write(np.asarray(ex.box_target, dtype="<f4").tobytes())
-            for j in range(spec.parts_per_class):
-                if j < len(ex.planted_points):
-                    r, col = ex.planted_points[j]
-                    fh.write(struct.pack("<BB", r, col))
-                else:
-                    fh.write(struct.pack("<BB", _SENTINEL, _SENTINEL))
-            fh.write(ex.x.data.astype("<f4").tobytes())
+        for first in range(0, len(examples), _CHUNK):
+            chunk = examples[first:first + _CHUNK]
+            records = np.empty(len(chunk), dtype=layout)
+            records["y_hat"] = [ex.y_hat for ex in chunk]
+            records["class_id"] = [ex.class_id for ex in chunk]
+            records["box"] = [ex.box_target for ex in chunk]
+            records["points"] = _SENTINEL
+            for i, ex in enumerate(chunk):
+                if ex.planted_points:  # background examples keep the sentinel pairs
+                    points = ex.planted_points[:d]
+                    records["points"][i, :len(points)] = points
+            records["grid"] = [ex.x.data for ex in chunk]
+            fh.write(records.tobytes())
 
 
 def read_dataset(path) -> tuple[dict, list[ToyExample]]:
@@ -196,17 +208,16 @@ def read_dataset(path) -> tuple[dict, list[ToyExample]]:
             raise ContractViolation(f"{path}: unsupported format version {version}")
         info = {"channels": c, "height": h, "width": w, "num_classes": num_classes,
                 "parts_per_class": d, "count": count, "seed": seed}
-        layout = np.dtype([("y_hat", "u1"), ("class_id", "u1"), ("box", "<f4", (4,)),
-                           ("points", "u1", (d, 2)), ("grid", "<f4", (c, h, w))])
+        layout = _record_layout(c, h, w, d)
         expected = _HEADER_LEN + count * layout.itemsize
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ContractViolation(
                 f"{path}: {size} bytes, but a header of {count} examples needs {expected}")
         examples = []
-        for first in range(0, count, _READ_CHUNK):
+        for first in range(0, count, _CHUNK):
             # a chunk at a time, so the raw bytes of the whole file are never held
-            records = np.frombuffer(fh.read(min(_READ_CHUNK, count - first) * layout.itemsize),
+            records = np.frombuffer(fh.read(min(_CHUNK, count - first) * layout.itemsize),
                                     dtype=layout)
             _check_records(path, records, first, num_classes, h, w)
             examples += [

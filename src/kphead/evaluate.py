@@ -61,7 +61,6 @@ def key_part_recall(points: list[tuple[int, int]],
 def evaluate(model, examples: list[ToyExample]) -> Metrics:
     if not examples:
         raise ContractViolation("evaluate: empty dataset")
-    condensed = model.kind == "condensed"
     correct = 0
     box_err_sum = 0.0
     box_count = 0
@@ -72,11 +71,8 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
     distinct: list[int] = []
 
     for ex in examples:
-        if condensed:
-            fwd = model.forward(ex.x)
-            out = fwd.output
-        else:
-            out = model.forward(ex.x)
+        fwd = model.forward(ex.x)
+        out = fwd.output
         pred = int(np.argmax(out.v_cls.data))
         if pred == ex.class_id:
             correct += 1
@@ -85,7 +81,7 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
             pred_box = out.v_reg.data[start:start + 4]
             box_err_sum += float(np.mean(np.abs(pred_box - ex.box_target)))
             box_count += 1
-        if condensed:
+        if fwd.parts is not None:
             peaks = fwd.parts.confidences
             if ex.y_hat == 1:
                 fg_peaks.append(float(np.mean(peaks)))
@@ -97,7 +93,7 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
                 bg_peaks.append(float(np.mean(peaks)))
 
     cfg = model.head_cfg
-    if not condensed:
+    if fwd.parts is None:  # a head without key parts has no discovery metrics
         return Metrics(accuracy=correct / len(examples),
                        box_mae=box_err_sum / box_count if box_count else 0.0,
                        part_recall=None, chance_level=None, fg_peak_mean=None,

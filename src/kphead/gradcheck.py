@@ -14,7 +14,7 @@ import numpy as np
 
 from . import losses
 from . import tensor as T
-from .discovery import DiscoveryConfig, init_discovery_params, tmr_squash
+from .discovery import DiscoveryConfig, init_discovery_params, named_tensors, tmr_squash
 from .head import HeadConfig, HeadOutput, full_condensed_forward, init_head_params
 from .tensor import KinkWatch, Tensor, backward, finite_diff_grad
 
@@ -59,11 +59,6 @@ def _clear_of_kinks(make_case, rng):
 
 def _param(rng, shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), requires_grad=True)
-
-
-def _proj_scalar(out: Tensor, rng) -> Tensor:
-    proj = Tensor(rng.standard_normal(out.shape))
-    return T.sum_all(T.mul(out, proj))
 
 
 # -- individual checks -----------------------------------------------------
@@ -236,8 +231,8 @@ def _check_condensed_head(rng) -> float:
             obj = losses.discovery_objective([fwd.maps], [1])
             return T.add(det, obj)
 
-        checked = [x] + [t for _, t in disc_params.named_tensors()] \
-                      + [t for _, t in head_params.named_tensors()]
+        checked = [x] + [t for _, t in named_tensors("discovery", disc_params)
+                                          + named_tensors("head", head_params)]
         return build, checked
 
     build, checked = _clear_of_kinks(make_case, rng)

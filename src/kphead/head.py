@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .discovery import (ConvParams, DiscoveryConfig, DiscoveryParams, KeyPartSet,
-                        _uniform_init, _zeros, concentration_forward,
-                        extract_key_parts, predict_confidence, tmr_squash)
+from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet, LayerParams,
+                        _init_layer, concentration_forward, extract_key_parts,
+                        predict_confidence, tmr_squash)
 from .errors import ConfigError, ContractViolation
 from .tensor import Tensor
 
@@ -88,46 +88,20 @@ class HeadConfig:
 
 
 @dataclass
-class LinearParams:
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass
 class HeadParams:
     """Learnable tensors of the condensed head (global conv + FC + outputs)."""
 
-    global_conv: ConvParams
-    fc: LinearParams
-    cls: LinearParams
-    reg: LinearParams
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("head.global_conv.weight", self.global_conv.weight),
-            ("head.global_conv.bias", self.global_conv.bias),
-            ("head.fc.weight", self.fc.weight),
-            ("head.fc.bias", self.fc.bias),
-            ("head.cls.weight", self.cls.weight),
-            ("head.cls.bias", self.cls.bias),
-            ("head.reg.weight", self.reg.weight),
-            ("head.reg.bias", self.reg.bias),
-        ]
+    global_conv: LayerParams
+    fc: LayerParams
+    cls: LayerParams
+    reg: LayerParams
 
 
 def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
-    c, kept = cfg.channels, cfg.kept_channels
-    return HeadParams(
-        global_conv=ConvParams(weight=_uniform_init(rng, (kept, c, 1, 1), c),
-                               bias=_zeros((kept,))),
-        fc=LinearParams(weight=_uniform_init(rng, (cfg.hidden, cfg.descriptor_len),
-                                             cfg.descriptor_len),
-                        bias=_zeros((cfg.hidden,))),
-        cls=LinearParams(weight=_uniform_init(rng, (cfg.cls_len, cfg.hidden), cfg.hidden),
-                         bias=_zeros((cfg.cls_len,))),
-        reg=LinearParams(weight=_uniform_init(rng, (cfg.reg_len, cfg.hidden), cfg.hidden),
-                         bias=_zeros((cfg.reg_len,))),
-    )
+    return HeadParams(global_conv=_init_layer(rng, (cfg.kept_channels, cfg.channels, 1, 1)),
+                      fc=_init_layer(rng, (cfg.hidden, cfg.descriptor_len)),
+                      cls=_init_layer(rng, (cfg.cls_len, cfg.hidden)),
+                      reg=_init_layer(rng, (cfg.reg_len, cfg.hidden)))
 
 
 @dataclass
@@ -156,11 +130,6 @@ def global_activation(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
     return T.conv2d(pooled, params.global_conv.weight, params.global_conv.bias)
 
 
-def global_modeling(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
-    """Flattened holistic descriptor (spatial then channel sub-sampling)."""
-    return T.flatten(global_activation(x, params, cfg))
-
-
 def head_forward(z_k: Tensor, z_g: Tensor, params: HeadParams, cfg: HeadConfig) -> HeadOutput:
     """Concat -> single FC -> relu -> parallel classifier and regressor."""
     descriptor = T.concat([z_k, z_g])
@@ -175,21 +144,22 @@ def head_forward(z_k: Tensor, z_g: Tensor, params: HeadParams, cfg: HeadConfig) 
 
 
 @dataclass
-class CondensedForward:
-    """Everything a forward pass yields: detection outputs plus the
-    intermediates the losses and visualizations consume."""
+class Forward:
+    """Everything a forward pass yields: detection outputs plus, for the
+    condensed head, the intermediates the losses and visualizations consume
+    (``None`` for the baseline head, which has none)."""
 
     output: HeadOutput
-    maps: Tensor            # K x H x W, squashed
-    parts: KeyPartSet
-    z_k: Tensor
-    z_g: Tensor
-    global_map: Tensor      # kept_channels x L x L, pre-flatten
+    maps: Tensor | None = None          # K x H x W, squashed
+    parts: KeyPartSet | None = None
+    z_k: Tensor | None = None
+    z_g: Tensor | None = None
+    global_map: Tensor | None = None    # kept_channels x L x L, pre-flatten
 
 
 def full_condensed_forward(x: Tensor, disc_params: DiscoveryParams,
                            head_params: HeadParams, disc_cfg: DiscoveryConfig,
-                           head_cfg: HeadConfig) -> CondensedForward:
+                           head_cfg: HeadConfig) -> Forward:
     """Run the whole condensed head on one proposal grid."""
     if disc_cfg.channels != head_cfg.channels or disc_cfg.num_parts != head_cfg.num_parts:
         raise ConfigError("discovery and head configs disagree on channels/num_parts")
@@ -206,8 +176,8 @@ def full_condensed_forward(x: Tensor, disc_params: DiscoveryParams,
     global_map = global_activation(x, head_params, head_cfg)
     z_g = T.flatten(global_map)
     output = head_forward(z_k, z_g, head_params, head_cfg)
-    return CondensedForward(output=output, maps=maps, parts=parts,
-                            z_k=z_k, z_g=z_g, global_map=global_map)
+    return Forward(output=output, maps=maps, parts=parts,
+                   z_k=z_k, z_g=z_g, global_map=global_map)
 
 
 # -- baseline two-FC head -----------------------------------------------------
@@ -216,36 +186,18 @@ def full_condensed_forward(x: Tensor, disc_params: DiscoveryParams,
 class BaselineParams:
     """Flatten -> FC -> relu -> FC -> relu -> classifier/regressor."""
 
-    fc1: LinearParams
-    fc2: LinearParams
-    cls: LinearParams
-    reg: LinearParams
-
-    def named_tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("baseline.fc1.weight", self.fc1.weight),
-            ("baseline.fc1.bias", self.fc1.bias),
-            ("baseline.fc2.weight", self.fc2.weight),
-            ("baseline.fc2.bias", self.fc2.bias),
-            ("baseline.cls.weight", self.cls.weight),
-            ("baseline.cls.bias", self.cls.bias),
-            ("baseline.reg.weight", self.reg.weight),
-            ("baseline.reg.bias", self.reg.bias),
-        ]
+    fc1: LayerParams
+    fc2: LayerParams
+    cls: LayerParams
+    reg: LayerParams
 
 
 def init_baseline_params(cfg: HeadConfig, rng: np.random.Generator) -> BaselineParams:
     flat = cfg.channels * cfg.height * cfg.width
-    return BaselineParams(
-        fc1=LinearParams(weight=_uniform_init(rng, (cfg.hidden, flat), flat),
-                         bias=_zeros((cfg.hidden,))),
-        fc2=LinearParams(weight=_uniform_init(rng, (cfg.hidden, cfg.hidden), cfg.hidden),
-                         bias=_zeros((cfg.hidden,))),
-        cls=LinearParams(weight=_uniform_init(rng, (cfg.cls_len, cfg.hidden), cfg.hidden),
-                         bias=_zeros((cfg.cls_len,))),
-        reg=LinearParams(weight=_uniform_init(rng, (cfg.reg_len, cfg.hidden), cfg.hidden),
-                         bias=_zeros((cfg.reg_len,))),
-    )
+    return BaselineParams(fc1=_init_layer(rng, (cfg.hidden, flat)),
+                          fc2=_init_layer(rng, (cfg.hidden, cfg.hidden)),
+                          cls=_init_layer(rng, (cfg.cls_len, cfg.hidden)),
+                          reg=_init_layer(rng, (cfg.reg_len, cfg.hidden)))
 
 
 def baseline_forward(x: Tensor, params: BaselineParams, cfg: HeadConfig) -> HeadOutput:

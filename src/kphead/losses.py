@@ -19,20 +19,6 @@ from .tensor import Tensor
 BACKGROUND = 0  # class index 0 is background; foregrounds are 1..num_classes
 
 
-def smooth_l1(a, b):
-    """Smooth L1 distance: 0.5 d^2 for |d| < 1, else |d| - 0.5.
-
-    Accepts plain floats (returns a float) or tensors (returns a tensor with
-    the gradient clamped to +/-1 in the linear regime).
-    """
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        a = a if isinstance(a, Tensor) else Tensor(a)
-        b = b if isinstance(b, Tensor) else Tensor(b)
-        return T.smooth_l1(a, b)
-    d = a - b
-    return 0.5 * d * d if abs(d) < 1.0 else abs(d) - 0.5
-
-
 def _check_batch(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> None:
     if len(maps_batch) != len(labels):
         raise ContractViolation(

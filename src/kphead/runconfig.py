@@ -8,8 +8,8 @@ command-line flag of the same name.  Unknown keys are rejected.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dataset import ToyDatasetSpec
 from .discovery import DiscoveryConfig
@@ -50,26 +50,13 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def discovery_config(self) -> DiscoveryConfig:
-        return DiscoveryConfig(channels=self.data.channels,
-                               num_parts=self.head.num_parts,
-                               num_blocks=self.okpd.num_blocks,
-                               reduction=self.okpd.reduction,
-                               groups=self.okpd.groups,
-                               dilation=self.okpd.dilation,
-                               alpha=self.okpd.alpha,
-                               epsilon=self.okpd.epsilon,
-                               gather_from_refined=self.okpd.gather_from_refined)
+        return DiscoveryConfig(channels=self.data.channels, num_parts=self.head.num_parts,
+                               **asdict(self.okpd))
 
     def head_config(self) -> HeadConfig:
-        return HeadConfig(channels=self.data.channels,
-                          num_classes=self.data.num_classes,
-                          num_parts=self.head.num_parts,
-                          pool_len=self.head.pool_len,
-                          height=self.data.height,
-                          width=self.data.width,
-                          channel_keep=self.head.channel_keep,
-                          hidden=self.head.hidden,
-                          reg_per_class=self.head.reg_per_class)
+        return HeadConfig(channels=self.data.channels, num_classes=self.data.num_classes,
+                          height=self.data.height, width=self.data.width,
+                          **asdict(self.head))
 
     def flat_items(self) -> list[tuple[str, object]]:
         items = []
@@ -105,11 +92,14 @@ def _parse_value(key: str, text: str, target_type: type):
         if target_type is int:
             return int(text)
         if target_type is float:
-            return float(text)
+            value = float(text)
+            if math.isfinite(value):
+                return value
+            raise ValueError(text)
         return text
     except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {text!r} as "
-                          f"{target_type.__name__}") from exc
+        kind = "finite float" if target_type is float else target_type.__name__
+        raise ConfigError(f"config key {key!r}: cannot parse {text!r} as {kind}") from exc
 
 
 def set_key(cfg: RunConfig, key: str, value) -> None:
@@ -126,13 +116,8 @@ def set_key(cfg: RunConfig, key: str, value) -> None:
 
 def _revalidate(cfg: RunConfig) -> RunConfig:
     """Re-run dataclass validation after field-level mutation."""
-    rebuilt = RunConfig(
-        data=dataclasses.replace(cfg.data),
-        okpd=dataclasses.replace(cfg.okpd),
-        head=dataclasses.replace(cfg.head),
-        train=dataclasses.replace(cfg.train),
-    )
-    return rebuilt
+    return RunConfig(**{f.name: replace(getattr(cfg, f.name))
+                        for f in fields(cfg)})
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:

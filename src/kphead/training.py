@@ -11,9 +11,9 @@ import numpy as np
 from . import losses
 from . import tensor as T
 from .dataset import ToyExample
-from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params
+from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, named_tensors
 from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
-from .head import (BaselineParams, HeadConfig, HeadParams, baseline_forward,
+from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
                    full_condensed_forward, init_baseline_params, init_head_params)
 from .tensor import Tensor, backward
 
@@ -37,39 +37,43 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
 
 
+class _Model:
+    """What training, evaluation and the parameter files use of a model:
+    ``forward`` returns a ``Forward`` and ``named_tensors`` lists its
+    parameters; ``kind`` names the head in parameter manifests."""
+
+    def scalar_count(self) -> int:
+        return sum(t.size for _, t in self.named_tensors())
+
+
 @dataclass
-class CondensedModel:
+class CondensedModel(_Model):
     kind = "condensed"
     disc_cfg: DiscoveryConfig
     head_cfg: HeadConfig
     disc_params: DiscoveryParams
     head_params: HeadParams
 
-    def forward(self, x: Tensor):
+    def forward(self, x: Tensor) -> Forward:
         return full_condensed_forward(x, self.disc_params, self.head_params,
                                       self.disc_cfg, self.head_cfg)
 
-    def named_tensors(self):
-        return self.disc_params.named_tensors() + self.head_params.named_tensors()
-
-    def scalar_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
+    def named_tensors(self) -> list[tuple[str, Tensor]]:
+        return named_tensors("discovery", self.disc_params) + \
+            named_tensors("head", self.head_params)
 
 
 @dataclass
-class BaselineModel:
+class BaselineModel(_Model):
     kind = "baseline"
     head_cfg: HeadConfig
     params: BaselineParams
 
-    def forward(self, x: Tensor):
-        return baseline_forward(x, self.params, self.head_cfg)
+    def forward(self, x: Tensor) -> Forward:
+        return Forward(output=baseline_forward(x, self.params, self.head_cfg))
 
-    def named_tensors(self):
-        return self.params.named_tensors()
-
-    def scalar_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
+    def named_tensors(self) -> list[tuple[str, Tensor]]:
+        return named_tensors("baseline", self.params)
 
 
 def build_condensed(disc_cfg: DiscoveryConfig, head_cfg: HeadConfig,
@@ -120,7 +124,6 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     named = model.named_tensors()
     velocity = {name: np.zeros_like(t.data) for name, t in named}
     order_rng = np.random.default_rng([cfg.seed, 21])
-    condensed = model.kind == "condensed"
     logs: list[EpochLog] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -133,8 +136,7 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
                 t.grad = None
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg,
-                                                                 condensed)
+                    total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
                     backward(total)
             except NonFiniteError as exc:
                 raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
@@ -153,23 +155,20 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     return logs
 
 
-def _batch_loss(model, batch, cfg: TrainConfig, condensed: bool):
+def _batch_loss(model, batch, cfg: TrainConfig):
     det_terms = []
-    maps_batch = []
+    maps_batch = []  # stays empty for a head without confidence maps
     labels = []
     hits = 0
     for ex in batch:
-        if condensed:
-            fwd = model.forward(ex.x)
-            out = fwd.output
+        fwd = model.forward(ex.x)
+        det_terms.append(losses.detection_loss(fwd.output, ex.class_id, ex.box_target,
+                                               model.head_cfg))
+        if int(np.argmax(fwd.output.v_cls.data)) == ex.class_id:
+            hits += 1
+        if fwd.maps is not None:
             maps_batch.append(fwd.maps)
             labels.append(ex.y_hat)
-        else:
-            out = model.forward(ex.x)
-        det_terms.append(losses.detection_loss(out, ex.class_id, ex.box_target,
-                                               model.head_cfg))
-        if int(np.argmax(out.v_cls.data)) == ex.class_id:
-            hits += 1
 
     det = T.add_n(det_terms)
     if cfg.batch_mean:
@@ -179,7 +178,7 @@ def _batch_loss(model, batch, cfg: TrainConfig, condensed: bool):
 
     total = det
     ld_value = lu_value = 0.0
-    if condensed and (cfg.use_discriminative or cfg.use_uniqueness):
+    if maps_batch and (cfg.use_discriminative or cfg.use_uniqueness):
         terms = []
         if cfg.use_discriminative:
             ld = losses.discriminative_loss(maps_batch, labels, batch_mean=cfg.batch_mean)

@@ -331,6 +331,18 @@ class TestConfigCommand:
         assert rc == 0
 
 
+    @pytest.mark.parametrize("argv", [["params", "--head.channel_keep", "nan"],
+                                      ["toy", "gen", "--data.noise_sigma", "nan"],
+                                      ["toy", "gen", "--train.learning_rate", "inf"]])
+    def test_non_finite_float_option_exits_2(self, tmp_path, capsys, argv):
+        if argv[0] == "toy":
+            argv = argv[:2] + ["--out", str(tmp_path / "d.bin")] + argv[2:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert is_one_error_line(err) and argv[-2].lstrip("-") in err
+        assert not (tmp_path / "d.bin").exists()
+
+
 class TestHelpSurface:
     @pytest.mark.parametrize("argv", [["--help"], ["params", "--help"],
                                       ["gradcheck", "--help"], ["toy", "--help"],

@@ -1,11 +1,14 @@
 """Synthetic dataset: determinism, composition, decoder oracle, file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from kphead.dataset import (ToyDatasetSpec, class_signatures, generate_dataset,
+from kphead.dataset import (ToyDatasetSpec, ToyExample, class_signatures, generate_dataset,
                             nearest_signature_accuracy, read_dataset, write_dataset)
 from kphead.errors import ConfigError, ContractViolation
+from kphead.tensor import Tensor
 
 SMALL = ToyDatasetSpec(channels=16, num_classes=3, parts_per_class=4,
                        n_train=40, n_test=24, seed=5)
@@ -117,6 +120,22 @@ class TestFileFormat:
         write_dataset(p1, SMALL, train)
         write_dataset(p2, SMALL, train)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_hand_packed_golden(self, tmp_path):
+        spec = ToyDatasetSpec(channels=1, height=2, width=3, num_classes=2,
+                              parts_per_class=2, n_train=2, n_test=1, seed=7)
+        fg = ToyExample(x=Tensor(np.arange(6.0).reshape(1, 2, 3)), y_hat=1, class_id=2,
+                        box_target=np.array([0.5, 0.25, 1.0, 0.75]),
+                        planted_points=[(0, 2), (1, 0)])
+        bg = ToyExample(x=Tensor(np.full((1, 2, 3), -1.5)), y_hat=0, class_id=0,
+                        box_target=np.zeros(4))
+        path = tmp_path / "d.bin"
+        write_dataset(path, spec, [fg, bg])
+        golden = (b"OKPD" + struct.pack("<HHHHHHIQ", 1, 1, 2, 3, 2, 2, 2, 7) + bytes(4)
+                  + struct.pack("<BB4f4B6f", 1, 2, 0.5, 0.25, 1.0, 0.75, 0, 2, 1, 0,
+                                *range(6))
+                  + struct.pack("<BB4f4B6f", 0, 0, 0, 0, 0, 0, *[0xFF] * 4, *[-1.5] * 6))
+        assert path.read_bytes() == golden
 
     def test_background_sentinel_round_trips(self, tmp_path):
         train, _ = generate_dataset(SMALL)

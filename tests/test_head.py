@@ -8,7 +8,7 @@ from kphead import tensor as T
 from kphead.discovery import DiscoveryConfig, KeyPartSet, init_discovery_params
 from kphead.errors import ContractViolation
 from kphead.head import (HeadConfig, baseline_forward, full_condensed_forward,
-                         global_modeling, head_forward, init_baseline_params,
+                         global_activation, head_forward, init_baseline_params,
                          init_head_params, key_part_modeling)
 from kphead.runconfig import RunConfig
 from kphead.tensor import Tensor, backward
@@ -80,14 +80,14 @@ class TestGlobalModeling:
         params.global_conv.weight.data[:] = np.eye(4).reshape(4, 4, 1, 1)
         params.global_conv.bias.data[:] = 0.0
         x = Tensor(np.random.default_rng(1).standard_normal((4, 3, 3)))
-        np.testing.assert_allclose(global_modeling(x, params, cfg).data,
+        np.testing.assert_allclose(T.flatten(global_activation(x, params, cfg)).data,
                                    x.data.reshape(-1), atol=1e-12)
 
     def test_constant_grid_passes_through_pooling(self):
         params = init_head_params(TOY_HEAD, np.random.default_rng(2))
         params.global_conv.bias.data[:] = 0.0
         x = Tensor(np.full((8, 5, 5), 3.0))
-        z_g = global_modeling(x, params, TOY_HEAD).data.reshape(2, 3, 3)
+        z_g = T.flatten(global_activation(x, params, TOY_HEAD)).data.reshape(2, 3, 3)
         row_sums = params.global_conv.weight.data.reshape(2, 8).sum(axis=1)
         for ch in range(2):
             np.testing.assert_allclose(z_g[ch], 3.0 * row_sums[ch], atol=1e-12)
@@ -101,7 +101,8 @@ class TestGlobalModeling:
         pooled = oracles.adaptive_avg_pool_loops(x.data, 5)
         want = oracles.conv2d_loops(pooled, params.global_conv.weight.data,
                                     params.global_conv.bias.data).reshape(-1)
-        np.testing.assert_allclose(global_modeling(x, params, cfg).data, want, atol=1e-12)
+        np.testing.assert_allclose(T.flatten(global_activation(x, params, cfg)).data, want,
+                                   atol=1e-12)
 
 
 class TestHeadForward:

@@ -5,10 +5,11 @@ import pytest
 
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.errors import TrainingDivergence
+from kphead.head import baseline_forward
 from kphead.runconfig import RunConfig
-from kphead.training import (LOG_HEADER, TrainConfig, build_baseline, build_condensed,
-                             load_params, manifest_path, restore_into, save_params,
-                             train, write_log)
+from kphead.training import (LOG_HEADER, TrainConfig, _batch_loss, build_baseline,
+                             build_condensed, load_params, manifest_path, restore_into,
+                             save_params, train, write_log)
 
 
 def tiny_run_config(**train_kw):
@@ -154,6 +155,45 @@ class TestParameterFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == LOG_HEADER == "epoch,det_loss,l_d,l_u,acc"
         assert len(lines) == 1 + len(logs)
+
+
+LAYER_PARAMS = ("weight", "bias")
+
+
+class TestModelInterface:
+    def test_parameter_names_in_order(self):
+        """The names key parameter files, so a rename breaks every saved file."""
+        cfg = tiny_run_config()
+        cfg.okpd.num_blocks = 3
+        condensed, baseline = tiny_models(cfg)
+        blocks = [f"discovery.block{i}.{layer}.{p}" for i in range(3)
+                  for layer in ("reduce", "restore") for p in LAYER_PARAMS]
+        assert [name for name, _ in condensed.named_tensors()] == blocks + [
+            f"{layer}.{p}" for layer in ("discovery.predict", "head.global_conv", "head.fc",
+                                         "head.cls", "head.reg") for p in LAYER_PARAMS]
+        assert [name for name, _ in baseline.named_tensors()] == [
+            f"baseline.{layer}.{p}" for layer in ("fc1", "fc2", "cls", "reg")
+            for p in LAYER_PARAMS]
+        assert condensed.scalar_count() == sum(t.size for _, t in condensed.named_tensors())
+
+    def test_baseline_forward_record_holds_only_the_output(self):
+        cfg = tiny_run_config()
+        _, baseline = tiny_models(cfg)
+        x = generate_dataset(cfg.data)[0][0].x
+        fwd = baseline.forward(x)
+        want = baseline_forward(x, baseline.params, baseline.head_cfg)
+        np.testing.assert_array_equal(fwd.output.v_cls.data, want.v_cls.data)
+        np.testing.assert_array_equal(fwd.output.v_reg.data, want.v_reg.data)
+        assert fwd.maps is fwd.parts is fwd.z_k is fwd.z_g is fwd.global_map is None
+
+    def test_baseline_batch_loss_has_no_discovery_terms(self):
+        cfg = tiny_run_config()
+        condensed, baseline = tiny_models(cfg)
+        batch = generate_dataset(cfg.data)[0][:8]
+        _, det_v, ld_v, lu_v, _ = _batch_loss(baseline, batch, cfg.train)
+        assert det_v > 0.0 and ld_v == 0.0 and lu_v == 0.0
+        _, _, ld_v, lu_v, _ = _batch_loss(condensed, batch, cfg.train)
+        assert ld_v > 0.0 and lu_v > 0.0
 
 
 class TestObjectiveAblations:
