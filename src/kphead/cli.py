@@ -203,7 +203,9 @@ def _build_model(kind: str, cfg: runconfig.RunConfig):
     if kind == "condensed":
         return training.build_condensed(cfg.discovery_config(), cfg.head_config(),
                                         cfg.train.seed)
-    return training.build_baseline(cfg.head_config(), cfg.train.seed)
+    if kind == "baseline":
+        return training.build_baseline(cfg.head_config(), cfg.train.seed)
+    raise ContractViolation(f"unknown model {kind!r}; expected 'condensed' or 'baseline'")
 
 
 def _load_model(params_path):

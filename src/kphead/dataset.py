@@ -136,29 +136,6 @@ def generate_dataset(spec: ToyDatasetSpec) -> tuple[list[ToyExample], list[ToyEx
             _make_split(spec, spec.n_test, _TEST_STREAM))
 
 
-def nearest_signature_accuracy(examples: list[ToyExample], spec: ToyDatasetSpec) -> float:
-    """Decoder oracle: classify each foreground example by nearest signature
-    at its planted cells (majority vote); returns accuracy over foregrounds."""
-    signatures = class_signatures(spec)
-    flat_sigs = signatures.reshape(-1, spec.channels)
-    classes = np.repeat(np.arange(1, spec.num_classes + 1), spec.parts_per_class)
-    correct = 0
-    total = 0
-    for ex in examples:
-        if ex.y_hat == 0:
-            continue
-        votes = []
-        for r, col in ex.planted_points:
-            fiber = ex.x.data[:, r, col]
-            nearest = np.argmin(np.linalg.norm(flat_sigs - fiber, axis=1))
-            votes.append(classes[nearest])
-        counts = np.bincount(votes, minlength=spec.num_classes + 1)
-        if int(np.argmax(counts)) == ex.class_id:
-            correct += 1
-        total += 1
-    return correct / total if total else 0.0
-
-
 # -- binary file format -------------------------------------------------------
 
 def _record_layout(c: int, h: int, w: int, d: int) -> np.dtype:

@@ -86,10 +86,10 @@ def _check_adaptive_avg_pool(rng) -> float:
 
 
 def _check_linear(rng) -> float:
-    x = _param(rng, (8,))
+    x = _param(rng, (2, 8))
     w = _param(rng, (3, 8))
     b = _param(rng, (3,))
-    proj = Tensor(rng.standard_normal((3,)))
+    proj = Tensor(rng.standard_normal((2, 3)))
 
     def build():
         return T.sum_all(T.mul(T.linear(x, w, b), proj))
@@ -153,10 +153,11 @@ def _check_smooth_l1(rng) -> float:
 
 
 def _check_logsumexp(rng) -> float:
-    x = _param(rng, (7,))
+    x = _param(rng, (2, 7))
+    proj = Tensor(rng.standard_normal((2,)))
 
     def build():
-        return T.logsumexp(x)
+        return T.sum_all(T.mul(T.logsumexp(x), proj))
 
     return _compare(build, [x])
 
@@ -191,14 +192,12 @@ def _check_detection_loss(rng) -> float:
                      height=4, width=4, channel_keep=0.5, hidden=4)
 
     def make_case(case_rng):
-        v_cls = _param(case_rng, (4,))
-        v_reg = _param(case_rng, (12,))
-        box = case_rng.standard_normal(4)
+        v_cls = _param(case_rng, (2, 4))
+        v_reg = _param(case_rng, (2, 12))
+        boxes = case_rng.standard_normal((2, 4))
 
-        def build():
-            fg = losses.detection_loss(HeadOutput(v_cls, v_reg), 2, box, cfg)
-            bg = losses.detection_loss(HeadOutput(v_cls, v_reg), 0, box, cfg)
-            return T.add(fg, bg)
+        def build():  # one foreground row, one background row
+            return losses.detection_loss(HeadOutput(v_cls, v_reg), [2, 0], boxes, cfg)
 
         return build, [v_cls, v_reg]
 
@@ -225,10 +224,10 @@ def _check_condensed_head(rng) -> float:
         box = case_rng.standard_normal(4)
 
         def build():
-            fwd = full_condensed_forward(x, disc_params, head_params,
+            fwd = full_condensed_forward([x], disc_params, head_params,
                                          disc_cfg, head_cfg)
-            det = losses.detection_loss(fwd.output, 1, box, head_cfg)
-            obj = losses.discovery_objective([fwd.maps], [1])
+            det = losses.detection_loss(fwd.output, [1], [box], head_cfg)
+            obj = losses.discovery_objective(fwd.maps, [1])
             return T.add(det, obj)
 
         checked = [x] + [t for _, t in named_tensors("discovery", disc_params)

@@ -10,6 +10,7 @@ the two and runs one fully connected layer before the output heads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,8 +107,8 @@ def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
 
 @dataclass
 class HeadOutput:
-    v_cls: Tensor  # logits, num_classes + 1 (background at index 0)
-    v_reg: Tensor  # box offsets, 4*num_classes or 4
+    v_cls: Tensor  # N x (num_classes + 1) logits, background at index 0
+    v_reg: Tensor  # N x (4*num_classes or 4) box offsets
 
 
 def key_part_modeling(x: Tensor, maps: Tensor, parts: KeyPartSet) -> Tensor:
@@ -130,14 +131,18 @@ def global_activation(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
     return T.conv2d(pooled, params.global_conv.weight, params.global_conv.bias)
 
 
-def head_forward(z_k: Tensor, z_g: Tensor, params: HeadParams, cfg: HeadConfig) -> HeadOutput:
-    """Concat -> single FC -> relu -> parallel classifier and regressor."""
-    descriptor = T.concat([z_k, z_g])
-    if descriptor.size != cfg.descriptor_len:
+def head_forward(z_ks: Sequence[Tensor], z_gs: Sequence[Tensor], params: HeadParams,
+                 cfg: HeadConfig) -> HeadOutput:
+    """Each example's descriptor row is its key-part block ``z_ks[i]`` then its
+    global block ``z_gs[i]``, both read row-major; the N rows go through the
+    single FC -> relu -> parallel classifier and regressor as one batch."""
+    descriptor = T.concat([z for pair in zip(z_ks, z_gs) for z in pair])
+    if len(z_ks) != len(z_gs) or descriptor.size != len(z_ks) * cfg.descriptor_len:
         raise ContractViolation(
-            f"head_forward: descriptor length {descriptor.size} != expected "
-            f"{cfg.descriptor_len}")
-    hidden = T.relu(T.linear(descriptor, params.fc.weight, params.fc.bias))
+            f"head_forward: {len(z_ks)} key-part and {len(z_gs)} global blocks of "
+            f"{descriptor.size} values in all, for descriptors of length {cfg.descriptor_len}")
+    rows = T.reshape(descriptor, (len(z_ks), cfg.descriptor_len))
+    hidden = T.relu(T.linear(rows, params.fc.weight, params.fc.bias))
     v_cls = T.linear(hidden, params.cls.weight, params.cls.bias)
     v_reg = T.linear(hidden, params.reg.weight, params.reg.bias)
     return HeadOutput(v_cls=v_cls, v_reg=v_reg)
@@ -145,39 +150,49 @@ def head_forward(z_k: Tensor, z_g: Tensor, params: HeadParams, cfg: HeadConfig) 
 
 @dataclass
 class Forward:
-    """Everything a forward pass yields: detection outputs plus, for the
-    condensed head, the intermediates the losses and visualizations consume
-    (``None`` for the baseline head, which has none)."""
+    """Everything a forward pass over N grids yields: the N output rows plus,
+    for the condensed head, one entry per example of the intermediates the
+    losses and visualizations consume (``None`` for the baseline head, which
+    has none).  A descriptor's global block is its global map read row-major."""
 
     output: HeadOutput
-    maps: Tensor | None = None          # K x H x W, squashed
-    parts: KeyPartSet | None = None
-    z_k: Tensor | None = None
-    z_g: Tensor | None = None
-    global_map: Tensor | None = None    # kept_channels x L x L, pre-flatten
+    maps: list[Tensor] | None = None        # K x H x W each, squashed
+    parts: list[KeyPartSet] | None = None
+    z_k: list[Tensor] | None = None         # each descriptor's key-part block
+    global_map: list[Tensor] | None = None  # kept_channels x L x L each
 
 
-def full_condensed_forward(x: Tensor, disc_params: DiscoveryParams,
+def _check_grids(xs: Sequence[Tensor], cfg: HeadConfig) -> None:
+    if not xs:
+        raise ContractViolation("a forward pass needs at least one grid")
+    want = (cfg.channels, cfg.height, cfg.width)
+    for x in xs:
+        if x.shape != want:
+            raise ContractViolation(f"input grid {x.shape} != configured {want}")
+
+
+def full_condensed_forward(xs: Sequence[Tensor], disc_params: DiscoveryParams,
                            head_params: HeadParams, disc_cfg: DiscoveryConfig,
                            head_cfg: HeadConfig) -> Forward:
-    """Run the whole condensed head on one proposal grid."""
+    """Run the whole condensed head on a batch of proposal grids.
+
+    Discovery, key-part extraction and global pooling run per grid, since
+    each grid has its own peaks; the FC layers and outputs run once for all.
+    """
     if disc_cfg.channels != head_cfg.channels or disc_cfg.num_parts != head_cfg.num_parts:
         raise ConfigError("discovery and head configs disagree on channels/num_parts")
-    if x.shape != (head_cfg.channels, head_cfg.height, head_cfg.width):
-        raise ContractViolation(
-            f"input grid {x.shape} != configured "
-            f"({head_cfg.channels}, {head_cfg.height}, {head_cfg.width})")
-    refined = concentration_forward(x, disc_params, disc_cfg)
-    raw = predict_confidence(refined, disc_params, disc_cfg)
-    maps = tmr_squash(raw, disc_cfg.alpha, disc_cfg.epsilon)
-    parts = extract_key_parts(maps)
-    gather_source = refined if disc_cfg.gather_from_refined else x
-    z_k = key_part_modeling(gather_source, maps, parts)
-    global_map = global_activation(x, head_params, head_cfg)
-    z_g = T.flatten(global_map)
-    output = head_forward(z_k, z_g, head_params, head_cfg)
-    return Forward(output=output, maps=maps, parts=parts,
-                   z_k=z_k, z_g=z_g, global_map=global_map)
+    _check_grids(xs, head_cfg)
+    maps, parts, z_k, global_map = [], [], [], []
+    for x in xs:
+        refined = concentration_forward(x, disc_params, disc_cfg)
+        raw = predict_confidence(refined, disc_params, disc_cfg)
+        maps.append(tmr_squash(raw, disc_cfg.alpha, disc_cfg.epsilon))
+        parts.append(extract_key_parts(maps[-1]))
+        gather_source = refined if disc_cfg.gather_from_refined else x
+        z_k.append(key_part_modeling(gather_source, maps[-1], parts[-1]))
+        global_map.append(global_activation(x, head_params, head_cfg))
+    output = head_forward(z_k, global_map, head_params, head_cfg)
+    return Forward(output=output, maps=maps, parts=parts, z_k=z_k, global_map=global_map)
 
 
 # -- baseline two-FC head -----------------------------------------------------
@@ -200,9 +215,13 @@ def init_baseline_params(cfg: HeadConfig, rng: np.random.Generator) -> BaselineP
                           reg=_init_layer(rng, (cfg.reg_len, cfg.hidden)))
 
 
-def baseline_forward(x: Tensor, params: BaselineParams, cfg: HeadConfig) -> HeadOutput:
-    flat = T.flatten(x)
-    h1 = T.relu(T.linear(flat, params.fc1.weight, params.fc1.bias))
+def baseline_forward(xs: Sequence[Tensor], params: BaselineParams,
+                     cfg: HeadConfig) -> HeadOutput:
+    """Run the two-FC head on a batch of proposal grids, one flattened grid
+    per row."""
+    _check_grids(xs, cfg)
+    rows = T.reshape(T.concat(xs), (len(xs), xs[0].size))
+    h1 = T.relu(T.linear(rows, params.fc1.weight, params.fc1.bias))
     h2 = T.relu(T.linear(h1, params.fc2.weight, params.fc2.bias))
     v_cls = T.linear(h2, params.cls.weight, params.cls.bias)
     v_reg = T.linear(h2, params.reg.weight, params.reg.bias)

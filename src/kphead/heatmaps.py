@@ -61,12 +61,13 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     """
     os.makedirs(out_dir, exist_ok=True)
     fwd = model.forward(example.x)
+    maps, parts = fwd.maps[0].data, fwd.parts[0]
     paths = []
-    for k in range(fwd.maps.shape[0]):
+    for k in range(maps.shape[0]):
         path = os.path.join(out_dir, f"part_{k:02d}.pgm")
-        write_pgm(path, fwd.maps.data[k])
+        write_pgm(path, maps[k])
         paths.append(path)
-    activation = normalize01(np.maximum(fwd.global_map.data, 0.0).sum(axis=0))
+    activation = normalize01(np.maximum(fwd.global_map[0].data, 0.0).sum(axis=0))
     global_path = os.path.join(out_dir, "global.pgm")
     write_pgm(global_path, activation)
     paths.append(global_path)
@@ -75,8 +76,7 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     with open(sidecar, "w") as fh:
         fh.write(f"# extracted key parts (flagging confidences > {threshold})\n")
         fh.write("# part row col confidence above_threshold\n")
-        for k, ((row, col), conf) in enumerate(zip(fwd.parts.points,
-                                                   fwd.parts.confidences)):
+        for k, ((row, col), conf) in enumerate(zip(parts.points, parts.confidences)):
             flag = "yes" if conf > threshold else "no"
             fh.write(f"{k} {row} {col} {conf:.6f} {flag}\n")
     paths.append(sidecar)

@@ -4,12 +4,14 @@ The discovery objective pushes each map's peak confidence toward the
 example's foreground label (discriminative term) and the spatial peak of the
 channel-summed maps toward 1 on foregrounds (uniqueness term).  The toy
 detection loss is cross-entropy over class logits plus smooth L1 on the
-target class's box offsets.
+target class's box offsets, summed over a batch's output rows.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from . import tensor as T
 from .errors import ContractViolation
@@ -70,17 +72,27 @@ def discovery_objective(maps_batch: Sequence[Tensor], labels: Sequence[int],
                  uniqueness_loss(maps_batch, labels, batch_mean))
 
 
-def detection_loss(out: HeadOutput, target_class: int, target_box: Sequence[float],
-                   cfg: HeadConfig) -> Tensor:
-    """Cross-entropy over class logits plus smooth L1 over the target class's
-    4 box offsets; the regression term is skipped for background targets."""
-    if not (0 <= target_class <= cfg.num_classes):
+def detection_loss(out: HeadOutput, classes: Sequence[int],
+                   boxes: Sequence[Sequence[float]], cfg: HeadConfig) -> Tensor:
+    """Sum over the N output rows of cross-entropy between row i's class
+    logits and ``classes[i]``, plus smooth L1 between that class's 4 box
+    offsets and ``boxes[i]``; background rows have no regression term."""
+    n = len(classes)
+    if out.v_cls.shape != (n, cfg.cls_len) or out.v_reg.shape != (n, cfg.reg_len):
         raise ContractViolation(
-            f"target_class={target_class} outside [0, {cfg.num_classes}]")
-    ce = T.logsumexp(out.v_cls) - T.item_at(out.v_cls, target_class)
-    if target_class == BACKGROUND:
+            f"detection_loss: outputs {out.v_cls.shape} and {out.v_reg.shape} "
+            f"for {n} targets")
+    for c in classes:
+        if not (0 <= c <= cfg.num_classes):
+            raise ContractViolation(f"target_class={c} outside [0, {cfg.num_classes}]")
+    # the 1 x N x C views let gather_at pick one entry per (row, column) point
+    picked = T.gather_at(T.reshape(out.v_cls, (1, n, cfg.cls_len)), list(enumerate(classes)))
+    ce = T.sum_all(T.logsumexp(out.v_cls) - T.reshape(picked, (n,)))
+    fg = [i for i, c in enumerate(classes) if c != BACKGROUND]
+    if not fg:
         return ce
-    start = cfg.reg_start(target_class)
-    pred = T.slice1d(out.v_reg, start, start + 4)
-    reg = T.sum_all(T.smooth_l1(pred, Tensor(list(target_box))))
+    points = [(i, cfg.reg_start(classes[i]) + j) for i in fg for j in range(4)]
+    pred = T.gather_at(T.reshape(out.v_reg, (1, n, cfg.reg_len)), points)
+    target = Tensor(np.concatenate([boxes[i] for i in fg]).reshape(-1, 1))
+    reg = T.sum_all(T.smooth_l1(pred, target))
     return T.add(ce, reg)

@@ -10,10 +10,13 @@ The recorded graph lives in the output tensors themselves: every operation
 stores its tag, its input references and a backward closure over the saved
 intermediates.  ``backward(loss)`` replays the recording reverse-
 topologically, visiting each node exactly once; a second backward over the
-same recording is rejected.  Weight gradients are summed once per backward:
-a layer hands its per-example weight gradient to ``backward`` as a factor
-pair, and each leaf weight's pairs are multiplied out in one contraction when
-the reverse pass ends.
+same recording is rejected.
+
+``linear`` maps a whole N x D batch at once, so its weight gradient is one
+``g.T @ x`` product per call.  ``conv2d`` still runs one example at a time:
+it hands each example's weight gradient to ``backward`` as a factor pair, and
+each leaf weight's pairs are multiplied out in one contraction when the
+reverse pass ends.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ def _note_kink_margin(margin: float) -> None:
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
     """Wrap an op result, noting the graph node and checking finiteness."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"operation {op!r} produced non-finite values")
     out = Tensor(data)
     out.op = op
@@ -151,10 +154,16 @@ def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` to ``t.grad``.  ``fresh`` marks ``g`` as a new array of
+    ``t``'s shape that nothing else holds: it becomes ``t.grad`` as is when
+    ``t`` has none yet, sparing a zero-filled buffer."""
     if not t.requires_grad:
         return
     if t.grad is None:
+        if fresh:
+            t.grad = g
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
@@ -165,10 +174,11 @@ _pending_products: dict[int, tuple[Tensor, list[np.ndarray], list[np.ndarray]]] 
 
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """Add ``a @ b``, reshaped to ``t``, to ``t.grad``.
+    """Add ``a @ b``, reshaped to ``t``, to ``t.grad``; ``conv2d`` passes its
+    per-example weight gradients this way.
 
     Inside ``backward`` a leaf's factor pairs are kept and multiplied out
-    together when the pass ends: the products of one leaf (a weight shared by
+    together when the pass ends: the products of one leaf (a kernel shared by
     every example of a batch) then cost one matmul instead of one full-size
     write each.  A tensor with a backward closure gets its product at once,
     because the closure reads ``grad`` later in the same pass.
@@ -176,7 +186,7 @@ def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if _pending_products is None or t._backward_fn is not None:
-        _accumulate(t, (a @ b).reshape(t.shape))
+        _accumulate(t, (a @ b).reshape(t.shape), fresh=True)
         return
     entry = _pending_products.setdefault(id(t), (t, [], []))
     entry[1].append(a)
@@ -210,7 +220,7 @@ def backward(loss: Tensor) -> None:
                 node._backward_fn(node.grad)
         for t, lefts, rights in _pending_products.values():
             product = np.concatenate(lefts, axis=-1) @ np.concatenate(rights, axis=-2)
-            _accumulate(t, product.reshape(t.shape))
+            _accumulate(t, product.reshape(t.shape), fresh=True)
     finally:
         _pending_products = None
 
@@ -342,35 +352,31 @@ def add_n(terms: Iterable[Tensor]) -> Tensor:
 
 
 def logsumexp(t: Tensor) -> Tensor:
-    """log(sum(exp(t))) over a 1-D tensor, computed with the max shifted out."""
-    if t.data.ndim != 1:
-        raise ContractViolation(f"logsumexp needs a 1-D tensor, got shape {t.shape}")
-    m = float(t.data.max())
+    """log(sum(exp(t))) over the last axis of a 1-D or N x C tensor (a scalar
+    or an N-vector), computed with each row's max shifted out."""
+    if t.data.ndim not in (1, 2):
+        raise ContractViolation(f"logsumexp needs a 1-D or 2-D tensor, got shape {t.shape}")
+    m = t.data.max(axis=-1, keepdims=True)
     shifted = np.exp(t.data - m)
-    total = shifted.sum()
-    out = m + math.log(total)
+    total = shifted.sum(axis=-1, keepdims=True)
     softmax = shifted / total
 
     def bwd(g):
-        _accumulate(t, float(g.reshape(())) * softmax)
+        _accumulate(t, g.reshape(m.shape) * softmax)
 
-    return _record(np.asarray(out), "logsumexp", (t,), bwd)
+    return _record((m + np.log(total))[..., 0], "logsumexp", (t,), bwd)
 
 
 # -- structural ops --------------------------------------------------------
 
 def reshape(t: Tensor, shape: Shape) -> Tensor:
-    if int(np.prod(shape)) != t.size:
+    if math.prod(shape) != t.size:
         raise ContractViolation(f"reshape: cannot view {t.shape} as {shape}")
 
     def bwd(g):
         _accumulate(t, g.reshape(t.shape))
 
     return _record(t.data.reshape(shape), "reshape", (t,), bwd)
-
-
-def flatten(t: Tensor) -> Tensor:
-    return reshape(t, (t.size,))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -389,33 +395,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
             _accumulate(part, g[start:stop].reshape(part.shape))
 
     return _record(np.concatenate(flats), "concat", parts, bwd)
-
-
-def slice1d(t: Tensor, start: int, stop: int) -> Tensor:
-    if t.data.ndim != 1:
-        raise ContractViolation(f"slice1d needs a 1-D tensor, got shape {t.shape}")
-    if not (0 <= start <= stop <= t.size):
-        raise ContractViolation(f"slice1d: range [{start}, {stop}) out of bounds for length {t.size}")
-
-    def bwd(g):
-        buf = np.zeros_like(t.data)
-        buf[start:stop] = g
-        _accumulate(t, buf)
-
-    return _record(t.data[start:stop].copy(), "slice1d", (t,), bwd)
-
-
-def item_at(t: Tensor, flat_index: int) -> Tensor:
-    """Differentiable scalar lookup at a row-major flat index."""
-    if not (0 <= flat_index < t.size):
-        raise ContractViolation(f"item_at: index {flat_index} out of bounds for size {t.size}")
-
-    def bwd(g):
-        buf = np.zeros_like(t.data)
-        buf.reshape(-1)[flat_index] = float(g.reshape(()))
-        _accumulate(t, buf)
-
-    return _record(np.asarray(t.data.reshape(-1)[flat_index]), "item_at", (t,), bwd)
 
 
 def channel_sum(t: Tensor) -> Tensor:
@@ -527,23 +506,26 @@ def gather_at(t: Tensor, points: Sequence[tuple[int, int]]) -> Tensor:
 # -- layers -----------------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map weight @ x + bias for a 1-D input of length D."""
-    if x.data.ndim != 1:
-        raise ContractViolation(f"linear needs a 1-D input, got shape {x.shape}")
-    if weight.data.ndim != 2 or weight.shape[1] != x.size:
+    """Affine map x @ weight.T + bias of a length-D vector or of each row of
+    an N x D batch; the output is O or N x O for an O x D weight."""
+    if x.data.ndim not in (1, 2):
+        raise ContractViolation(f"linear needs a D or N x D input, got shape {x.shape}")
+    d = x.shape[-1]
+    if weight.data.ndim != 2 or weight.shape[1] != d:
         raise ContractViolation(
-            f"linear: weight {weight.shape} does not accept input of length {x.size}")
+            f"linear: weight {weight.shape} does not accept input of length {d}")
     if bias.shape != (weight.shape[0],):
         raise ContractViolation(f"linear: bias {bias.shape} vs {weight.shape[0]} outputs")
     x_data, w_data = x.data, weight.data
 
     def bwd(g):
         if x.requires_grad:
-            _accumulate(x, w_data.T @ g)
-        _accumulate_product(weight, g[:, None], x_data[None, :])
-        _accumulate(bias, g)
+            _accumulate(x, g @ w_data)
+        g_rows = g.reshape(-1, w_data.shape[0])
+        _accumulate(weight, g_rows.T @ x_data.reshape(-1, d), fresh=True)
+        _accumulate(bias, g_rows.sum(axis=0))
 
-    return _record(w_data @ x_data + bias.data, "linear", (x, weight, bias), bwd)
+    return _record(x_data @ w_data.T + bias.data, "linear", (x, weight, bias), bwd)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,

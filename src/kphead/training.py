@@ -39,8 +39,9 @@ class TrainConfig:
 
 class _Model:
     """What training, evaluation and the parameter files use of a model:
-    ``forward`` returns a ``Forward`` and ``named_tensors`` lists its
-    parameters; ``kind`` names the head in parameter manifests."""
+    ``forward(*xs)`` runs a batch of grids and returns a ``Forward``, and
+    ``named_tensors`` lists its parameters; ``kind`` names the head in
+    parameter manifests."""
 
     def scalar_count(self) -> int:
         return sum(t.size for _, t in self.named_tensors())
@@ -54,8 +55,8 @@ class CondensedModel(_Model):
     disc_params: DiscoveryParams
     head_params: HeadParams
 
-    def forward(self, x: Tensor) -> Forward:
-        return full_condensed_forward(x, self.disc_params, self.head_params,
+    def forward(self, *xs: Tensor) -> Forward:
+        return full_condensed_forward(xs, self.disc_params, self.head_params,
                                       self.disc_cfg, self.head_cfg)
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
@@ -69,8 +70,8 @@ class BaselineModel(_Model):
     head_cfg: HeadConfig
     params: BaselineParams
 
-    def forward(self, x: Tensor) -> Forward:
-        return Forward(output=baseline_forward(x, self.params, self.head_cfg))
+    def forward(self, *xs: Tensor) -> Forward:
+        return Forward(output=baseline_forward(xs, self.params, self.head_cfg))
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         return named_tensors("baseline", self.params)
@@ -156,21 +157,11 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
 
 
 def _batch_loss(model, batch, cfg: TrainConfig):
-    det_terms = []
-    maps_batch = []  # stays empty for a head without confidence maps
-    labels = []
-    hits = 0
-    for ex in batch:
-        fwd = model.forward(ex.x)
-        det_terms.append(losses.detection_loss(fwd.output, ex.class_id, ex.box_target,
-                                               model.head_cfg))
-        if int(np.argmax(fwd.output.v_cls.data)) == ex.class_id:
-            hits += 1
-        if fwd.maps is not None:
-            maps_batch.append(fwd.maps)
-            labels.append(ex.y_hat)
-
-    det = T.add_n(det_terms)
+    fwd = model.forward(*(ex.x for ex in batch))
+    classes = [ex.class_id for ex in batch]
+    det = losses.detection_loss(fwd.output, classes, [ex.box_target for ex in batch],
+                                model.head_cfg)
+    hits = int(np.sum(np.argmax(fwd.output.v_cls.data, axis=1) == classes))
     if cfg.batch_mean:
         det = det * (1.0 / len(batch))
     # logged values are always batch sums so epoch rows average per example
@@ -178,14 +169,15 @@ def _batch_loss(model, batch, cfg: TrainConfig):
 
     total = det
     ld_value = lu_value = 0.0
-    if maps_batch and (cfg.use_discriminative or cfg.use_uniqueness):
+    if fwd.maps is not None and (cfg.use_discriminative or cfg.use_uniqueness):
+        labels = [ex.y_hat for ex in batch]
         terms = []
         if cfg.use_discriminative:
-            ld = losses.discriminative_loss(maps_batch, labels, batch_mean=cfg.batch_mean)
+            ld = losses.discriminative_loss(fwd.maps, labels, batch_mean=cfg.batch_mean)
             ld_value = ld.item() * (len(batch) if cfg.batch_mean else 1.0)
             terms.append(ld)
         if cfg.use_uniqueness:
-            lu = losses.uniqueness_loss(maps_batch, labels, batch_mean=cfg.batch_mean)
+            lu = losses.uniqueness_loss(fwd.maps, labels, batch_mean=cfg.batch_mean)
             lu_value = lu.item() * (len(batch) if cfg.batch_mean else 1.0)
             terms.append(lu)
         total = total + cfg.okpd_loss_weight * T.add_n(terms)
@@ -282,7 +274,12 @@ def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray
 
 def restore_into(model, tensors: dict[str, np.ndarray]) -> None:
     """Copy loaded arrays into a freshly built model of the matching kind."""
-    for name, t in model.named_tensors():
+    named = model.named_tensors()
+    extra = sorted(set(tensors) - {name for name, _ in named})
+    if extra:
+        raise ContractViolation(
+            f"parameter file has tensor {extra[0]!r}, which a {model.kind} model lacks")
+    for name, t in named:
         if name not in tensors:
             raise ContractViolation(f"parameter file is missing tensor {name!r}")
         if tensors[name].shape != t.shape:

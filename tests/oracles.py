@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from kphead.dataset import class_signatures
+
 
 def conv2d_loops(x, weight, bias, groups=1, dilation=1, padding=None):
     """Six-nested-loop grouped dilated cross-correlation with zero padding."""
@@ -141,3 +143,26 @@ def residual_block_loops(x, w3, b3, w1, b1, groups, dilation):
 def cross_entropy_ref(logits, target):
     m = max(logits)
     return m + math.log(sum(math.exp(v - m) for v in logits)) - logits[target]
+
+
+def nearest_signature_accuracy(examples, spec):
+    """Decoder oracle: classify each foreground example by nearest signature
+    at its planted cells (majority vote); returns accuracy over foregrounds."""
+    signatures = class_signatures(spec)
+    flat_sigs = signatures.reshape(-1, spec.channels)
+    classes = np.repeat(np.arange(1, spec.num_classes + 1), spec.parts_per_class)
+    correct = 0
+    total = 0
+    for ex in examples:
+        if ex.y_hat == 0:
+            continue
+        votes = []
+        for r, col in ex.planted_points:
+            fiber = ex.x.data[:, r, col]
+            nearest = np.argmin(np.linalg.norm(flat_sigs - fiber, axis=1))
+            votes.append(classes[nearest])
+        counts = np.bincount(votes, minlength=spec.num_classes + 1)
+        if int(np.argmax(counts)) == ex.class_id:
+            correct += 1
+        total += 1
+    return correct / total if total else 0.0

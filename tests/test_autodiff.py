@@ -70,7 +70,7 @@ class TestGradientRouting:
         a = Tensor(np.array([1.0]), requires_grad=True)
         bc = Tensor(np.array([2.0, 3.0]), requires_grad=True)
         out = T.concat([a, bc])
-        backward(T.item_at(out, 1))
+        backward(T.sum_all(T.gather_at(T.reshape(out, (1, 1, 3)), [(0, 1)])))
         np.testing.assert_array_equal(a.grad, [0.0])
         np.testing.assert_array_equal(bc.grad, [1.0, 0.0])
 
@@ -101,8 +101,8 @@ class TestWeightGradientSums:
         coeffs = Tensor(rng.standard_normal(9))
 
         def loss(_=None):
-            fibers = [T.flatten(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2,
-                                                     dilation=2), [(1, 4)]))
+            fibers = [T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2, dilation=2),
+                                            [(1, 4)]), (4,))
                       for x in grids]
             outs = [T.linear(v, w_lin, b_lin) for v in fibers + [data_vec]]
             return T.sum_all(T.mul(T.concat(outs), coeffs))
@@ -119,7 +119,7 @@ class TestWeightGradientSums:
         w_conv.grad = np.full(w_conv.shape, 0.5)
 
         def run():
-            fiber = T.flatten(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2), [(2, 1)]))
+            fiber = T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2), [(2, 1)]), (4,))
             backward(T.sum_all(T.linear(fiber, w_lin, b_lin)))
 
         run()
@@ -148,21 +148,48 @@ class TestWeightGradientSums:
 
     def test_backward_after_a_failed_backward(self):
         rng = np.random.default_rng(6)
-        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 1, 1)), requires_grad=True)
         bias = Tensor(np.zeros(3))
-        x_leaf = Tensor(rng.standard_normal(4), requires_grad=True)
+        x_leaf = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
 
         def closure_fails(g):
             raise RuntimeError("closure failed")
 
         x = x_leaf * 1.0
-        x._backward_fn = closure_fails  # runs after linear's closure has handed on w's terms
+        x._backward_fn = closure_fails  # runs after conv2d's closure has handed on w's terms
         with pytest.raises(RuntimeError, match="closure failed"):
-            backward(T.sum_all(T.linear(x, w, bias)))
+            backward(T.sum_all(T.conv2d(x, w, bias)))
         assert w.grad is None and T._pending_products is None
 
-        backward(T.sum_all(T.linear(x_leaf, w, bias)))
-        np.testing.assert_array_equal(w.grad, np.outer(np.ones(3), x_leaf.data))
+        backward(T.sum_all(T.conv2d(x_leaf, w, bias)))
+        want = np.broadcast_to(x_leaf.data.sum(axis=(1, 2)).reshape(1, 2, 1, 1), w.shape)
+        np.testing.assert_allclose(w.grad, want, rtol=1e-12)
+
+    def test_no_two_gradients_share_memory(self):
+        """A weight gradient stored without a zero-filled buffer is its own
+        array, also where ``add`` hands one gradient to both of its inputs."""
+        rng = np.random.default_rng(7)
+        w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
+        a = Tensor(rng.standard_normal(3), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        grid = Tensor(rng.standard_normal((2, 5, 6)))
+        rows = Tensor(rng.standard_normal((2, 4)))
+        coeffs = Tensor(rng.standard_normal((3, 3)))
+
+        def loss(_=None):
+            fiber = T.gather_at(T.conv2d(grid, w_conv, b_conv, groups=2), [(1, 4)])
+            batch = T.reshape(T.concat([fiber, rows]), (3, 4))
+            out = T.add(T.linear(batch, w_lin, b_lin), T.reshape(T.concat([T.add(a, b)] * 3),
+                                                                 (3, 3)))
+            return T.sum_all(T.mul(out, coeffs))
+
+        backward(loss())
+        leaves = (w_lin, b_lin, w_conv, b_conv, a, b)
+        for i, s in enumerate(leaves):
+            for t in leaves[i + 1:]:
+                assert not np.shares_memory(s.grad, t.grad)
+        for t in leaves:
+            np.testing.assert_allclose(t.grad, finite_diff_grad(loss, t), rtol=1e-6, atol=1e-8)
 
 
 class TestFiniteDifferenceOracle:

@@ -275,6 +275,19 @@ class TestCorruptedFiles:
         rc, err = run_on(tmp_path, trained, "eval", **{"d.test.bin": bytes(blob)})
         assert rc == 2 and is_one_error_line(err)
 
+    def test_unknown_model_kind_exits_2(self, tmp_path, trained):
+        manifest = trained["p.bin.manifest"].replace(b"model = condensed\n",
+                                                     b"model = condensd\n")
+        rc, err = run_on(tmp_path, trained, "eval", **{"p.bin.manifest": manifest})
+        assert rc == 2 and is_one_error_line(err) and "'condensd'" in err
+
+    def test_tensor_the_model_lacks_exits_2(self, tmp_path, trained):
+        payload = trained["p.bin"]
+        manifest = trained["p.bin.manifest"] + f"extra.weight 1 {len(payload)}\n".encode()
+        rc, err = run_on(tmp_path, trained, "eval",
+                         **{"p.bin": payload + bytes(4), "p.bin.manifest": manifest})
+        assert rc == 2 and is_one_error_line(err) and "'extra.weight'" in err
+
     def test_empty_dataset_exits_2(self, tmp_path, trained):
         header = bytearray(trained["d.test.bin"][:32])
         header[16:20] = bytes(4)  # example count 0

@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from kphead.dataset import (ToyDatasetSpec, ToyExample, class_signatures, generate_dataset,
-                            nearest_signature_accuracy, read_dataset, write_dataset)
+                            read_dataset, write_dataset)
 from kphead.errors import ConfigError, ContractViolation
 from kphead.tensor import Tensor
 
@@ -78,12 +79,12 @@ class TestDecoderOracle:
         spec = ToyDatasetSpec(channels=16, num_classes=4, noise_sigma=0.0,
                               n_train=60, n_test=30, seed=9)
         train, test = generate_dataset(spec)
-        assert nearest_signature_accuracy(train, spec) == 1.0
-        assert nearest_signature_accuracy(test, spec) == 1.0
+        assert oracles.nearest_signature_accuracy(train, spec) == 1.0
+        assert oracles.nearest_signature_accuracy(test, spec) == 1.0
 
     def test_high_at_default_noise(self):
         train, test = generate_dataset(SMALL)
-        assert nearest_signature_accuracy(test, SMALL) > 0.9
+        assert oracles.nearest_signature_accuracy(test, SMALL) > 0.9
 
     def test_signatures_have_requested_norm(self):
         sigs = class_signatures(SMALL)

@@ -80,14 +80,14 @@ class TestGlobalModeling:
         params.global_conv.weight.data[:] = np.eye(4).reshape(4, 4, 1, 1)
         params.global_conv.bias.data[:] = 0.0
         x = Tensor(np.random.default_rng(1).standard_normal((4, 3, 3)))
-        np.testing.assert_allclose(T.flatten(global_activation(x, params, cfg)).data,
-                                   x.data.reshape(-1), atol=1e-12)
+        np.testing.assert_allclose(global_activation(x, params, cfg).data, x.data,
+                                   atol=1e-12)
 
     def test_constant_grid_passes_through_pooling(self):
         params = init_head_params(TOY_HEAD, np.random.default_rng(2))
         params.global_conv.bias.data[:] = 0.0
         x = Tensor(np.full((8, 5, 5), 3.0))
-        z_g = T.flatten(global_activation(x, params, TOY_HEAD)).data.reshape(2, 3, 3)
+        z_g = global_activation(x, params, TOY_HEAD).data
         row_sums = params.global_conv.weight.data.reshape(2, 8).sum(axis=1)
         for ch in range(2):
             np.testing.assert_allclose(z_g[ch], 3.0 * row_sums[ch], atol=1e-12)
@@ -101,7 +101,7 @@ class TestGlobalModeling:
         pooled = oracles.adaptive_avg_pool_loops(x.data, 5)
         want = oracles.conv2d_loops(pooled, params.global_conv.weight.data,
                                     params.global_conv.bias.data).reshape(-1)
-        np.testing.assert_allclose(T.flatten(global_activation(x, params, cfg)).data, want,
+        np.testing.assert_allclose(global_activation(x, params, cfg).data.reshape(-1), want,
                                    atol=1e-12)
 
 
@@ -113,33 +113,33 @@ class TestHeadForward:
         params.cls.bias.data[:] = [0.1, 0.2, 0.3, 0.4]
         z_k = Tensor(np.random.default_rng(5).standard_normal(TOY_HEAD.key_part_len))
         z_g = Tensor(np.random.default_rng(6).standard_normal(TOY_HEAD.global_len))
-        out = head_forward(z_k, z_g, params, TOY_HEAD)
-        np.testing.assert_array_equal(out.v_cls.data, [0.1, 0.2, 0.3, 0.4])
+        out = head_forward([z_k], [z_g], params, TOY_HEAD)
+        np.testing.assert_array_equal(out.v_cls.data, [[0.1, 0.2, 0.3, 0.4]])
 
     def test_output_lengths(self):
         params = init_head_params(TOY_HEAD, np.random.default_rng(7))
         z_k = Tensor(np.zeros(TOY_HEAD.key_part_len))
         z_g = Tensor(np.zeros(TOY_HEAD.global_len))
-        out = head_forward(z_k, z_g, params, TOY_HEAD)
-        assert out.v_cls.size == TOY_HEAD.num_classes + 1
-        assert out.v_reg.size == 4 * TOY_HEAD.num_classes
+        out = head_forward([z_k], [z_g], params, TOY_HEAD)
+        assert out.v_cls.shape == (1, TOY_HEAD.num_classes + 1)
+        assert out.v_reg.shape == (1, 4 * TOY_HEAD.num_classes)
 
     def test_wrong_descriptor_length_rejected(self):
         params = init_head_params(TOY_HEAD, np.random.default_rng(8))
         with pytest.raises(ContractViolation):
-            head_forward(Tensor(np.zeros(3)), Tensor(np.zeros(3)), params, TOY_HEAD)
+            head_forward([Tensor(np.zeros(3))], [Tensor(np.zeros(3))], params, TOY_HEAD)
 
     def test_end_to_end_matches_composed_oracles(self):
         rng = np.random.default_rng(9)
         params = init_head_params(TOY_HEAD, rng)
         z_k = Tensor(rng.standard_normal(TOY_HEAD.key_part_len))
         z_g = Tensor(rng.standard_normal(TOY_HEAD.global_len))
-        out = head_forward(z_k, z_g, params, TOY_HEAD)
+        out = head_forward([z_k], [z_g], params, TOY_HEAD)
         d = np.concatenate([z_k.data, z_g.data])
         hidden = np.maximum(oracles.linear_loops(d, params.fc.weight.data,
                                                  params.fc.bias.data), 0.0)
         np.testing.assert_allclose(
-            out.v_cls.data,
+            out.v_cls.data[0],
             oracles.linear_loops(hidden, params.cls.weight.data, params.cls.bias.data),
             atol=1e-12)
 
@@ -151,12 +151,12 @@ class TestHeadForward:
         params.fc.bias.data[:] = 5.0  # push pre-activations positive
         z_k = Tensor(0.01 * rng.standard_normal(TOY_HEAD.key_part_len))
         z_g = Tensor(0.01 * rng.standard_normal(TOY_HEAD.global_len))
-        base = head_forward(z_k, z_g, params, TOY_HEAD)
+        base = head_forward([z_k], [z_g], params, TOY_HEAD)
         params.fc.weight.data *= 2.0
         params.fc.bias.data *= 2.0
         params.cls.weight.data *= 0.5
         params.reg.weight.data *= 0.5
-        scaled = head_forward(z_k, z_g, params, TOY_HEAD)
+        scaled = head_forward([z_k], [z_g], params, TOY_HEAD)
         np.testing.assert_allclose(scaled.v_cls.data, base.v_cls.data, atol=1e-10)
         np.testing.assert_allclose(scaled.v_reg.data, base.v_reg.data, atol=1e-10)
 
@@ -169,21 +169,21 @@ class TestFullForward:
         disc = init_discovery_params(disc_cfg, rng)
         head = init_head_params(head_cfg, rng)
         x = Tensor(rng.standard_normal((256, 7, 7)))
-        fwd = full_condensed_forward(x, disc, head, disc_cfg, head_cfg)
-        assert fwd.output.v_cls.size == 21
-        assert fwd.output.v_reg.size == 80
-        assert fwd.z_k.size == 4096 + 784
-        assert fwd.z_g.size == 1600
-        assert fwd.maps.shape == (16, 7, 7)
-        assert len(fwd.parts) == 16
+        fwd = full_condensed_forward([x], disc, head, disc_cfg, head_cfg)
+        assert fwd.output.v_cls.shape == (1, 21)
+        assert fwd.output.v_reg.shape == (1, 80)
+        assert fwd.z_k[0].size == 4096 + 784
+        assert fwd.global_map[0].size == 1600
+        assert fwd.maps[0].shape == (16, 7, 7)
+        assert len(fwd.parts[0]) == 16
 
     def test_deterministic_reruns(self):
         disc_params, head_params = toy_models()
         cfg = HeadConfig(channels=8, num_classes=3, num_parts=2, pool_len=3,
                          height=5, width=5, channel_keep=0.25, hidden=16)
         x = Tensor(np.random.default_rng(12).standard_normal((8, 5, 5)))
-        a = full_condensed_forward(x, disc_params, head_params, TOY_DISC, cfg)
-        b = full_condensed_forward(x, disc_params, head_params, TOY_DISC, cfg)
+        a = full_condensed_forward([x], disc_params, head_params, TOY_DISC, cfg)
+        b = full_condensed_forward([x], disc_params, head_params, TOY_DISC, cfg)
         assert a.output.v_cls.data.tobytes() == b.output.v_cls.data.tobytes()
         assert a.output.v_reg.data.tobytes() == b.output.v_reg.data.tobytes()
 
@@ -193,11 +193,11 @@ class TestFullForward:
                          height=5, width=5, channel_keep=0.25, hidden=16)
         x = Tensor(np.random.default_rng(14).standard_normal((8, 5, 5)),
                    requires_grad=True)
-        fwd = full_condensed_forward(x, disc_params, head_params, TOY_DISC, cfg)
+        fwd = full_condensed_forward([x], disc_params, head_params, TOY_DISC, cfg)
         backward(T.sum_all(fwd.output.v_cls) + T.sum_all(fwd.output.v_reg))
         assert x.grad is not None
         assert np.all(np.isfinite(x.grad))
-        gathered = {p for p in fwd.parts.points}
+        gathered = {p for p in fwd.parts[0].points}
         assert any(abs(x.grad[:, r, c]).sum() > 0 for r, c in gathered)
 
     def test_toy_forward_graph_stays_small(self):
@@ -206,7 +206,7 @@ class TestFullForward:
         rng = np.random.default_rng(17)
         disc_cfg, head_cfg = cfg.discovery_config(), cfg.head_config()
         x = Tensor(rng.standard_normal((head_cfg.channels, head_cfg.height, head_cfg.width)))
-        fwd = full_condensed_forward(x, init_discovery_params(disc_cfg, rng),
+        fwd = full_condensed_forward([x], init_discovery_params(disc_cfg, rng),
                                      init_head_params(head_cfg, rng), disc_cfg, head_cfg)
         seen, stack = {}, [fwd.output.v_cls, fwd.output.v_reg]
         while stack:
@@ -222,7 +222,7 @@ class TestBaselineHead:
     def test_output_lengths_and_determinism(self):
         params = init_baseline_params(TOY_HEAD, np.random.default_rng(15))
         x = Tensor(np.random.default_rng(16).standard_normal((8, 5, 5)))
-        out1 = baseline_forward(x, params, TOY_HEAD)
-        out2 = baseline_forward(x, params, TOY_HEAD)
-        assert out1.v_cls.size == 4 and out1.v_reg.size == 12
+        out1 = baseline_forward([x], params, TOY_HEAD)
+        out2 = baseline_forward([x], params, TOY_HEAD)
+        assert out1.v_cls.shape == (1, 4) and out1.v_reg.shape == (1, 12)
         assert out1.v_cls.data.tobytes() == out2.v_cls.data.tobytes()

@@ -81,7 +81,7 @@ class TestExport:
         export_heatmaps(model, data[0], tmp_path / "out")
         fwd = model.forward(data[0].x)
         back = read_pgm(tmp_path / "out" / "part_00.pgm")
-        assert np.max(np.abs(back - fwd.maps.data[0])) <= 1.0 / 255.0 + 1e-12
+        assert np.max(np.abs(back - fwd.maps[0].data[0])) <= 1.0 / 255.0 + 1e-12
 
     def test_sidecar_lists_every_part_with_threshold_flag(self, tmp_path):
         model, data = tiny_condensed()

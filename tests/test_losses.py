@@ -156,41 +156,58 @@ class TestDetectionLoss:
                      height=4, width=4, channel_keep=0.5, hidden=4)
 
     def test_uniform_logits_give_log_n(self):
-        out = HeadOutput(Tensor(np.zeros(3)), Tensor(np.zeros(12)))
+        out = HeadOutput(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 8))))
         cfg = HeadConfig(channels=8, num_classes=2, num_parts=1, pool_len=1,
                          height=4, width=4, channel_keep=0.5, hidden=4)
-        loss = detection_loss(out, 0, np.zeros(4), cfg)
+        loss = detection_loss(out, [0], [np.zeros(4)], cfg)
         assert loss.item() == pytest.approx(math.log(3))
 
     def test_large_margin_drives_loss_to_zero(self):
         cfg = HeadConfig(channels=8, num_classes=2, num_parts=1, pool_len=1,
                          height=4, width=4, channel_keep=0.5, hidden=4)
-        logits = np.zeros(3)
-        logits[2] = 10.0
-        out = HeadOutput(Tensor(logits), Tensor(np.zeros(8)))
-        loss = detection_loss(out, 2, np.zeros(4), cfg)
+        logits = np.zeros((1, 3))
+        logits[0, 2] = 10.0
+        out = HeadOutput(Tensor(logits), Tensor(np.zeros((1, 8))))
+        loss = detection_loss(out, [2], [np.zeros(4)], cfg)
         assert loss.item() < 1e-4
 
     def test_background_ignores_regression(self):
         rng = np.random.default_rng(7)
-        cls = rng.standard_normal(4)
-        out_a = HeadOutput(Tensor(cls.copy()), Tensor(rng.standard_normal(12)))
-        out_b = HeadOutput(Tensor(cls.copy()), Tensor(rng.standard_normal(12)))
+        cls = rng.standard_normal((1, 4))
+        out_a = HeadOutput(Tensor(cls.copy()), Tensor(rng.standard_normal((1, 12))))
+        out_b = HeadOutput(Tensor(cls.copy()), Tensor(rng.standard_normal((1, 12))))
         box = rng.standard_normal(4)
-        assert detection_loss(out_a, 0, box, self.CFG).item() == \
-            pytest.approx(detection_loss(out_b, 0, box, self.CFG).item(), abs=1e-15)
+        assert detection_loss(out_a, [0], [box], self.CFG).item() == \
+            pytest.approx(detection_loss(out_b, [0], [box], self.CFG).item(), abs=1e-15)
 
     def test_class_out_of_range_rejected(self):
-        out = HeadOutput(Tensor(np.zeros(4)), Tensor(np.zeros(12)))
+        out = HeadOutput(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 12))))
         with pytest.raises(ContractViolation):
-            detection_loss(out, 4, np.zeros(4), self.CFG)
+            detection_loss(out, [4], [np.zeros(4)], self.CFG)
 
     def test_matches_cross_entropy_plus_box_oracle(self):
         rng = np.random.default_rng(8)
         logits = rng.standard_normal(4)
         regs = rng.standard_normal(12)
         box = rng.standard_normal(4)
-        out = HeadOutput(Tensor(logits), Tensor(regs))
+        out = HeadOutput(Tensor(logits[None]), Tensor(regs[None]))
         want = oracles.cross_entropy_ref(list(logits), 2)
         want += sum(oracles.smooth_l1_ref(regs[4 + i], box[i]) for i in range(4))
-        assert detection_loss(out, 2, box, self.CFG).item() == pytest.approx(want)
+        assert detection_loss(out, [2], [box], self.CFG).item() == pytest.approx(want)
+
+    def test_batch_is_the_sum_of_its_rows(self):
+        rng = np.random.default_rng(9)
+        logits = rng.standard_normal((3, 4))
+        regs = rng.standard_normal((3, 12))
+        boxes = rng.standard_normal((3, 4))
+        classes = [2, 0, 3]
+        want = sum(oracles.cross_entropy_ref(list(logits[i]), c) for i, c in enumerate(classes))
+        want += sum(oracles.smooth_l1_ref(regs[i, 4 * (c - 1) + j], boxes[i, j])
+                    for i, c in enumerate(classes) if c for j in range(4))
+        out = HeadOutput(Tensor(logits), Tensor(regs))
+        assert detection_loss(out, classes, boxes, self.CFG).item() == pytest.approx(want)
+
+    def test_rows_and_targets_must_agree(self):
+        out = HeadOutput(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 12))))
+        with pytest.raises(ContractViolation):
+            detection_loss(out, [1], [np.zeros(4)], self.CFG)

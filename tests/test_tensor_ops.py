@@ -170,6 +170,17 @@ class TestLinear:
         with pytest.raises(ContractViolation):
             T.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
+    def test_batch_rows_match_loop_oracle(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((5, 8)))
+        w = Tensor(rng.standard_normal((3, 8)))
+        b = Tensor(rng.standard_normal(3))
+        out = T.linear(x, w, b)
+        assert out.shape == (5, 3)
+        for row, x_row in zip(out.data, x.data):
+            np.testing.assert_allclose(row, oracles.linear_loops(x_row, w.data, b.data),
+                                       atol=1e-12)
+
 
 class TestElementwiseAndConcat:
     def test_relu(self):
@@ -193,6 +204,17 @@ class TestElementwiseAndConcat:
         part = Tensor(np.arange(6.0).reshape(2, 3))
         out = T.concat([part, Tensor(np.array([9.0]))])
         np.testing.assert_array_equal(out.data, [0, 1, 2, 3, 4, 5, 9])
+
+    def test_logsumexp_runs_over_each_row(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 6))
+        want = [oracles.cross_entropy_ref(list(row), 0) + row[0] for row in x]
+        np.testing.assert_allclose(T.logsumexp(Tensor(x)).data, want, rtol=1e-14)
+        assert T.logsumexp(Tensor(x[0])).item() == pytest.approx(want[0], rel=1e-14)
+        for leaf in (Tensor(x, requires_grad=True), Tensor(x[0], requires_grad=True)):
+            T.backward(T.sum_all(T.logsumexp(leaf)))
+            fd = T.finite_diff_grad(lambda t: T.sum_all(T.logsumexp(t)), leaf)
+            np.testing.assert_allclose(leaf.grad, fd, atol=1e-8)
 
 
 class TestArgmax2d:

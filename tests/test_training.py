@@ -1,12 +1,16 @@
 """Training loop mechanics and parameter-file round trips (fast configs)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kphead import tensor as T
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.errors import TrainingDivergence
 from kphead.head import baseline_forward
 from kphead.runconfig import RunConfig
+from kphead.tensor import backward
 from kphead.training import (LOG_HEADER, TrainConfig, _batch_loss, build_baseline,
                              build_condensed, load_params, manifest_path, restore_into,
                              save_params, train, write_log)
@@ -181,10 +185,10 @@ class TestModelInterface:
         _, baseline = tiny_models(cfg)
         x = generate_dataset(cfg.data)[0][0].x
         fwd = baseline.forward(x)
-        want = baseline_forward(x, baseline.params, baseline.head_cfg)
+        want = baseline_forward([x], baseline.params, baseline.head_cfg)
         np.testing.assert_array_equal(fwd.output.v_cls.data, want.v_cls.data)
         np.testing.assert_array_equal(fwd.output.v_reg.data, want.v_reg.data)
-        assert fwd.maps is fwd.parts is fwd.z_k is fwd.z_g is fwd.global_map is None
+        assert fwd.maps is fwd.parts is fwd.z_k is fwd.global_map is None
 
     def test_baseline_batch_loss_has_no_discovery_terms(self):
         cfg = tiny_run_config()
@@ -194,6 +198,51 @@ class TestModelInterface:
         assert det_v > 0.0 and ld_v == 0.0 and lu_v == 0.0
         _, _, ld_v, lu_v, _ = _batch_loss(condensed, batch, cfg.train)
         assert ld_v > 0.0 and lu_v > 0.0
+
+
+class TestBatchAxis:
+    """A minibatch runs the head's FC layers and the detection loss once, with
+    the results of its examples run one at a time, up to rounding."""
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_batch_matches_its_examples_one_at_a_time(self, kind):
+        cfg = RunConfig()
+        cfg.data = dataclasses.replace(cfg.data, n_train=cfg.train.batch_size, n_test=1)
+        batch = generate_dataset(cfg.data)[0]
+
+        def run(examples):
+            condensed, baseline = tiny_models(cfg)
+            model = condensed if kind == "condensed" else baseline
+            total, *logged = _batch_loss(model, examples, cfg.train)
+            backward(total)
+            return np.array(logged), {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                                      for name, t in model.named_tensors()}
+
+        logged, grads = run(batch)
+        singles = [run([ex]) for ex in batch]
+        want_logged = sum(s[0] for s in singles)  # det, l_d, l_u, hits
+        np.testing.assert_allclose(logged, want_logged, rtol=1e-12, atol=0.0)
+        assert logged[3] == want_logged[3] and (logged[1] > 0) == (kind == "condensed")
+        for name, grad in grads.items():
+            want = sum(s[1][name] for s in singles) / len(batch)  # batch_mean
+            assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_head_weights_enter_linear_once_per_batch(self, monkeypatch):
+        cfg = tiny_run_config(epochs=1, batch_size=8)
+        data, _ = generate_dataset(cfg.data)
+        condensed, baseline = tiny_models(cfg)
+        watched = {id(condensed.head_params.fc.weight): 0, id(baseline.params.fc1.weight): 0}
+        linear = T.linear
+
+        def counting_linear(x, weight, bias):
+            if id(weight) in watched:
+                watched[id(weight)] += 1
+            return linear(x, weight, bias)
+
+        monkeypatch.setattr(T, "linear", counting_linear)
+        train(condensed, data, cfg.train)
+        train(baseline, data, cfg.train)
+        assert list(watched.values()) == [len(data) // 8] * 2
 
 
 class TestObjectiveAblations:
