@@ -43,10 +43,10 @@ class Tensor:
                  "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64, order="C")
         if arr.ndim > 4:
             raise ContractViolation(f"tensors support up to 4 axes, got {arr.ndim}")
-        self.data = np.ascontiguousarray(arr)
+        self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = "leaf"
@@ -89,9 +89,6 @@ class Tensor:
         return mul(self, _as_tensor(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
 
     def __neg__(self):
         return mul(self, _as_tensor(-1.0))
@@ -289,17 +286,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _reduce_to(g * a_data, b.shape))
 
     return _record(a_data * b_data, "mul", (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes(a, b, "div")
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        _accumulate(a, _reduce_to(g / b_data, a.shape))
-        _accumulate(b, _reduce_to(-g * a_data / (b_data * b_data), b.shape))
-
-    return _record(a_data / b_data, "div", (a, b), bwd)
 
 
 def relu(t: Tensor) -> Tensor:

@@ -9,6 +9,8 @@ import math
 import numpy as np
 
 from kphead.dataset import class_signatures
+from kphead.tensor import backward
+from kphead.training import EpochLog, _batch_loss
 
 
 def conv2d_loops(x, weight, bias, groups=1, dilation=1, padding=None):
@@ -166,3 +168,34 @@ def nearest_signature_accuracy(examples, spec):
             correct += 1
         total += 1
     return correct / total if total else 0.0
+
+
+def sgd_momentum_train(model, examples, cfg):
+    """Textbook minibatch SGD with momentum: a zero velocity per call, then
+    per batch and parameter ``v = m*v + g`` and ``w -= lr*v``.  Returns the
+    epoch rows, summed as ``training.train`` sums them."""
+    named = model.named_tensors()
+    velocity = [np.zeros_like(t.data) for _, t in named]
+    order_rng = np.random.default_rng([cfg.seed, 21])
+    logs = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = order_rng.permutation(len(examples))
+        det = l_d = l_u = 0.0
+        hits = 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
+            for _, t in named:
+                t.grad = None
+            total, batch_det, batch_ld, batch_lu, batch_hits = _batch_loss(model, batch, cfg)
+            backward(total)
+            for (_, t), v in zip(named, velocity):
+                v[...] = cfg.momentum * v + (t.grad if t.grad is not None else 0.0)
+                t.data -= cfg.learning_rate * v
+            det += batch_det
+            l_d += batch_ld
+            l_u += batch_lu
+            hits += batch_hits
+        n = len(examples)
+        logs.append(EpochLog(epoch=epoch, det_loss=det / n, l_d=l_d / n, l_u=l_u / n,
+                             acc=hits / n))
+    return logs

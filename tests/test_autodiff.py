@@ -16,6 +16,19 @@ class TestBackwardBasics:
         backward(T.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
+    def test_scalars_have_shape_empty(self):
+        """0-d data stays 0-d, so a scalar node's closure gets a () gradient."""
+        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        assert Tensor(3.0).shape == ()
+        assert T.sum_all(x).shape == ()
+        assert T.reshape(T.sum_all(x), ()).shape == ()
+        lse = T.logsumexp(x)
+        assert lse.shape == ()
+        backward(T.mul(lse, Tensor(2.0)))
+        assert lse.grad.shape == ()
+        softmax = np.exp(x.data) / np.exp(x.data).sum()
+        np.testing.assert_allclose(x.grad, 2.0 * softmax, rtol=1e-14)
+
     def test_relu_gradient_masks_negatives(self):
         x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
         backward(T.sum_all(T.relu(x)))

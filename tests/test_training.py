@@ -1,19 +1,22 @@
 """Training loop mechanics and parameter-file round trips (fast configs)."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from kphead import tensor as T
+from kphead import training
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.errors import TrainingDivergence
 from kphead.head import baseline_forward
 from kphead.runconfig import RunConfig
-from kphead.tensor import backward
-from kphead.training import (LOG_HEADER, TrainConfig, _batch_loss, build_baseline,
-                             build_condensed, load_params, manifest_path, restore_into,
-                             save_params, train, write_log)
+from kphead.tensor import Tensor, backward
+from kphead.training import (_STEP_BLOCK, LOG_HEADER, TrainConfig, _batch_loss,
+                             _momentum_step, build_baseline, build_condensed, load_params,
+                             manifest_path, restore_into, save_params, train, write_log)
 
 
 def tiny_run_config(**train_kw):
@@ -88,6 +91,92 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergence) as err:
             train(model, data, cfg.train)
         assert err.value.epoch >= 1 and err.value.batch >= 0
+
+
+class TestMomentumStep:
+    """``train`` updates parameters in place, block by block, with the bytes of
+    the textbook momentum loop, and lets go of every gradient it used."""
+
+    @staticmethod
+    def _config(**train_kw):
+        cfg = tiny_run_config(**train_kw)
+        cfg.head.hidden = 96  # baseline.fc1.weight then spans two blocks
+        return cfg
+
+    @staticmethod
+    def _model(kind, cfg):
+        condensed, baseline = tiny_models(cfg)
+        return condensed if kind == "condensed" else baseline
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_train_matches_the_textbook_loop(self, kind):
+        cfg = self._config(epochs=3, batch_size=8)
+        data, _ = generate_dataset(cfg.data)
+        model, ref = self._model(kind, cfg), self._model(kind, cfg)
+        assert len(data) // cfg.train.batch_size >= 2
+        assert kind == "condensed" or max(t.size for _, t in model.named_tensors()) > _STEP_BLOCK
+        got = train(model, data, cfg.train) + train(model, data, cfg.train)
+        want = (oracles.sgd_momentum_train(ref, data, cfg.train)
+                + oracles.sgd_momentum_train(ref, data, cfg.train))
+        assert [row.csv_row() for row in got] == [row.csv_row() for row in want]
+        for (name, t), (_, t_ref) in zip(model.named_tensors(), ref.named_tensors()):
+            assert t.data.tobytes() == t_ref.data.tobytes(), name
+
+    def test_a_parameter_without_a_gradient_keeps_the_textbook_rule(self):
+        """No velocity yet: untouched; a velocity: it decays and still moves w."""
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig()
+        sizes = (2 * _STEP_BLOCK + 5, 3)
+        params = [Tensor(rng.standard_normal(n), requires_grad=True) for n in sizes]
+        named = [(f"p{i}", t) for i, t in enumerate(params)]
+        want = [t.data.copy() for t in params]
+        want_v = [np.zeros(n) for n in sizes]
+        velocity = {}
+        scratch = np.empty(_STEP_BLOCK)
+        for has_grad in ((True, False), (False, True), (False, False), (True, True)):
+            for t, w, v, flag in zip(params, want, want_v, has_grad):
+                g = rng.standard_normal(t.size) if flag else None
+                t.grad = None if g is None else g.copy()
+                v[...] = cfg.momentum * v + (g if g is not None else 0.0)
+                w -= cfg.learning_rate * v
+            _momentum_step(named, velocity, cfg, scratch)
+            for t, w in zip(params, want):
+                assert t.data.tobytes() == w.tobytes() and t.grad is None
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_a_step_allocates_less_than_the_largest_parameter(self, kind, monkeypatch):
+        """A step runs from the end of ``backward`` to the next batch's loss or
+        the end of ``train``; tracemalloc sees numpy's buffers."""
+        cfg = self._config(epochs=2, batch_size=12)
+        data, _ = generate_dataset(cfg.data)
+        model = self._model(kind, cfg)
+        largest = max(t.data.nbytes for _, t in model.named_tensors())
+        peaks, since = [], []
+
+        def step_peak():
+            if since:
+                peaks.append(tracemalloc.get_traced_memory()[1] - since.pop())
+
+        def batch_loss(*args):
+            step_peak()
+            return _batch_loss(*args)
+
+        def traced_backward(loss):
+            backward(loss)
+            tracemalloc.reset_peak()
+            since.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(training, "_batch_loss", batch_loss)
+        monkeypatch.setattr(training, "backward", traced_backward)
+        tracemalloc.start()
+        try:
+            train(model, data, cfg.train)
+            step_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4
+        assert max(peaks) < largest, (peaks, largest)
+        assert all(t.grad is None for _, t in model.named_tensors())
 
 
 class TestAblationSwitches:
