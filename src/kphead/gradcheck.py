@@ -15,6 +15,7 @@ import numpy as np
 from . import losses
 from . import tensor as T
 from .discovery import DiscoveryConfig, init_discovery_params, named_tensors, tmr_squash
+from .errors import ConfigError
 from .head import HeadConfig, HeadOutput, full_condensed_forward, init_head_params
 from .tensor import KinkWatch, Tensor, backward, finite_diff_grad
 
@@ -255,6 +256,8 @@ CHECKS = {
 
 def run_suite(trials: int = 3, seed: int = 0) -> dict[str, float]:
     """Max relative error per operation over ``trials`` random instances."""
+    if trials < 1:
+        raise ConfigError(f"gradcheck needs at least one trial, got trials={trials}")
     results = {name: 0.0 for name in CHECKS}
     for trial in range(trials):
         for op_index, (name, check) in enumerate(CHECKS.items()):

@@ -2,7 +2,8 @@
 
 The discovery objective pushes each map's peak confidence toward the
 example's foreground label (discriminative term) and the spatial peak of the
-channel-summed maps toward 1 on foregrounds (uniqueness term).  The toy
+channel-summed maps toward 1 on foregrounds (uniqueness term).  Each term
+is one smooth L1 over the peaks of the whole batch.  The toy
 detection loss is cross-entropy over class logits plus smooth L1 on the
 target class's box offsets, summed over a batch's output rows.
 """
@@ -39,9 +40,8 @@ def discriminative_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
     is a plain sum).
     """
     _check_batch(maps_batch, labels)
-    terms = [T.sum_all(T.smooth_l1(T.map_peaks(maps), Tensor(float(y))))
-             for maps, y in zip(maps_batch, labels)]
-    total = T.add_n(terms)
+    targets = np.repeat(labels, [maps.shape[0] for maps in maps_batch])
+    total = T.sum_all(T.smooth_l1(T.map_peaks(maps_batch), Tensor(targets)))
     return total * (1.0 / len(maps_batch)) if batch_mean else total
 
 
@@ -53,15 +53,11 @@ def uniqueness_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
     examples contribute exactly zero.
     """
     _check_batch(maps_batch, labels)
-    terms = []
-    for maps, y in zip(maps_batch, labels):
-        if y == 0:
-            continue
-        peak = T.map_peaks(T.channel_sum(maps))
-        terms.append(T.sum_all(T.smooth_l1(peak, Tensor(1.0))))
-    if not terms:
+    fg = [maps for maps, y in zip(maps_batch, labels) if y != 0]
+    if not fg:
         return Tensor(0.0)
-    total = T.add_n(terms)
+    peaks = T.map_peaks([T.channel_sum(maps) for maps in fg])
+    total = T.sum_all(T.smooth_l1(peaks, Tensor(1.0)))
     return total * (1.0 / len(maps_batch)) if batch_mean else total
 
 

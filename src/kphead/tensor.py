@@ -12,17 +12,15 @@ intermediates.  ``backward(loss)`` replays the recording reverse-
 topologically, visiting each node exactly once; a second backward over the
 same recording is rejected.
 
-``linear`` maps a whole N x D batch at once, so its weight gradient is one
-``g.T @ x`` product per call.  ``conv2d`` still runs one example at a time:
-it hands each example's weight gradient to ``backward`` as a factor pair, and
-each leaf weight's pairs are multiplied out in one contraction when the
-reverse pass ends.
+Every op adds its gradients when its closure runs.  ``linear`` maps a whole
+N x D batch at once, so its weight gradient is one ``g.T @ x`` product per
+call; ``conv2d`` runs one example at a time and adds one product per example.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,22 +80,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _as_tensor(value) -> Tensor:
@@ -165,31 +151,6 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     t.grad += g
 
 
-# Leaf id -> (leaf, left factors, right factors) awaiting the end of the
-# running backward pass; None outside one.
-_pending_products: dict[int, tuple[Tensor, list[np.ndarray], list[np.ndarray]]] | None = None
-
-
-def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
-    """Add ``a @ b``, reshaped to ``t``, to ``t.grad``; ``conv2d`` passes its
-    per-example weight gradients this way.
-
-    Inside ``backward`` a leaf's factor pairs are kept and multiplied out
-    together when the pass ends: the products of one leaf (a kernel shared by
-    every example of a batch) then cost one matmul instead of one full-size
-    write each.  A tensor with a backward closure gets its product at once,
-    because the closure reads ``grad`` later in the same pass.
-    """
-    if not t.requires_grad:
-        return
-    if _pending_products is None or t._backward_fn is not None:
-        _accumulate(t, (a @ b).reshape(t.shape), fresh=True)
-        return
-    entry = _pending_products.setdefault(id(t), (t, [], []))
-    entry[1].append(a)
-    entry[2].append(b)
-
-
 # -- backward pass -------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
@@ -207,19 +168,11 @@ def backward(loss: Tensor) -> None:
         raise GraphStateError("backward already ran over this recording; run a new forward pass")
     loss._backward_done = True
 
-    global _pending_products
     order = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
-    _pending_products = {}
-    try:
-        for node in reversed(order):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-        for t, lefts, rights in _pending_products.values():
-            product = np.concatenate(lefts, axis=-1) @ np.concatenate(rights, axis=-2)
-            _accumulate(t, product.reshape(t.shape), fresh=True)
-    finally:
-        _pending_products = None
+    for node in reversed(order):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -326,17 +279,6 @@ def sum_all(t: Tensor) -> Tensor:
     return _record(np.asarray(t.data.sum()), "sum", (t,), bwd)
 
 
-def add_n(terms: Iterable[Tensor]) -> Tensor:
-    """Sum a sequence of same-shape tensors (empty input is rejected)."""
-    terms = list(terms)
-    if not terms:
-        raise ContractViolation("add_n needs at least one term")
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = add(acc, term)
-    return acc
-
-
 def logsumexp(t: Tensor) -> Tensor:
     """log(sum(exp(t))) over the last axis of a 1-D or N x C tensor (a scalar
     or an N-vector), computed with each row's max shifted out."""
@@ -412,21 +354,28 @@ def _maps_as_rows(t: Tensor, op: str) -> np.ndarray:
     return t.data.reshape(t.shape[0], -1)
 
 
-def map_peaks(maps: Tensor) -> Tensor:
-    """Each K x H x W map's value at its first row-major maximum, as a K-vector.
+def map_peaks(map_sets: Sequence[Tensor]) -> Tensor:
+    """Each map's value at its first row-major maximum, for every map of every
+    K x H x W set in order, as one vector.
 
-    The argmax is frozen: peak k's gradient goes to that one position of map k.
+    The argmax is frozen: a peak's gradient goes to that one position of its map.
     """
-    flat = _maps_as_rows(maps, "map_peaks")
-    rows = np.arange(flat.shape[0])
-    peak_idx = _first_peaks(flat)
+    map_sets = list(map_sets)
+    if not map_sets:
+        raise ContractViolation("map_peaks needs at least one map set")
+    flats = [_maps_as_rows(maps, "map_peaks") for maps in map_sets]
+    picks = [(np.arange(flat.shape[0]), _first_peaks(flat)) for flat in flats]
 
     def bwd(g):
-        buf = np.zeros_like(maps.data)
-        buf.reshape(flat.shape)[rows, peak_idx] = g
-        _accumulate(maps, buf)
+        start = 0
+        for maps, flat, pick in zip(map_sets, flats, picks):
+            buf = np.zeros_like(maps.data)
+            buf.reshape(flat.shape)[pick] = g[start:start + flat.shape[0]]
+            _accumulate(maps, buf)
+            start += flat.shape[0]
 
-    return _record(flat[rows, peak_idx], "map_peaks", (maps,), bwd)
+    return _record(np.concatenate([flat[pick] for flat, pick in zip(flats, picks)]),
+                   "map_peaks", map_sets, bwd)
 
 
 def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
@@ -565,7 +514,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
 
     def bwd(g):
         g_mat = g.reshape(w_mat.shape[:2] + (h * w,))
-        _accumulate_product(weight, g_mat, cols.transpose(0, 2, 1))
+        _accumulate(weight, (g_mat @ cols.transpose(0, 2, 1)).reshape(weight.shape),
+                    fresh=True)
         _accumulate(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
             g_taps = (w_mat.transpose(0, 2, 1) @ g_mat).reshape(c_in, k, k, h, w)

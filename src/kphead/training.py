@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from . import tensor as T
 from .dataset import ToyExample
 from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, named_tensors
 from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
@@ -221,7 +220,7 @@ def _batch_loss(model, batch, cfg: TrainConfig):
             lu = losses.uniqueness_loss(fwd.maps, labels, batch_mean=cfg.batch_mean)
             lu_value = lu.item() * (len(batch) if cfg.batch_mean else 1.0)
             terms.append(lu)
-        total = total + cfg.okpd_loss_weight * T.add_n(terms)
+        total = total + cfg.okpd_loss_weight * sum(terms[1:], terms[0])
     return total, det_value, ld_value, lu_value, hits
 
 
@@ -293,6 +292,8 @@ def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray
     covered = np.zeros(payload.size, dtype=bool)
     tensors: dict[str, np.ndarray] = {}
     for name, shape, offset in rows:
+        if name in tensors:
+            raise ContractViolation(f"{path}: tensor {name!r} is listed twice")
         count = math.prod(shape)
         stop = offset + 4 * count
         if offset < 0 or offset % 4 or min(shape) < 0 or stop > payload.size:

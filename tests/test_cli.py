@@ -100,6 +100,13 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "1", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_no_trials_exits_2(self, capsys, trials):
+        assert main(["gradcheck", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert is_one_error_line(captured.err) and f"trials={trials}" in captured.err
+        assert "gradcheck OK" not in captured.out
+
     def test_corrupted_gradient_exits_one(self, capsys, monkeypatch):
         def broken_check(rng):
             return 1.0  # simulated mismatch above tolerance
@@ -287,6 +294,14 @@ class TestCorruptedFiles:
         rc, err = run_on(tmp_path, trained, "eval",
                          **{"p.bin": payload + bytes(4), "p.bin.manifest": manifest})
         assert rc == 2 and is_one_error_line(err) and "'extra.weight'" in err
+
+    def test_tensor_listed_twice_exits_2(self, tmp_path, trained):
+        """A repeated manifest row is rejected, not read as the later value."""
+        payload = trained["p.bin"]
+        manifest = trained["p.bin.manifest"] + f"head.fc.bias 8 {len(payload)}\n".encode()
+        rc, err = run_on(tmp_path, trained, "eval",
+                         **{"p.bin": payload + bytes(32), "p.bin.manifest": manifest})
+        assert rc == 2 and is_one_error_line(err) and "'head.fc.bias'" in err
 
     def test_empty_dataset_exits_2(self, tmp_path, trained):
         header = bytearray(trained["d.test.bin"][:32])

@@ -151,6 +151,61 @@ class TestDiscoveryObjective:
         np.testing.assert_allclose(raw.grad, fd, atol=1e-6)
 
 
+def per_example_terms(maps_batch, labels, batch_mean):
+    """The discriminative and uniqueness terms built one example at a time,
+    the per-example sums chained with ``+``."""
+    disc = uniq = None
+    for maps, y in zip(maps_batch, labels):
+        d = T.sum_all(T.smooth_l1(T.map_peaks([maps]), Tensor(float(y))))
+        disc = d if disc is None else disc + d
+        if y:
+            u = T.sum_all(T.smooth_l1(T.map_peaks([T.channel_sum(maps)]), Tensor(1.0)))
+            uniq = u if uniq is None else uniq + u
+    scale = 1.0 / len(maps_batch) if batch_mean else 1.0
+    return disc * scale, (uniq * scale if uniq is not None else None)
+
+
+class TestBatchedDiscoveryTerms:
+    """Each discovery term is one graph over the batch, and the gradient it
+    sends to every example's maps is bit-for-bit the per-example build's."""
+
+    @staticmethod
+    def batch(rng):
+        maps = [rng.uniform(0, 0.99, size=(3, 4, 5)) for _ in range(5)]
+        maps[1][2, 0, 1] = maps[1][2, 3, 4] = 1.5  # a tie within one map
+        maps[3][:, 1, 1] = maps[3][:, 2, 3] = 0.7  # a tie in the channel sum
+        return maps
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1, 1, 0], [0, 0, 0, 0, 0]])
+    @pytest.mark.parametrize("batch_mean", [False, True])
+    def test_map_gradients_equal_the_per_example_build(self, labels, batch_mean):
+        arrays = self.batch(np.random.default_rng(10))
+        built = {}
+        for how in ("batched", "per_example"):
+            maps = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            if how == "batched":
+                terms = (discriminative_loss(maps, labels, batch_mean),
+                         uniqueness_loss(maps, labels, batch_mean))
+            else:
+                terms = per_example_terms(maps, labels, batch_mean)
+            grads = []
+            for term in terms:
+                for m in maps:
+                    m.grad = None
+                if term is not None and term.op != "leaf":
+                    backward(2.0 * term)
+                grads.append([m.grad for m in maps])
+            built[how] = ([t.item() if t is not None else 0.0 for t in terms], grads)
+        (values, grads), (want_values, want_grads) = built["batched"], built["per_example"]
+        assert values == pytest.approx(want_values, abs=1e-14)
+        for got_term, want_term in zip(grads, want_grads):
+            for got, want in zip(got_term, want_term):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert np.array_equal(got, want)
+        assert grads[0][1][2, 0, 1] != 0.0 and grads[0][1][2, 3, 4] == 0.0
+
+
 class TestDetectionLoss:
     CFG = HeadConfig(channels=8, num_classes=3, num_parts=1, pool_len=1,
                      height=4, width=4, channel_keep=0.5, hidden=4)

@@ -271,20 +271,24 @@ class TestFusedPeakOps:
 
     @pytest.mark.parametrize("case", range(5))
     def test_map_peaks_tie_break_matches_argmax_oracle(self, case):
+        """Two map sets (3 and 1 maps) give one vector of 4 peaks, in order."""
         rng = np.random.default_rng([15, case])
         maps_data = rng.integers(0, 3, size=(4, 5, 6)).astype(float)  # many ties
-        maps = Tensor(maps_data, requires_grad=True)
-        peaks = T.map_peaks(maps)
+        map_sets = [Tensor(maps_data[:3], requires_grad=True),
+                    Tensor(maps_data[3:], requires_grad=True)]
+        peaks = T.map_peaks(map_sets)
         T.backward(T.sum_all(T.mul(peaks, Tensor(np.arange(1.0, 5.0)))))
+        grad = np.concatenate([maps.grad for maps in map_sets])
         for k in range(4):
             r, c, value = oracles.argmax2d_loops(maps_data[k])
             assert peaks.data[k] == value
             want = np.zeros((5, 6))
             want[r, c] = k + 1.0
-            np.testing.assert_array_equal(maps.grad[k], want)
+            np.testing.assert_array_equal(grad[k], want)
 
-    @pytest.mark.parametrize("op", [T.map_peaks,
-                                    lambda t: T.truncated_max_squash(t, 0.5, 0.1)])
+    @pytest.mark.parametrize("op", [lambda t: T.map_peaks([t]),
+                                    lambda t: T.truncated_max_squash(t, 0.5, 0.1)],
+                             ids=["map_peaks", "<lambda>"])
     def test_non_map_input_rejected(self, op):
         with pytest.raises(ContractViolation):
             op(Tensor(np.zeros((3, 3))))
