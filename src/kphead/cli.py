@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import accounting, gradcheck, heatmaps, runconfig, training
 from .dataset import generate_dataset, read_dataset, write_dataset
@@ -154,7 +155,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_toy_gen(args) -> int:
     cfg = _collect_config(args)
     if args.seed is not None:
-        cfg.data.seed = args.seed
+        cfg.data = replace(cfg.data, seed=args.seed)
     train_set, test_set = generate_dataset(cfg.data)
     write_dataset(args.out, cfg.data, train_set)
     test_path = sibling_test_path(args.out)
@@ -182,7 +183,7 @@ def _cmd_toy_train(args) -> int:
     _require_file(args.data)
     cfg = _collect_config(args)
     if args.seed is not None:
-        cfg.train.seed = args.seed
+        cfg.train = replace(cfg.train, seed=args.seed)
     info, examples = read_dataset(args.data)
     for key in ("channels", "height", "width", "num_classes"):
         runconfig.set_key(cfg, f"data.{key}", str(info[key]))

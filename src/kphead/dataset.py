@@ -61,6 +61,9 @@ class ToyDatasetSpec:
         if not (0.0 <= self.background_fraction < 1.0):
             raise ConfigError(
                 f"background_fraction={self.background_fraction} outside [0, 1)")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(
+                f"seed={self.seed} outside [0, 2^64); dataset files store it as a u64")
         for extent in (self.height, self.width):
             if extent > 254:
                 raise ConfigError("grid extents above 254 do not fit the file format")

@@ -258,6 +258,8 @@ def run_suite(trials: int = 3, seed: int = 0) -> dict[str, float]:
     """Max relative error per operation over ``trials`` random instances."""
     if trials < 1:
         raise ConfigError(f"gradcheck needs at least one trial, got trials={trials}")
+    if seed < 0:
+        raise ConfigError(f"gradcheck needs a non-negative seed, got seed={seed}")
     results = {name: 0.0 for name in CHECKS}
     for trial in range(trials):
         for op_index, (name, check) in enumerate(CHECKS.items()):

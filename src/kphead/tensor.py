@@ -15,6 +15,10 @@ same recording is rejected.
 Every op adds its gradients when its closure runs.  ``linear`` maps a whole
 N x D batch at once, so its weight gradient is one ``g.T @ x`` product per
 call; ``conv2d`` runs one example at a time and adds one product per example.
+
+``conv2d`` is one batched matmul over im2col columns, and so is its input
+gradient: the same im2col run on the output gradient, against each group's
+flipped and transposed kernel.  A 1x1 kernel uses the grid as its columns.
 """
 
 from __future__ import annotations
@@ -247,7 +251,7 @@ def relu(t: Tensor) -> Tensor:
         _note_kink_margin(float(np.min(np.abs(t.data))))
 
     def bwd(g):
-        _accumulate(t, g * mask)
+        _accumulate(t, g * mask, fresh=True)
 
     return _record(np.where(mask, t.data, 0.0), "relu", (t,), bwd)
 
@@ -331,7 +335,7 @@ def channel_sum(t: Tensor) -> Tensor:
         raise ContractViolation(f"channel_sum needs a 3-D tensor, got shape {t.shape}")
 
     def bwd(g):
-        _accumulate(t, np.broadcast_to(g, t.shape).copy())
+        _accumulate(t, np.broadcast_to(g, t.shape).copy(), fresh=True)
 
     return _record(t.data.sum(axis=0, keepdims=True), "channel_sum", (t,), bwd)
 
@@ -371,7 +375,7 @@ def map_peaks(map_sets: Sequence[Tensor]) -> Tensor:
         for maps, flat, pick in zip(map_sets, flats, picks):
             buf = np.zeros_like(maps.data)
             buf.reshape(flat.shape)[pick] = g[start:start + flat.shape[0]]
-            _accumulate(maps, buf)
+            _accumulate(maps, buf, fresh=True)
             start += flat.shape[0]
 
     return _record(np.concatenate([flat[pick] for flat, pick in zip(flats, picks)]),
@@ -406,7 +410,7 @@ def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
         # one np.sum per map: the rounding of a scalar denominator's gradient
         g_peak = np.array([np.sum(term) for term in g_denom]) * truncated
         grad.reshape(flat.shape)[rows, peak_idx] += g_peak
-        _accumulate(raw, grad)
+        _accumulate(raw, grad, fresh=True)
 
     return _record(np.where(positive, squashed, 0.0), "truncated_max_squash", (raw,), bwd)
 
@@ -455,12 +459,29 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            _accumulate(x, g @ w_data)
+            _accumulate(x, g @ w_data, fresh=True)
         g_rows = g.reshape(-1, w_data.shape[0])
         _accumulate(weight, g_rows.T @ x_data.reshape(-1, d), fresh=True)
-        _accumulate(bias, g_rows.sum(axis=0))
+        _accumulate(bias, g_rows.sum(axis=0), fresh=True)
 
     return _record(x_data @ w_data.T + bias.data, "linear", (x, weight, bias), bwd)
+
+
+def _im2col(data: np.ndarray, k: int, dilation: int, padding: int,
+            groups: int) -> np.ndarray:
+    """Columns of a same-padded correlation over a C x H x W array: row
+    (c, i, j) of group g holds channel c's tap (i, j) at every position.
+    A 1x1 kernel reads the grid itself as its columns."""
+    c, h, w = data.shape
+    if k == 1:
+        return data.reshape(groups, c // groups, h * w)
+    padded = np.zeros((c, h + 2 * padding, w + 2 * padding))
+    padded[:, padding:padding + h, padding:padding + w] = data
+    s_c, s_h, s_w = padded.strides
+    taps = np.lib.stride_tricks.as_strided(
+        padded, shape=(c, k, k, h, w),
+        strides=(s_c, dilation * s_h, dilation * s_w, s_h, s_w), writeable=False)
+    return taps.reshape(groups, c // groups * k * k, h * w)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
@@ -500,31 +521,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
             f"conv2d: padding={padding} does not preserve spatial size "
             f"(needs {dilation * (k - 1) // 2} for k={k}, dilation={dilation})")
 
-    cig = c_in // groups
-    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-    xp[:, padding:padding + h, padding:padding + w] = x.data
-    s_c, s_h, s_w = xp.strides
-    taps = np.lib.stride_tricks.as_strided(
-        xp, shape=(c_in, k, k, h, w),
-        strides=(s_c, dilation * s_h, dilation * s_w, s_h, s_w), writeable=False)
-    # im2col: column (c, i, j) of group g holds input channel c's tap (i, j)
-    cols = taps.reshape(groups, cig * k * k, h * w)
-    w_mat = weight.data.reshape(groups, c_out // groups, cig * k * k).copy()
+    cog, cig = c_out // groups, c_in // groups
+    cols = _im2col(x.data, k, dilation, padding, groups)
+    w_mat = weight.data.reshape(groups, cog, cig * k * k)
     out = (w_mat @ cols).reshape(c_out, h, w) + bias.data[:, None, None]
 
     def bwd(g):
-        g_mat = g.reshape(w_mat.shape[:2] + (h * w,))
+        g_mat = g.reshape(groups, cog, h * w)
         _accumulate(weight, (g_mat @ cols.transpose(0, 2, 1)).reshape(weight.shape),
                     fresh=True)
-        _accumulate(bias, g.sum(axis=(1, 2)))
+        _accumulate(bias, g.sum(axis=(1, 2)), fresh=True)
         if x.requires_grad:
-            g_taps = (w_mat.transpose(0, 2, 1) @ g_mat).reshape(c_in, k, k, h, w)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, i * dilation:i * dilation + h,
-                        j * dilation:j * dilation + w] += g_taps[:, i, j]
-            _accumulate(x, gxp[:, padding:padding + h, padding:padding + w])
+            # the same correlation of g with each group's flipped, transposed kernel
+            w_t = (weight.data[:, :, ::-1, ::-1].reshape(groups, cog, cig, k * k)
+                   .transpose(0, 2, 1, 3).reshape(groups, cig, cog * k * k))
+            g_cols = _im2col(g, k, dilation, padding, groups)
+            _accumulate(x, (w_t @ g_cols).reshape(c_in, h, w), fresh=True)
 
     return _record(out, "conv2d", (x, weight, bias), bwd)
 

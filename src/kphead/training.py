@@ -34,6 +34,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class _Model:

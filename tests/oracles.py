@@ -37,6 +37,33 @@ def conv2d_loops(x, weight, bias, groups=1, dilation=1, padding=None):
     return out
 
 
+
+def conv2d_vjp_loops(x, weight, g, groups=1, dilation=1):
+    """Input, weight and bias gradients of sum(g * conv2d(x, weight, bias)),
+    each output position's contribution added tap by tap."""
+    c_in, h, w = x.shape
+    c_out, cig, k, _ = weight.shape
+    padding = dilation * (k - 1) // 2
+    cog = c_out // groups
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(weight)
+    gb = np.zeros(c_out)
+    for oc in range(c_out):
+        grp = oc // cog
+        for oy in range(h):
+            for ox in range(w):
+                gb[oc] += g[oc, oy, ox]
+                for ic in range(cig):
+                    for ky in range(k):
+                        for kx in range(k):
+                            iy = oy + ky * dilation - padding
+                            ix = ox + kx * dilation - padding
+                            if 0 <= iy < h and 0 <= ix < w:
+                                up = g[oc, oy, ox]
+                                gx[grp * cig + ic, iy, ix] += weight[oc, ic, ky, kx] * up
+                                gw[oc, ic, ky, kx] += x[grp * cig + ic, iy, ix] * up
+    return gx, gw, gb
+
 def adaptive_avg_pool_loops(x, out_len):
     """Per-bin averaging with explicitly enumerated floor/ceil boundaries."""
     c, h, w = x.shape

@@ -107,6 +107,12 @@ class TestGradcheckCommand:
         assert is_one_error_line(captured.err) and f"trials={trials}" in captured.err
         assert "gradcheck OK" not in captured.out
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["gradcheck", "--trials", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert is_one_error_line(captured.err) and "seed=-1" in captured.err
+        assert "gradcheck OK" not in captured.out
+
     def test_corrupted_gradient_exits_one(self, capsys, monkeypatch):
         def broken_check(rng):
             return 1.0  # simulated mismatch above tolerance
@@ -127,6 +133,16 @@ class TestToyGen:
         out = gen(tmp_path)
         assert out.exists()
         assert (tmp_path / sibling_test_path(str(out)).split("/")[-1]).exists()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--data.seed"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_u64_exits_2(self, tmp_path, capsys, flag, seed):
+        """The dataset header stores the seed as a u64."""
+        out = tmp_path / "d.bin"
+        assert main(["toy", "gen", "--out", str(out), flag, seed] + BASE_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert is_one_error_line(err) and f"seed={seed}" in err
+        assert not out.exists()
 
 
 class TestToyTrainEvalHeatmaps:
@@ -230,6 +246,17 @@ class TestToyTrainEvalHeatmaps:
                    str(tmp_path / "p.bin")] + BASE_FLAGS
                   + ["--train.learning_rate", "1e9", "--train.epochs", "4"])
         assert rc == 3
+
+    @pytest.mark.parametrize("flag", ["--seed", "--train.seed"])
+    def test_negative_train_seed_exits_2(self, tmp_path, capsys, flag):
+        data = gen(tmp_path)
+        out = tmp_path / "p.bin"
+        rc = main(["toy", "train", "--data", str(data), "--out", str(out)]
+                  + BASE_FLAGS + [flag, "-3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert is_one_error_line(err) and "seed must be >= 0, got -3" in err
+        assert not out.exists()
 
     def test_baseline_model_trains_too(self, tmp_path):
         data = gen(tmp_path)

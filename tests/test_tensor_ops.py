@@ -71,6 +71,57 @@ class TestConv2d:
         assert {dilation for *_, dilation in cases} == {1, 2}
         assert any(x.shape[1] != x.shape[2] for x, *_ in cases)
 
+    @staticmethod
+    def vjp_case(case):
+        """Shapes for the gradient sweep: every kernel size, dilation and group
+        count, with several input and output channels per group."""
+        rng = np.random.default_rng([11, case])
+        k = (1, 3, 5)[case % 3]
+        dilation = 1 + (case // 3) % 3
+        groups = (1, 2, 8)[(case // 9) % 3]
+        cig, cog = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        h, w_ = (1, 1) if case % 10 == 0 else (int(rng.integers(2, 8)), int(rng.integers(2, 8)))
+        return (rng.standard_normal((groups * cig, h, w_)),
+                rng.standard_normal((groups * cog, cig, k, k)),
+                rng.standard_normal(groups * cog), groups, dilation)
+
+    def test_vjp_cases_cover_every_variant(self):
+        cases = [self.vjp_case(case) for case in range(54)]
+        assert {w.shape[2] for _, w, *_ in cases} == {1, 3, 5}
+        assert {dilation for *_, dilation in cases} == {1, 2, 3}
+        assert {groups for *_, groups, _ in cases} == {1, 2, 8}
+        assert any(g == 8 and x.shape[0] > 8 and w.shape[0] > 8 for x, w, _, g, _ in cases)
+        assert any(x.shape[1] != x.shape[2] for x, *_ in cases)
+        assert any(x.shape[1:] == (1, 1) for x, *_ in cases)
+
+    @pytest.mark.parametrize("case", range(54))
+    def test_gradients_match_loop_oracle(self, case):
+        x_data, w_data, b_data, groups, dilation = self.vjp_case(case)
+        x = Tensor(x_data, requires_grad=True)
+        w = Tensor(w_data, requires_grad=True)
+        b = Tensor(b_data, requires_grad=True)
+        out = T.conv2d(x, w, b, groups=groups, dilation=dilation)
+        g = np.random.default_rng([12, case]).standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        want = oracles.conv2d_vjp_loops(x_data, w_data, g, groups, dilation)
+        for t, expected in zip((x, w, b), want):
+            np.testing.assert_allclose(t.grad, expected, rtol=0, atol=1e-12)
+
+    def test_input_without_gradient_gets_none(self):
+        """A data grid, like block 0's input, gets no gradient; the weight
+        and bias gradients are the same as when it needs one."""
+        x_data, w_data, b_data, groups, dilation = self.vjp_case(13)
+        x = Tensor(x_data)
+        w = Tensor(w_data, requires_grad=True)
+        b = Tensor(b_data, requires_grad=True)
+        out = T.conv2d(x, w, b, groups=groups, dilation=dilation)
+        g = np.random.default_rng(13).standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        assert x.grad is None
+        _, gw, gb = oracles.conv2d_vjp_loops(x_data, w_data, g, groups, dilation)
+        np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
+
     def test_group_mismatch_rejected(self):
         x = Tensor(np.zeros((3, 4, 4)))
         w = Tensor(np.zeros((2, 1, 3, 3)))
