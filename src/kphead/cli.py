@@ -248,8 +248,6 @@ def _cmd_toy_eval(args) -> int:
 def _cmd_toy_heatmaps(args) -> int:
     _require_file(args.data)
     model = _load_model(args.params)
-    if model.kind != "condensed":
-        raise ConfigError("heatmaps need a condensed model")
     examples = _read_for_model(args.data, model)
     if not (0 <= args.index < len(examples)):
         raise ContractViolation(

@@ -1,11 +1,13 @@
 """Finite-difference verification of every differentiable operation and of
 the end-to-end condensed-head loss.
 
-Each check builds a scalar from the operation under test (via a fixed random
-projection so every output element matters), runs one backward pass, and
-compares against central finite differences.  Inputs are re-sampled until
-the forward pass stays clear of non-smooth loci (relu kinks, smooth-L1
-transitions, argmax ties), which finite differences cannot probe.
+Each single-op check (``_projected``) builds a scalar from the operation
+under test via a fixed random projection, so every output element matters;
+the loss checks are scalars already.  A check runs one backward pass and
+compares against central finite differences.  Where the forward pass has
+non-smooth loci (relu kinks, smooth-L1 transitions, argmax ties), which
+finite differences cannot probe, inputs are re-sampled until it stays clear
+of them.
 """
 
 from __future__ import annotations
@@ -62,146 +64,56 @@ def _param(rng, shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-# -- individual checks -----------------------------------------------------
+def _checked(make_case, kinks: bool = True):
+    """A check that draws a case ``(build, checked)`` from its rng, clear of
+    kinks if ``kinks`` is set, and compares the checked gradients."""
 
-def _check_conv2d(rng) -> float:
-    x = _param(rng, (4, 5, 5))
-    w = _param(rng, (4, 2, 3, 3))
-    b = _param(rng, (4,))
-    proj = Tensor(rng.standard_normal((4, 5, 5)))
+    def check(rng) -> float:
+        return _compare(*(_clear_of_kinks(make_case, rng) if kinks else make_case(rng)))
 
-    def build():
-        return T.sum_all(T.mul(T.conv2d(x, w, b, groups=2, dilation=2), proj))
-
-    return _compare(build, [x, w, b])
+    return check
 
 
-def _check_adaptive_avg_pool(rng) -> float:
-    x = _param(rng, (3, 7, 7))
-    proj = Tensor(rng.standard_normal((3, 5, 5)))
+def _projected(op, *shapes, kinks: bool = False):
+    """A check of ``op`` on standard-normal inputs of ``shapes``, drawn in
+    order: the scalar is ``sum(op(*inputs) * proj)``, with ``proj`` drawn
+    next at the shape of the op's output, so that every output element
+    matters.  Write ``op`` as a lambda that looks ``T.<op>`` up when it runs,
+    so that a wrapper installed on the module later is the op checked."""
 
-    def build():
-        return T.sum_all(T.mul(T.adaptive_avg_pool(x, 5), proj))
+    def make_case(rng):
+        inputs = [_param(rng, shape) for shape in shapes]
+        proj = Tensor(rng.standard_normal(op(*inputs).shape))
+        return (lambda: T.sum_all(T.mul(op(*inputs), proj))), inputs
 
-    return _compare(build, [x])
-
-
-def _check_linear(rng) -> float:
-    x = _param(rng, (2, 8))
-    w = _param(rng, (3, 8))
-    b = _param(rng, (3,))
-    proj = Tensor(rng.standard_normal((2, 3)))
-
-    def build():
-        return T.sum_all(T.mul(T.linear(x, w, b), proj))
-
-    return _compare(build, [x, w, b])
+    return _checked(make_case, kinks)
 
 
-def _check_relu(rng) -> float:
-    def make_case(case_rng):
-        x = _param(case_rng, (24,))
-        proj = Tensor(case_rng.standard_normal((24,)))
-        return (lambda: T.sum_all(T.mul(T.relu(x), proj))), [x]
+# -- checks with their own draws -------------------------------------------
 
-    build, checked = _clear_of_kinks(make_case, rng)
-    return _compare(build, checked)
-
-
-def _check_arithmetic(rng) -> float:
-    a = _param(rng, (6,))
-    b = _param(rng, (6,))
-    proj = Tensor(rng.standard_normal((6,)))
+def _discovery_objective_case(rng):
+    raws = [_param(rng, (2, 4, 4)) for _ in range(3)]
 
     def build():
-        return T.sum_all(T.mul(T.mul(T.add(a, b), T.sub(a, b)), proj))
+        maps_batch = [tmr_squash(raw, 0.5, 0.1) for raw in raws]
+        return losses.discovery_objective(maps_batch, [1, 0, 1])
 
-    return _compare(build, [a, b])
-
-
-def _check_concat(rng) -> float:
-    parts = [_param(rng, (2, 3)), _param(rng, (4,)), _param(rng, (2, 2))]
-    proj = Tensor(rng.standard_normal((14,)))
-
-    def build():
-        return T.sum_all(T.mul(T.concat(parts), proj))
-
-    return _compare(build, parts)
+    return build, raws
 
 
-def _check_gather_at(rng) -> float:
-    x = _param(rng, (3, 4, 4))
-    points = [(0, 0), (2, 3), (2, 3), (1, 1)]  # duplicate accumulates
-    proj = Tensor(rng.standard_normal((4, 3)))
-
-    def build():
-        return T.sum_all(T.mul(T.gather_at(x, points), proj))
-
-    return _compare(build, [x])
+_DETECTION_CFG = HeadConfig(channels=8, num_classes=3, num_parts=1, pool_len=1,
+                            height=4, width=4, channel_keep=0.5, hidden=4)
 
 
-def _check_smooth_l1(rng) -> float:
-    def make_case(case_rng):
-        a = _param(case_rng, (6,))
-        b = _param(case_rng, (6,))
-        proj = Tensor(case_rng.standard_normal((6,)))
-        return (lambda: T.sum_all(T.mul(T.smooth_l1(a, b), proj))), [a, b]
+def _detection_loss_case(rng):
+    v_cls = _param(rng, (2, 4))
+    v_reg = _param(rng, (2, 12))
+    boxes = rng.standard_normal((2, 4))
 
-    build, checked = _clear_of_kinks(make_case, rng)
-    return _compare(build, checked)
+    def build():  # one foreground row, one background row
+        return losses.detection_loss(HeadOutput(v_cls, v_reg), [2, 0], boxes, _DETECTION_CFG)
 
-
-def _check_logsumexp(rng) -> float:
-    x = _param(rng, (2, 7))
-    proj = Tensor(rng.standard_normal((2,)))
-
-    def build():
-        return T.sum_all(T.mul(T.logsumexp(x), proj))
-
-    return _compare(build, [x])
-
-
-def _check_tmr(rng) -> float:
-    def make_case(case_rng):
-        raw = _param(case_rng, (3, 5, 5))
-        proj = Tensor(case_rng.standard_normal((3, 5, 5)))
-        return (lambda: T.sum_all(T.mul(tmr_squash(raw, 0.5, 0.1), proj))), [raw]
-
-    build, checked = _clear_of_kinks(make_case, rng)
-    return _compare(build, checked)
-
-
-def _check_discovery_objective(rng) -> float:
-    def make_case(case_rng):
-        raws = [_param(case_rng, (2, 4, 4)) for _ in range(3)]
-        labels = [1, 0, 1]
-
-        def build():
-            maps_batch = [tmr_squash(raw, 0.5, 0.1) for raw in raws]
-            return losses.discovery_objective(maps_batch, labels)
-
-        return build, raws
-
-    build, checked = _clear_of_kinks(make_case, rng)
-    return _compare(build, checked)
-
-
-def _check_detection_loss(rng) -> float:
-    cfg = HeadConfig(channels=8, num_classes=3, num_parts=1, pool_len=1,
-                     height=4, width=4, channel_keep=0.5, hidden=4)
-
-    def make_case(case_rng):
-        v_cls = _param(case_rng, (2, 4))
-        v_reg = _param(case_rng, (2, 12))
-        boxes = case_rng.standard_normal((2, 4))
-
-        def build():  # one foreground row, one background row
-            return losses.detection_loss(HeadOutput(v_cls, v_reg), [2, 0], boxes, cfg)
-
-        return build, [v_cls, v_reg]
-
-    build, checked = _clear_of_kinks(make_case, rng)
-    return _compare(build, checked)
+    return build, [v_cls, v_reg]
 
 
 def small_head_configs() -> tuple[DiscoveryConfig, HeadConfig]:
@@ -213,44 +125,41 @@ def small_head_configs() -> tuple[DiscoveryConfig, HeadConfig]:
     return disc, head
 
 
-def _check_condensed_head(rng) -> float:
+def _condensed_head_case(rng):
     disc_cfg, head_cfg = small_head_configs()
+    disc_params = init_discovery_params(disc_cfg, rng)
+    head_params = init_head_params(head_cfg, rng)
+    x = Tensor(rng.standard_normal((2, 7, 7)), requires_grad=True)
+    box = rng.standard_normal(4)
 
-    def make_case(case_rng):
-        disc_params = init_discovery_params(disc_cfg, case_rng)
-        head_params = init_head_params(head_cfg, case_rng)
-        x = Tensor(case_rng.standard_normal((2, 7, 7)), requires_grad=True)
-        box = case_rng.standard_normal(4)
+    def build():
+        fwd = full_condensed_forward([x], disc_params, head_params, disc_cfg, head_cfg)
+        det = losses.detection_loss(fwd.output, [1], [box], head_cfg)
+        return T.add(det, losses.discovery_objective(fwd.maps, [1]))
 
-        def build():
-            fwd = full_condensed_forward([x], disc_params, head_params,
-                                         disc_cfg, head_cfg)
-            det = losses.detection_loss(fwd.output, [1], [box], head_cfg)
-            obj = losses.discovery_objective(fwd.maps, [1])
-            return T.add(det, obj)
-
-        checked = [x] + [t for _, t in named_tensors("discovery", disc_params)
-                                          + named_tensors("head", head_params)]
-        return build, checked
-
-    build, checked = _clear_of_kinks(make_case, rng)
-    return _compare(build, checked)
+    checked = [x] + [t for _, t in named_tensors("discovery", disc_params)
+                                      + named_tensors("head", head_params)]
+    return build, checked
 
 
 CHECKS = {
-    "conv2d": _check_conv2d,
-    "adaptive_avg_pool": _check_adaptive_avg_pool,
-    "linear": _check_linear,
-    "relu": _check_relu,
-    "add_mul_div": _check_arithmetic,  # perfbench reports gradcheck.add_mul_div.s
-    "concat": _check_concat,
-    "gather_at": _check_gather_at,
-    "smooth_l1": _check_smooth_l1,
-    "logsumexp": _check_logsumexp,
-    "tmr_squash": _check_tmr,
-    "discovery_objective": _check_discovery_objective,
-    "detection_loss": _check_detection_loss,
-    "condensed_head_loss": _check_condensed_head,
+    "conv2d": _projected(lambda x, w, b: T.conv2d(x, w, b, groups=2, dilation=2),
+                         (4, 5, 5), (4, 2, 3, 3), (4,)),
+    "adaptive_avg_pool": _projected(lambda x: T.adaptive_avg_pool(x, 5), (3, 7, 7)),
+    "linear": _projected(lambda x, w, b: T.linear(x, w, b), (2, 8), (3, 8), (3,)),
+    "relu": _projected(lambda x: T.relu(x), (24,), kinks=True),
+    # perfbench reports gradcheck.add_mul_div.s
+    "add_mul_div": _projected(lambda a, b: T.mul(T.add(a, b), T.sub(a, b)), (6,), (6,)),
+    "concat": _projected(lambda *parts: T.concat(parts), (2, 3), (4,), (2, 2)),
+    # the repeated point checks that gradients accumulate
+    "gather_at": _projected(lambda x: T.gather_at(x, [(0, 0), (2, 3), (2, 3), (1, 1)]),
+                            (3, 4, 4)),
+    "smooth_l1": _projected(lambda a, b: T.smooth_l1(a, b), (6,), (6,), kinks=True),
+    "logsumexp": _projected(lambda x: T.logsumexp(x), (2, 7)),
+    "tmr_squash": _projected(lambda raw: tmr_squash(raw, 0.5, 0.1), (3, 5, 5), kinks=True),
+    "discovery_objective": _checked(_discovery_objective_case),
+    "detection_loss": _checked(_detection_loss_case),
+    "condensed_head_loss": _checked(_condensed_head_case),
 }
 
 

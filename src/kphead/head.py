@@ -158,7 +158,6 @@ class Forward:
     output: HeadOutput
     maps: list[Tensor] | None = None        # K x H x W each, squashed
     parts: list[KeyPartSet] | None = None
-    z_k: list[Tensor] | None = None         # each descriptor's key-part block
     global_map: list[Tensor] | None = None  # kept_channels x L x L each
 
 
@@ -192,7 +191,7 @@ def full_condensed_forward(xs: Sequence[Tensor], disc_params: DiscoveryParams,
         z_k.append(key_part_modeling(gather_source, maps[-1], parts[-1]))
         global_map.append(global_activation(x, head_params, head_cfg))
     output = head_forward(z_k, global_map, head_params, head_cfg)
-    return Forward(output=output, maps=maps, parts=parts, z_k=z_k, global_map=global_map)
+    return Forward(output=output, maps=maps, parts=parts, global_map=global_map)
 
 
 # -- baseline two-FC head -----------------------------------------------------

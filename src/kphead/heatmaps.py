@@ -8,7 +8,7 @@ import os
 import numpy as np
 
 from .dataset import ToyExample
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 
 CONFIDENCE_THRESHOLD = 0.1  # parts above this are flagged in the sidecar
 
@@ -58,7 +58,10 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     """Write K part-confidence graymaps, one global-activation graymap
     (rectified, channel-summed, min-max normalized) and a sidecar listing
     extracted key-part coordinates/confidences.  Returns the written paths.
+    Raises ConfigError for a model without confidence maps (the baseline).
     """
+    if model.kind != "condensed":
+        raise ConfigError("heatmaps need a condensed model")
     os.makedirs(out_dir, exist_ok=True)
     fwd = model.forward(example.x)
     maps, parts = fwd.maps[0].data, fwd.parts[0]

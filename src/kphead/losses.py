@@ -5,7 +5,9 @@ example's foreground label (discriminative term) and the spatial peak of the
 channel-summed maps toward 1 on foregrounds (uniqueness term).  Each term
 is one smooth L1 over the peaks of the whole batch.  The toy
 detection loss is cross-entropy over class logits plus smooth L1 on the
-target class's box offsets, summed over a batch's output rows.
+target class's box offsets, summed over a batch's output rows.  Every term
+is a plain sum over the batch, the paper's written form; training divides
+the weighted total by the batch size when ``TrainConfig.batch_mean`` is set.
 """
 
 from __future__ import annotations
@@ -31,22 +33,18 @@ def _check_batch(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> None:
             raise ContractViolation(f"labels must be 0 or 1, got {y!r}")
 
 
-def discriminative_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
-                        batch_mean: bool = False) -> Tensor:
+def discriminative_loss(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
     """Sum over examples and maps of smooth_l1(peak confidence, label).
 
     Drives every per-map peak toward 1 on foreground examples and 0 on
-    background.  ``batch_mean`` divides by the batch size (the written form
-    is a plain sum).
+    background.
     """
     _check_batch(maps_batch, labels)
     targets = np.repeat(labels, [maps.shape[0] for maps in maps_batch])
-    total = T.sum_all(T.smooth_l1(T.map_peaks(maps_batch), Tensor(targets)))
-    return total * (1.0 / len(maps_batch)) if batch_mean else total
+    return T.sum_all(T.smooth_l1(T.map_peaks(maps_batch), Tensor(targets)))
 
 
-def uniqueness_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
-                    batch_mean: bool = False) -> Tensor:
+def uniqueness_loss(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
     """Push the spatial peak of the channel-summed maps toward 1 on foregrounds.
 
     Co-located peaks push the summed map past 1 and get penalized; background
@@ -57,15 +55,12 @@ def uniqueness_loss(maps_batch: Sequence[Tensor], labels: Sequence[int],
     if not fg:
         return Tensor(0.0)
     peaks = T.map_peaks([T.channel_sum(maps) for maps in fg])
-    total = T.sum_all(T.smooth_l1(peaks, Tensor(1.0)))
-    return total * (1.0 / len(maps_batch)) if batch_mean else total
+    return T.sum_all(T.smooth_l1(peaks, Tensor(1.0)))
 
 
-def discovery_objective(maps_batch: Sequence[Tensor], labels: Sequence[int],
-                        batch_mean: bool = False) -> Tensor:
+def discovery_objective(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
     """Unweighted sum of the discriminative and uniqueness terms."""
-    return T.add(discriminative_loss(maps_batch, labels, batch_mean),
-                 uniqueness_loss(maps_batch, labels, batch_mean))
+    return T.add(discriminative_loss(maps_batch, labels), uniqueness_loss(maps_batch, labels))
 
 
 def detection_loss(out: HeadOutput, classes: Sequence[int],

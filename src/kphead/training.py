@@ -25,7 +25,7 @@ class TrainConfig:
     batch_size: int = 16
     okpd_loss_weight: float = 2.0
     seed: int = 0
-    batch_mean: bool = True          # divide both loss terms by the batch size
+    batch_mean: bool = True          # divide the batch's total loss by its size
     use_discriminative: bool = True  # ablation switches for the discovery objective
     use_uniqueness: bool = True
 
@@ -121,8 +121,9 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     parameter, exactly and in place (see ``_momentum_step``); the velocity
     starts at zero on every call.  The loss per batch is the detection loss
     plus ``okpd_loss_weight`` times the discovery objective (condensed model
-    only).  Returns with no gradient attached to any parameter.  Aborts with
-    TrainingDivergence if the loss goes non-finite.
+    only), divided by the batch size if ``batch_mean`` is set.  Returns with
+    no gradient attached to any parameter.  Aborts with TrainingDivergence if
+    the loss goes non-finite.
     """
     if not examples:
         raise ContractViolation("train: empty dataset")
@@ -204,26 +205,23 @@ def _batch_loss(model, batch, cfg: TrainConfig):
     det = losses.detection_loss(fwd.output, classes, [ex.box_target for ex in batch],
                                 model.head_cfg)
     hits = int(np.sum(np.argmax(fwd.output.v_cls.data, axis=1) == classes))
-    if cfg.batch_mean:
-        det = det * (1.0 / len(batch))
-    # logged values are always batch sums so epoch rows average per example
-    det_value = det.item() * (len(batch) if cfg.batch_mean else 1.0)
 
+    # logged values are batch sums, so epoch rows average per example
     total = det
     ld_value = lu_value = 0.0
     if fwd.maps is not None and (cfg.use_discriminative or cfg.use_uniqueness):
         labels = [ex.y_hat for ex in batch]
         terms = []
         if cfg.use_discriminative:
-            ld = losses.discriminative_loss(fwd.maps, labels, batch_mean=cfg.batch_mean)
-            ld_value = ld.item() * (len(batch) if cfg.batch_mean else 1.0)
-            terms.append(ld)
+            terms.append(losses.discriminative_loss(fwd.maps, labels))
+            ld_value = terms[-1].item()
         if cfg.use_uniqueness:
-            lu = losses.uniqueness_loss(fwd.maps, labels, batch_mean=cfg.batch_mean)
-            lu_value = lu.item() * (len(batch) if cfg.batch_mean else 1.0)
-            terms.append(lu)
+            terms.append(losses.uniqueness_loss(fwd.maps, labels))
+            lu_value = terms[-1].item()
         total = total + cfg.okpd_loss_weight * sum(terms[1:], terms[0])
-    return total, det_value, ld_value, lu_value, hits
+    if cfg.batch_mean:
+        total = total * (1.0 / len(batch))
+    return total, det.item(), ld_value, lu_value, hits
 
 
 # -- parameter files -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Backward-pass semantics: graph replay rules, gradient routing, and
 agreement with central finite differences."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,28 @@ class TestGradcheckSuite:
         first = gradcheck.run_suite(trials=1, seed=7)
         second = gradcheck.run_suite(trials=1, seed=7)
         assert first == second
+
+    def test_suite_runs_every_public_op(self, monkeypatch):
+        """A new op of ``kphead.tensor`` fails here until a check runs it; the
+        whole-head check, which runs every op the head uses, does not count."""
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in list(vars(T).items()):
+            if (inspect.isfunction(fn) and fn.__module__ == T.__name__
+                    and not name.startswith("_")
+                    and name not in ("backward", "finite_diff_grad")):
+                calls[name] = 0
+                monkeypatch.setattr(T, name, counted(name, fn))
+        monkeypatch.delitem(gradcheck.CHECKS, "condensed_head_loss")
+        gradcheck.run_suite(trials=1, seed=0)
+        assert "conv2d" in calls and "map_peaks" in calls
+        assert [name for name, n in calls.items() if n == 0] == []
 
     def test_full_head_parameter_gradients(self):
         """Every parameter of the condensed head matches finite differences."""

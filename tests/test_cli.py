@@ -169,6 +169,18 @@ class TestToyTrainEvalHeatmaps:
         pgms = list(heat_dir.glob("*.pgm"))
         assert len(pgms) == 2 + 1  # K maps + global
 
+    def test_heatmaps_of_a_baseline_model_exit_2(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        params = tmp_path / "p.bin"
+        assert main(["toy", "train", "--data", str(data), "--out", str(params),
+                     "--model", "baseline"] + BASE_FLAGS) == 0
+        capsys.readouterr()
+        rc = main(["toy", "heatmaps", "--data", str(tmp_path / "d.test.bin"),
+                   "--params", str(params), "--out", str(tmp_path / "maps")])
+        err = capsys.readouterr().err
+        assert rc == 2 and is_one_error_line(err) and "condensed model" in err
+        assert not (tmp_path / "maps").exists()
+
     def test_train_determinism_byte_identical_params(self, tmp_path):
         data = gen(tmp_path)
         p1, p2 = tmp_path / "p1.bin", tmp_path / "p2.bin"

@@ -172,7 +172,7 @@ class TestFullForward:
         fwd = full_condensed_forward([x], disc, head, disc_cfg, head_cfg)
         assert fwd.output.v_cls.shape == (1, 21)
         assert fwd.output.v_reg.shape == (1, 80)
-        assert fwd.z_k[0].size == 4096 + 784
+        assert key_part_modeling(x, fwd.maps[0], fwd.parts[0]).size == 4096 + 784
         assert fwd.global_map[0].size == 1600
         assert fwd.maps[0].shape == (16, 7, 7)
         assert len(fwd.parts[0]) == 16

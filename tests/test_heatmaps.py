@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from kphead.dataset import ToyDatasetSpec, generate_dataset
-from kphead.errors import ContractViolation
+from kphead.errors import ConfigError, ContractViolation
 from kphead.heatmaps import export_heatmaps, normalize01, read_pgm, write_pgm
 from kphead.runconfig import RunConfig
-from kphead.training import build_condensed
+from kphead.training import build_baseline, build_condensed
 
 
 def tiny_condensed():
@@ -94,3 +94,10 @@ class TestExport:
         for row in rows:
             fields = row.split()
             assert fields[-1] in ("yes", "no")
+
+    def test_baseline_model_is_rejected_before_any_file_is_written(self, tmp_path):
+        model, data = tiny_condensed()
+        baseline = build_baseline(model.head_cfg, seed=0)
+        with pytest.raises(ConfigError, match="condensed model"):
+            export_heatmaps(baseline, data[0], tmp_path / "out")
+        assert not (tmp_path / "out").exists()

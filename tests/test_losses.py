@@ -151,7 +151,7 @@ class TestDiscoveryObjective:
         np.testing.assert_allclose(raw.grad, fd, atol=1e-6)
 
 
-def per_example_terms(maps_batch, labels, batch_mean):
+def per_example_terms(maps_batch, labels):
     """The discriminative and uniqueness terms built one example at a time,
     the per-example sums chained with ``+``."""
     disc = uniq = None
@@ -161,8 +161,7 @@ def per_example_terms(maps_batch, labels, batch_mean):
         if y:
             u = T.sum_all(T.smooth_l1(T.map_peaks([T.channel_sum(maps)]), Tensor(1.0)))
             uniq = u if uniq is None else uniq + u
-    scale = 1.0 / len(maps_batch) if batch_mean else 1.0
-    return disc * scale, (uniq * scale if uniq is not None else None)
+    return disc, uniq
 
 
 class TestBatchedDiscoveryTerms:
@@ -177,17 +176,15 @@ class TestBatchedDiscoveryTerms:
         return maps
 
     @pytest.mark.parametrize("labels", [[1, 0, 1, 1, 0], [0, 0, 0, 0, 0]])
-    @pytest.mark.parametrize("batch_mean", [False, True])
-    def test_map_gradients_equal_the_per_example_build(self, labels, batch_mean):
+    def test_map_gradients_equal_the_per_example_build(self, labels):
         arrays = self.batch(np.random.default_rng(10))
         built = {}
         for how in ("batched", "per_example"):
             maps = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             if how == "batched":
-                terms = (discriminative_loss(maps, labels, batch_mean),
-                         uniqueness_loss(maps, labels, batch_mean))
+                terms = (discriminative_loss(maps, labels), uniqueness_loss(maps, labels))
             else:
-                terms = per_example_terms(maps, labels, batch_mean)
+                terms = per_example_terms(maps, labels)
             grads = []
             for term in terms:
                 for m in maps:

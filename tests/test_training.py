@@ -277,7 +277,7 @@ class TestModelInterface:
         want = baseline_forward([x], baseline.params, baseline.head_cfg)
         np.testing.assert_array_equal(fwd.output.v_cls.data, want.v_cls.data)
         np.testing.assert_array_equal(fwd.output.v_reg.data, want.v_reg.data)
-        assert fwd.maps is fwd.parts is fwd.z_k is fwd.global_map is None
+        assert fwd.maps is fwd.parts is fwd.global_map is None
 
     def test_baseline_batch_loss_has_no_discovery_terms(self):
         cfg = tiny_run_config()
@@ -315,6 +315,27 @@ class TestBatchAxis:
         for name, grad in grads.items():
             want = sum(s[1][name] for s in singles) / len(batch)  # batch_mean
             assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_batch_mean_off_moves_each_parameter_n_times_as_far(self, kind):
+        """One step on one batch of N: with ``batch_mean`` off, each parameter
+        moves N times as far as with it on, and the logged row is the same."""
+        runs = {}
+        for batch_mean in (True, False):
+            cfg = tiny_run_config(epochs=1, batch_size=24, batch_mean=batch_mean)
+            data, _ = generate_dataset(cfg.data)
+            model = tiny_models(cfg)[kind == "baseline"]
+            before = {name: t.data.copy() for name, t in model.named_tensors()}
+            logs = train(model, data, cfg.train)
+            runs[batch_mean] = logs, {name: t.data - before[name]
+                                      for name, t in model.named_tensors()}
+        assert len(data) == 24 and runs[False][0] == runs[True][0]
+        for name, moved in runs[False][1].items():
+            want = 24 * runs[True][1][name]
+            # beyond rtol, each change keeps the rounding of its stored weights
+            # (half an ulp of w, taken once and 24 times)
+            slack = 1e-12 * np.abs(want) + 25 * np.finfo(float).eps * np.abs(before[name])
+            assert np.all(np.abs(moved - want) <= slack), name
 
     def test_head_weights_enter_linear_once_per_batch(self, monkeypatch):
         cfg = tiny_run_config(epochs=1, batch_size=8)
