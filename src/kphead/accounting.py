@@ -13,9 +13,8 @@ published definitions allow (see each preset's note).
 
 from __future__ import annotations
 
-import dataclasses
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .discovery import DiscoveryConfig
 from .errors import ConfigError
@@ -186,6 +185,13 @@ def baseline_head_layers(num_classes: int, channels: int = 256, height: int = 7,
     ]
 
 
+def baseline_params(head: HeadConfig) -> int:
+    """Parameters of the two-FC baseline on ``head``'s grid, classes and hidden width."""
+    return count_params(baseline_head_layers(
+        head.num_classes, channels=head.channels, height=head.height, width=head.width,
+        hidden=head.hidden)).total_params
+
+
 def count_params_condensed(head_cfg: HeadConfig, disc_cfg: DiscoveryConfig,
                            baseline_params: int | None = None,
                            title: str = "condensed head") -> ParamReport:
@@ -196,8 +202,9 @@ def count_params_condensed(head_cfg: HeadConfig, disc_cfg: DiscoveryConfig,
 
 # -- named presets --------------------------------------------------------------
 
-def _fpn_configs(num_classes: int, num_parts: int, pool_len: int,
-                 num_blocks: int = 2) -> tuple[HeadConfig, DiscoveryConfig]:
+def fpn_configs(num_classes: int, num_parts: int = 16, pool_len: int = 5,
+                num_blocks: int = 2) -> tuple[HeadConfig, DiscoveryConfig]:
+    """The FPN head (256 channels, 7x7 grid, 1024 hidden) and its discovery network."""
     head = HeadConfig(channels=256, num_classes=num_classes, num_parts=num_parts,
                       pool_len=pool_len)
     disc = DiscoveryConfig(channels=256, num_parts=num_parts, num_blocks=num_blocks)
@@ -230,89 +237,74 @@ def _resnet_stage5_layers() -> list[LayerSpec]:
     return layers
 
 
-def _baseline_fpn(num_classes: int) -> tuple[list[LayerSpec], int | None, list[str]]:
-    return baseline_head_layers(num_classes), None, []
+def _baseline_faster_rcnn() -> list[LayerSpec]:
+    return _resnet_stage5_layers() + [LayerSpec("cls", "fc", d_in=2048, d_out=21),
+                                      LayerSpec("reg", "fc", d_in=2048, d_out=84)]
 
 
-def _condensed_fpn(num_classes: int) -> tuple[list[LayerSpec], int | None, list[str]]:
-    head, disc = _fpn_configs(num_classes, num_parts=16, pool_len=5)
-    baseline = count_params(baseline_head_layers(num_classes)).total_params
-    return condensed_head_layers(head, disc), baseline, []
-
-
-def _baseline_faster_rcnn() -> tuple[list[LayerSpec], int | None, list[str]]:
-    layers = _resnet_stage5_layers()
-    layers.append(LayerSpec("cls", "fc", d_in=2048, d_out=21))
-    layers.append(LayerSpec("reg", "fc", d_in=2048, d_out=84))
-    return layers, None, ["entire final backbone stage counted as the head; "
-                          "normalization affine parameters excluded"]
-
-
-def _condensed_faster_rcnn() -> tuple[list[LayerSpec], int | None, list[str]]:
+def _condensed_faster_rcnn() -> list[LayerSpec]:
     head = HeadConfig(channels=1024, num_classes=20, num_parts=4, pool_len=3)
     disc = DiscoveryConfig(channels=1024, num_parts=4, num_blocks=4)
-    baseline = count_params(_baseline_faster_rcnn()[0]).total_params
-    return condensed_head_layers(head, disc), baseline, []
+    return condensed_head_layers(head, disc)
 
 
-def _baseline_rfcn() -> tuple[list[LayerSpec], int | None, list[str]]:
-    layers = [
+def _baseline_rfcn() -> list[LayerSpec]:
+    return [
         LayerSpec("reduce1x1", "conv", c_in=2048, c_out=1024, kernel=1, h_out=7, w_out=7),
         LayerSpec("ps_cls", "conv", c_in=1024, c_out=49 * 21, kernel=1, h_out=7, w_out=7),
         LayerSpec("ps_reg", "conv", c_in=1024, c_out=49 * 8, kernel=1, h_out=7, w_out=7),
     ]
-    return layers, None, ["position-sensitive score maps with 49*(20+1) class and "
-                          "49*8 box channels"]
 
 
-def _condensed_rfcn() -> tuple[list[LayerSpec], int | None, list[str]]:
+def _condensed_rfcn() -> list[LayerSpec]:
     head = HeadConfig(channels=256, num_classes=20, num_parts=16, pool_len=3)
     disc = DiscoveryConfig(channels=256, num_parts=16)
-    layers = [LayerSpec("reduce1x1", "conv", c_in=2048, c_out=256, kernel=1,
-                        h_out=7, w_out=7)]
-    layers += condensed_head_layers(head, disc, with_fc=False)
-    baseline = count_params(_baseline_rfcn()[0]).total_params
-    return layers, baseline, ["no fully connected layer: classifier and regressor "
-                              "attach directly to the concatenated descriptor"]
+    return [LayerSpec("reduce1x1", "conv", c_in=2048, c_out=256, kernel=1,
+                      h_out=7, w_out=7)] + condensed_head_layers(head, disc, with_fc=False)
 
 
-def _baseline_cascade() -> tuple[list[LayerSpec], int | None, list[str]]:
-    layers = []
-    for stage in range(3):
-        layers += baseline_head_layers(20, prefix=f"stage{stage}.")
-    return layers, None, ["three refinement stages, each a two-FC head"]
+def _baseline_cascade() -> list[LayerSpec]:
+    return [layer for stage in range(3)
+            for layer in baseline_head_layers(20, prefix=f"stage{stage}.")]
 
 
-def _condensed_cascade() -> tuple[list[LayerSpec], int | None, list[str]]:
-    layers = []
-    for stage, blocks in enumerate((2, 3, 4)):
-        head, disc = _fpn_configs(20, num_parts=16, pool_len=5, num_blocks=blocks)
-        layers += [dataclasses.replace(l, name=f"stage{stage}.{l.name}")
-                   for l in condensed_head_layers(head, disc)]
-    baseline = count_params(_baseline_cascade()[0]).total_params
-    return layers, baseline, ["concentration depth 2/3/4 across the three stages"]
+def _condensed_cascade() -> list[LayerSpec]:
+    return [replace(layer, name=f"stage{stage}.{layer.name}")
+            for stage, blocks in enumerate((2, 3, 4))
+            for layer in condensed_head_layers(*fpn_configs(20, num_blocks=blocks))]
 
 
+# name -> (layer builder, report notes); a condensed-* preset's baseline is the
+# total of the baseline-* preset of the same name
 PRESETS = {
-    "baseline-fpn-voc": lambda: _baseline_fpn(20),
-    "baseline-fpn-coco": lambda: _baseline_fpn(80),
-    "condensed-fpn-voc": lambda: _condensed_fpn(20),
-    "condensed-fpn-coco": lambda: _condensed_fpn(80),
-    "baseline-faster-rcnn": _baseline_faster_rcnn,
-    "condensed-faster-rcnn": _condensed_faster_rcnn,
-    "baseline-rfcn": _baseline_rfcn,
-    "condensed-rfcn": _condensed_rfcn,
-    "baseline-cascade": _baseline_cascade,
-    "condensed-cascade": _condensed_cascade,
+    "baseline-fpn-voc": (lambda: baseline_head_layers(20), []),
+    "baseline-fpn-coco": (lambda: baseline_head_layers(80), []),
+    "condensed-fpn-voc": (lambda: condensed_head_layers(*fpn_configs(20)), []),
+    "condensed-fpn-coco": (lambda: condensed_head_layers(*fpn_configs(80)), []),
+    "baseline-faster-rcnn": (_baseline_faster_rcnn, [
+        "entire final backbone stage counted as the head; "
+        "normalization affine parameters excluded"]),
+    "condensed-faster-rcnn": (_condensed_faster_rcnn, []),
+    "baseline-rfcn": (_baseline_rfcn, [
+        "position-sensitive score maps with 49*(20+1) class and 49*8 box channels"]),
+    "condensed-rfcn": (_condensed_rfcn, [
+        "no fully connected layer: classifier and regressor "
+        "attach directly to the concatenated descriptor"]),
+    "baseline-cascade": (_baseline_cascade, ["three refinement stages, each a two-FC head"]),
+    "condensed-cascade": (_condensed_cascade,
+                          ["concentration depth 2/3/4 across the three stages"]),
 }
 
 
 def preset_report(name: str) -> ParamReport:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    layers, baseline, notes = PRESETS[name]()
-    report = count_params(layers, title=name, baseline_params=baseline)
-    report.notes = notes
+    build, notes = PRESETS[name]
+    baseline = None
+    if name.startswith("condensed-"):
+        baseline = preset_report(name.replace("condensed-", "baseline-", 1)).total_params
+    report = count_params(build(), title=name, baseline_params=baseline)
+    report.notes = list(notes)
     return report
 
 
@@ -323,24 +315,25 @@ DEFAULT_SWEEP_POOL = (1, 2, 3, 4, 5)
 
 
 def sweep(parts_grid=DEFAULT_SWEEP_PARTS, pool_grid=DEFAULT_SWEEP_POOL,
-          num_classes: int = 20, channels: int = 256, hidden: int = 1024,
-          groups: int = 32, reduction: int = 8,
-          num_blocks: int = 2) -> list[tuple[int, int, int, float]]:
-    """Condensed totals over a (num_parts, pool_len) grid.
+          head: HeadConfig | None = None,
+          disc: DiscoveryConfig | None = None) -> list[tuple[int, int, int, float]]:
+    """Condensed totals of ``head`` and ``disc`` (default: the FPN-VOC pair)
+    over a (num_parts, pool_len) grid, against ``head``'s two-FC baseline.
 
     Returns (K, L, params, params/baseline) rows; totals increase strictly
-    in K for fixed L and in L for fixed K.
+    in K for fixed L and in L for fixed K.  Cells too large for the head's
+    grid are left out.
     """
-    baseline = count_params(baseline_head_layers(num_classes, channels=channels,
-                                                 hidden=hidden)).total_params
+    if head is None:
+        head, disc = fpn_configs(20)
+    baseline = baseline_params(head)
     rows = []
     for k in parts_grid:
         for L in pool_grid:
-            head = HeadConfig(channels=channels, num_classes=num_classes,
-                              num_parts=k, pool_len=L, hidden=hidden)
-            disc = DiscoveryConfig(channels=channels, num_parts=k, groups=groups,
-                                   reduction=reduction, num_blocks=num_blocks)
-            total = count_params(condensed_head_layers(head, disc)).total_params
+            if k > head.height * head.width or L > min(head.height, head.width):
+                continue
+            total = count_params_condensed(replace(head, num_parts=k, pool_len=L),
+                                           replace(disc, num_parts=k)).total_params
             rows.append((k, L, total, total / baseline))
     return rows
 

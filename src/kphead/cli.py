@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import accounting, gradcheck, heatmaps, runconfig, training
 from .dataset import generate_dataset, read_dataset, write_dataset
@@ -24,18 +23,18 @@ EXIT_DIVERGED = 3
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="run configuration file")
-    for key in runconfig.schema():
+    for key in runconfig.DEFAULTS:
         parser.add_argument(f"--{key}", dest=key.replace(".", "__"),
                             metavar="V", help=argparse.SUPPRESS)
 
 
-def _collect_config(args) -> runconfig.RunConfig:
-    overrides = {}
-    for key in runconfig.schema():
-        value = getattr(args, key.replace(".", "__"), None)
-        if value is not None:
-            overrides[key] = value
-    return runconfig.load_config(getattr(args, "config", None), overrides)
+def _collect_config(args, **fixed) -> runconfig.RunConfig:
+    """The run config: file < ``--<key>`` flags < ``fixed`` (keyed like the
+    flags' dests, ``data__seed``); a None value leaves its key to the layer below."""
+    given = [(key, getattr(args, key.replace(".", "__"))) for key in runconfig.DEFAULTS]
+    given += [(dest.replace("__", "."), value) for dest, value in fixed.items()]
+    overrides = {key: str(value) for key, value in given if value is not None}
+    return runconfig.load_config(args.config, overrides)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,35 +104,25 @@ def sibling_test_path(train_path: str) -> str:
 
 def _cmd_params(args) -> int:
     if args.preset:
-        if args.preset not in accounting.PRESETS:
-            print(f"unknown preset {args.preset!r}; available:", file=sys.stderr)
-            for name in sorted(accounting.PRESETS):
-                print(f"  {name}", file=sys.stderr)
-            return EXIT_USAGE
         report = accounting.preset_report(args.preset)
-        sweep_kwargs = {"num_classes": 80 if args.preset.endswith("coco") else 20}
+        num_classes = 80 if args.preset.endswith("coco") else 20
+        head, disc = accounting.fpn_configs(num_classes)
+        counted = f"the FPN head ({num_classes} classes)"
     else:
         cfg = _collect_config(args)
-        head_cfg = cfg.head_config()
-        disc_cfg = cfg.discovery_config()
-        baseline = accounting.count_params(accounting.baseline_head_layers(
-            head_cfg.num_classes, channels=head_cfg.channels, height=head_cfg.height,
-            width=head_cfg.width, hidden=head_cfg.hidden)).total_params
+        head, disc = cfg.head_config(), cfg.discovery_config()
         report = accounting.count_params_condensed(
-            head_cfg, disc_cfg, baseline_params=baseline, title="condensed head (config)")
-        sweep_kwargs = {"num_classes": head_cfg.num_classes,
-                        "channels": head_cfg.channels, "hidden": head_cfg.hidden,
-                        "groups": disc_cfg.groups, "reduction": disc_cfg.reduction,
-                        "num_blocks": disc_cfg.num_blocks}
+            head, disc, baseline_params=accounting.baseline_params(head),
+            title="condensed head (config)")
+        counted = "the configured head"
     print(report.render(), end="")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
         print(f"wrote {args.csv}")
     if args.sweep:
-        rows = accounting.sweep(**sweep_kwargs)
-        print("\n(K, L) sweep vs the two-FC baseline:")
-        print(accounting.render_sweep(rows), end="")
+        print(f"\n(K, L) sweep of {counted} vs its two-FC baseline:")
+        print(accounting.render_sweep(accounting.sweep(head=head, disc=disc)), end="")
     return EXIT_OK
 
 
@@ -153,9 +142,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_toy_gen(args) -> int:
-    cfg = _collect_config(args)
-    if args.seed is not None:
-        cfg.data = replace(cfg.data, seed=args.seed)
+    cfg = _collect_config(args, data__seed=args.seed)
     train_set, test_set = generate_dataset(cfg.data)
     write_dataset(args.out, cfg.data, train_set)
     test_path = sibling_test_path(args.out)
@@ -165,32 +152,14 @@ def _cmd_toy_gen(args) -> int:
     return EXIT_OK
 
 
-def _require_file(path) -> None:
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-
-
-def _config_meta(cfg: runconfig.RunConfig) -> dict[str, str]:
-    meta = {}
-    for key, value in cfg.flat_items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        meta[key] = str(value)
-    return meta
-
-
 def _cmd_toy_train(args) -> int:
-    _require_file(args.data)
-    cfg = _collect_config(args)
-    if args.seed is not None:
-        cfg.train = replace(cfg.train, seed=args.seed)
     info, examples = read_dataset(args.data)
-    for key in ("channels", "height", "width", "num_classes"):
-        runconfig.set_key(cfg, f"data.{key}", str(info[key]))
-    cfg = runconfig.load_config(None, _config_meta(cfg))  # revalidate merged dims
+    cfg = _collect_config(args, train__seed=args.seed,
+                          **{f"data__{key}": info[key]
+                             for key in ("channels", "height", "width", "num_classes")})
     model = _build_model(args.model, cfg)
     logs = training.train(model, examples, cfg.train)
-    training.save_params(args.out, model, _config_meta(cfg))
+    training.save_params(args.out, model, cfg.as_text())
     if args.log:
         training.write_log(args.log, logs)
     last = logs[-1]
@@ -210,8 +179,6 @@ def _build_model(kind: str, cfg: runconfig.RunConfig):
 
 
 def _load_model(params_path):
-    _require_file(params_path)
-    _require_file(training.manifest_path(params_path))
     kind, meta, tensors = training.load_params(params_path)
     cfg = runconfig.load_config(None, meta)
     model = _build_model(kind, cfg)
@@ -233,7 +200,6 @@ def _read_for_model(data_path, model):
 
 
 def _cmd_toy_eval(args) -> int:
-    _require_file(args.data)
     model = _load_model(args.params)
     examples = _read_for_model(args.data, model)
     metrics = evaluate(model, examples)
@@ -246,7 +212,6 @@ def _cmd_toy_eval(args) -> int:
 
 
 def _cmd_toy_heatmaps(args) -> int:
-    _require_file(args.data)
     model = _load_model(args.params)
     examples = _read_for_model(args.data, model)
     if not (0 <= args.index < len(examples)):

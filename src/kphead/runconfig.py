@@ -58,102 +58,79 @@ class RunConfig:
                           height=self.data.height, width=self.data.width,
                           **asdict(self.head))
 
-    def flat_items(self) -> list[tuple[str, object]]:
-        items = []
-        for section_field in fields(self):
-            section = getattr(self, section_field.name)
-            for f in fields(section):
-                items.append((f"{section_field.name}.{f.name}", getattr(section, f.name)))
-        return items
+    def as_text(self) -> dict[str, str]:
+        """Every key's value as config text, booleans as ``true``/``false``."""
+        return {key: str(value).lower() if isinstance(value, bool) else str(value)
+                for key, value in _flat(self).items()}
 
 
-def schema() -> dict[str, type]:
-    """Flat key -> value type for every configurable field."""
-    cfg = RunConfig()
-    types = {}
-    for section_field in fields(cfg):
-        section = getattr(cfg, section_field.name)
-        for f in fields(section):
-            types[f"{section_field.name}.{f.name}"] = f.type if isinstance(f.type, type) \
-                else type(getattr(section, f.name))
-    return types
+def _flat(cfg: RunConfig) -> dict[str, object]:
+    return {f"{section.name}.{f.name}": getattr(getattr(cfg, section.name), f.name)
+            for section in fields(cfg) for f in fields(getattr(cfg, section.name))}
 
 
-def _parse_value(key: str, text: str, target_type: type):
+_DEFAULT = RunConfig()
+DEFAULTS = _flat(_DEFAULT)  # flat key -> default; a key's text parses as its default's type
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_value(key: str, text: str, kind: type):
     text = text.strip()
     try:
-        if target_type is bool:
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
+        if kind is bool:
+            return _BOOLS[text.lower()]
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
             raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            value = float(text)
-            if math.isfinite(value):
-                return value
-            raise ValueError(text)
-        return text
-    except ValueError as exc:
-        kind = "finite float" if target_type is float else target_type.__name__
-        raise ConfigError(f"config key {key!r}: cannot parse {text!r} as {kind}") from exc
+        return value
+    except (KeyError, ValueError):
+        name = "finite float" if kind is float else kind.__name__
+        raise ConfigError(f"config key {key!r}: cannot parse {text!r} as {name}") from None
 
 
-def set_key(cfg: RunConfig, key: str, value) -> None:
-    section_name, _, field_name = key.partition(".")
-    if not field_name or not hasattr(cfg, section_name):
-        raise ConfigError(f"unknown config key {key!r}")
-    section = getattr(cfg, section_name)
-    if field_name not in {f.name for f in fields(section)}:
-        raise ConfigError(f"unknown config key {key!r}")
-    if isinstance(value, str):
-        value = _parse_value(key, value, schema()[key])
-    setattr(section, field_name, value)
-
-
-def _revalidate(cfg: RunConfig) -> RunConfig:
-    """Re-run dataclass validation after field-level mutation."""
-    return RunConfig(**{f.name: replace(getattr(cfg, f.name))
-                        for f in fields(cfg)})
+def _read_file(path) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: config file is not UTF-8 text") from None
+    text = {}
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        text[key.strip()] = value
+    return text
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Parse a config file (optional) and apply flag overrides on top."""
-    cfg = RunConfig()
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise ConfigError(f"{path}: config file is not UTF-8 text") from None
-        for line_no, raw in enumerate(lines, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            set_key(cfg, key.strip(), value)
-    for key, value in (overrides or {}).items():
-        set_key(cfg, key, value)
-    return _revalidate(cfg)
+    """Parse a config file (optional) with ``overrides`` on top.
+
+    Each section is built once from its merged values, so its own checks
+    see the run's values together."""
+    text = {**(_read_file(path) if path is not None else {}), **(overrides or {})}
+    values: dict[str, dict] = {section.name: {} for section in fields(_DEFAULT)}
+    for key, value in text.items():
+        if key not in DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r}")
+        section, _, name = key.partition(".")
+        values[section][name] = _parse_value(key, value, type(DEFAULTS[key]))
+    return RunConfig(**{section: replace(getattr(_DEFAULT, section), **given)
+                        for section, given in values.items()})
 
 
 def dump_defaults() -> str:
     """Render every key with its default, suitable as a config file."""
-    cfg = RunConfig()
     lines = ["# kphead run configuration (defaults)",
              "# every key is also a command-line flag: --<key> <value>"]
     current_section = None
-    for key, value in cfg.flat_items():
+    for key, value in _DEFAULT.as_text().items():
         section = key.split(".")[0]
         if section != current_section:
             lines.append("")
             current_section = section
-        if isinstance(value, bool):
-            value = "true" if value else "false"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

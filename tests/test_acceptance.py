@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 print.  The mechanism-validation criterion trains the condensed and baseline
-heads at the pinned seeds and dominates the runtime (a few minutes); all
+heads at the pinned seeds and dominates the runtime (about 30 s); all
 other criteria are fast.
 """
 

@@ -1,11 +1,13 @@
 """Closed-form parameter/MAC counting: exact baseline reconstruction,
 condensed totals, sweep monotonicity and agreement with instantiated models."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kphead.accounting import (LayerSpec, count_params, count_params_condensed,
-                               preset_report, render_sweep, sweep)
+                               fpn_configs, preset_report, render_sweep, sweep)
 from kphead.discovery import DiscoveryConfig
 from kphead.errors import ConfigError
 from kphead.head import HeadConfig
@@ -117,6 +119,12 @@ class TestSweep:
     def test_zero_parts_rejected(self):
         with pytest.raises(ConfigError):
             sweep(parts_grid=(0,), pool_grid=(1,))
+
+    def test_cells_larger_than_the_grid_are_left_out(self):
+        head, disc = fpn_configs(20, num_parts=4, pool_len=3)
+        rows = sweep(parts_grid=(4, 16), pool_grid=(3, 4),
+                     head=replace(head, height=3, width=3), disc=disc)
+        assert [(k, L) for k, L, _, _ in rows] == [(4, 3)]
 
     def test_render_includes_every_row(self):
         rows = sweep(parts_grid=(1, 16), pool_grid=(1, 5))

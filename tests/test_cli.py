@@ -75,7 +75,7 @@ class TestParamsCommand:
     def test_unknown_preset_exits_2_with_listing(self, capsys):
         assert main(["params", "--preset", "bogus"]) == 2
         err = capsys.readouterr().err
-        assert "baseline-fpn-voc" in err
+        assert is_one_error_line(err) and "baseline-fpn-voc" in err
 
     def test_csv_output(self, tmp_path, capsys):
         csv = tmp_path / "r.csv"
@@ -190,16 +190,37 @@ class TestToyTrainEvalHeatmaps:
             assert rc == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_missing_data_file_exits_2(self, tmp_path):
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
         rc = main(["toy", "train", "--data", str(tmp_path / "nope.bin"),
                    "--out", str(tmp_path / "p.bin")] + BASE_FLAGS)
-        assert rc == 2
+        err = capsys.readouterr().err
+        assert rc == 2 and is_one_error_line(err) and "nope.bin" in err
 
-    def test_missing_params_exits_2(self, tmp_path):
+    def test_missing_params_exits_2(self, tmp_path, capsys):
         data = gen(tmp_path)
+        capsys.readouterr()
         rc = main(["toy", "eval", "--data", str(data),
                    "--params", str(tmp_path / "nope.bin")])
-        assert rc == 2
+        err = capsys.readouterr().err
+        assert rc == 2 and is_one_error_line(err) and "nope.bin" in err
+
+    def test_params_without_manifest_exits_2_naming_it(self, tmp_path, trained):
+        rc, err = run_on(tmp_path, {name: blob for name, blob in trained.items()
+                                    if name != "p.bin.manifest"}, "eval")
+        assert rc == 2 and is_one_error_line(err)
+        assert str(tmp_path / "p.bin.manifest") in err
+
+    def test_config_merge_order(self, tmp_path, capsys):
+        """file < flags < --seed < the dataset's dimensions."""
+        data = gen(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train.seed = 3\ndata.channels = 32\n")
+        flags = BASE_FLAGS[2:]  # all but --data.channels 16
+        params = tmp_path / "p.bin"
+        assert main(["toy", "train", "--data", str(data), "--out", str(params),
+                     "--config", str(cfg), "--train.seed", "5", "--seed", "7"] + flags) == 0
+        manifest = (tmp_path / "p.bin.manifest").read_text().splitlines()
+        assert "train.seed = 7" in manifest and "data.channels = 16" in manifest
 
     def test_truncated_params_payload_exits_2(self, tmp_path, capsys):
         data = gen(tmp_path)
@@ -431,3 +452,20 @@ class TestConfigSweep:
         assert rc == 0
         out = capsys.readouterr().out
         assert "(K, L) sweep" in out
+
+    @pytest.mark.parametrize("flags", [["--head.channel_keep", "0.5"],
+                                       ["--head.reg_per_class", "false"],
+                                       ["--data.height", "5", "--data.width", "5"]])
+    def test_sweep_row_of_the_configured_head_matches_the_report(self, capsys, flags):
+        """The sweep counts every head option, not only K, L and the widths."""
+        assert main(["params", "--sweep"] + flags) == 0
+        lines = capsys.readouterr().out.splitlines()
+        total = next(l.split()[1] for l in lines if l.strip().startswith("total"))
+        ratio = next(l.split()[-1] for l in lines if "params vs baseline" in l)
+        row = next(l.split() for l in lines if l.split()[:2] == ["4", "3"])
+        assert "sweep of the configured head" in "\n".join(lines)
+        assert row[2:] == [total, ratio]
+
+    def test_preset_sweep_names_the_head_it_counts(self, capsys):
+        assert main(["params", "--preset", "condensed-faster-rcnn", "--sweep"]) == 0
+        assert "(K, L) sweep of the FPN head (20 classes)" in capsys.readouterr().out
