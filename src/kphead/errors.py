@@ -16,16 +16,20 @@ class GraphStateError(RuntimeError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A forward operation produced NaN or Inf from finite inputs."""
+    """A forward operation produced NaN or Inf.  Ops check their outputs only
+    under ``tensor.FiniteWatch``, that is while training replays a batch whose
+    loss came out non-finite."""
 
 
 class TrainingDivergence(RuntimeError):
-    """Training produced a non-finite loss; carries the epoch/batch where."""
+    """Training produced a non-finite loss, or a momentum step wrote NaN or
+    Inf into a parameter; carries the epoch/batch where.  ``what`` names the
+    non-finite quantity: ``"loss"`` or ``"parameter 'name'"``."""
 
-    def __init__(self, epoch: int, batch: int, message: str = ""):
+    def __init__(self, epoch: int, batch: int, message: str = "", what: str = "loss"):
         self.epoch = epoch
         self.batch = batch
         super().__init__(
-            f"non-finite loss at epoch {epoch}, batch {batch}"
+            f"non-finite {what} at epoch {epoch}, batch {batch}"
             + (f": {message}" if message else "")
         )

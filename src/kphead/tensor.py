@@ -19,10 +19,16 @@ call; ``conv2d`` runs one example at a time and adds one product per example.
 ``conv2d`` is one batched matmul over im2col columns, and so is its input
 gradient: the same im2col run on the output gradient, against each group's
 flipped and transposed kernel.  A 1x1 kernel uses the grid as its columns.
+
+Ops do not check their outputs for NaN or Inf: training checks its loss and
+its updated weights once per step.  Under a ``FiniteWatch``, which training
+enters only to replay a diverged batch's forward pass, every op checks its
+output and raises NonFiniteError naming the first op that went non-finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -127,10 +133,30 @@ def _note_kink_margin(margin: float) -> None:
         watch.note(margin)
 
 
+class FiniteWatch:
+    """Context manager under which every op checks its output and raises
+    NonFiniteError naming the first op whose output holds NaN or Inf.
+
+    Outside a watch no op scans its output; ``train`` replays a batch under
+    one only when that batch's loss came out non-finite.
+    """
+
+    def __enter__(self) -> "FiniteWatch":
+        _finite_watches.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _finite_watches.remove(self)
+
+
+_finite_watches: list[FiniteWatch] = []
+
+
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    """Wrap an op result, noting the graph node and checking finiteness."""
-    if not np.isfinite(data).all():
+    """Wrap an op result, noting the graph node.  The output is checked for
+    NaN and Inf only under a ``FiniteWatch``."""
+    if _finite_watches and not np.isfinite(data).all():
         raise NonFiniteError(f"operation {op!r} produced non-finite values")
     out = Tensor(data)
     out.op = op
@@ -239,8 +265,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g):
-        _accumulate(a, _reduce_to(g * b_data, a.shape))
-        _accumulate(b, _reduce_to(g * a_data, b.shape))
+        _accumulate(a, _reduce_to(g * b_data, a.shape), fresh=True)
+        _accumulate(b, _reduce_to(g * a_data, b.shape), fresh=True)
 
     return _record(a_data * b_data, "mul", (a, b), bwd)
 
@@ -270,15 +296,15 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
     slope = np.clip(d, -1.0, 1.0)
 
     def bwd(g):
-        _accumulate(a, _reduce_to(g * slope, a.shape))
-        _accumulate(b, _reduce_to(-g * slope, b.shape))
+        _accumulate(a, _reduce_to(g * slope, a.shape), fresh=True)
+        _accumulate(b, _reduce_to(-g * slope, b.shape), fresh=True)
 
     return _record(out, "smooth_l1", (a, b), bwd)
 
 
 def sum_all(t: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(t, np.full(t.shape, float(g.reshape(()))))
+        _accumulate(t, np.full(t.shape, float(g.reshape(()))), fresh=True)
 
     return _record(np.asarray(t.data.sum()), "sum", (t,), bwd)
 
@@ -294,7 +320,7 @@ def logsumexp(t: Tensor) -> Tensor:
     softmax = shifted / total
 
     def bwd(g):
-        _accumulate(t, g.reshape(m.shape) * softmax)
+        _accumulate(t, g.reshape(m.shape) * softmax, fresh=True)
 
     return _record((m + np.log(total))[..., 0], "logsumexp", (t,), bwd)
 
@@ -437,7 +463,7 @@ def gather_at(t: Tensor, points: Sequence[tuple[int, int]]) -> Tensor:
     def bwd(g):
         buf = np.zeros_like(t.data)
         np.add.at(buf, (slice(None), rows, cols), g.T)
-        _accumulate(t, buf)
+        _accumulate(t, buf, fresh=True)
 
     return _record(t.data[:, rows, cols].T, "gather_at", (t,), bwd)
 
@@ -550,25 +576,35 @@ def _pool_matrix(extent: int, out_len: int) -> np.ndarray:
     return inside / (stop - start)[:, None]
 
 
+@functools.cache
+def _pool_kernel(h: int, w: int, out_len: int) -> np.ndarray:
+    """Read-only (L*L) x (H*W) matrix that pools a row-major H x W grid: the
+    Kronecker product of the row and column averaging matrices."""
+    kernel = np.kron(_pool_matrix(h, out_len), _pool_matrix(w, out_len))
+    kernel.flags.writeable = False
+    return kernel
+
+
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
     """Average-pool a C x H x W tensor down to C x L x L.
 
     Bin (i, j) averages rows [floor(i*H/L), ceil((i+1)*H/L)) and the
     analogous column range; adjacent bins may overlap when L does not
-    divide the extent.
+    divide the extent.  The pooling is one matmul of the C x (H*W) grid
+    against an averaging matrix built once per (H, W, L).
     """
     if x.data.ndim != 3:
         raise ContractViolation(f"adaptive_avg_pool: input must be C x H x W, got {x.shape}")
-    _, h, w = x.shape
+    c, h, w = x.shape
     if not (1 <= out_len <= h and out_len <= w):
         raise ConfigError(f"adaptive_avg_pool: out_len={out_len} outside [1, min({h}, {w})]")
-    rows = _pool_matrix(h, out_len)
-    cols = _pool_matrix(w, out_len)
+    kernel = _pool_kernel(h, w, out_len)
 
     def bwd(g):
-        _accumulate(x, rows.T @ g @ cols)
+        _accumulate(x, (g.reshape(c, -1) @ kernel).reshape(x.shape), fresh=True)
 
-    return _record(rows @ x.data @ cols.T, "adaptive_avg_pool", (x,), bwd)
+    return _record((x.data.reshape(c, h * w) @ kernel.T).reshape(c, out_len, out_len),
+                   "adaptive_avg_pool", (x,), bwd)
 
 
 # -- finite-difference oracle ------------------------------------------------

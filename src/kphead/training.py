@@ -14,7 +14,7 @@ from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, 
 from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
 from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
                    full_condensed_forward, init_baseline_params, init_head_params)
-from .tensor import Tensor, backward
+from .tensor import FiniteWatch, Tensor, backward
 
 
 @dataclass
@@ -122,8 +122,14 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     starts at zero on every call.  The loss per batch is the detection loss
     plus ``okpd_loss_weight`` times the discovery objective (condensed model
     only), divided by the batch size if ``batch_mean`` is set.  Returns with
-    no gradient attached to any parameter.  Aborts with TrainingDivergence if
-    the loss goes non-finite.
+    no gradient attached to any parameter.
+
+    Finiteness is checked twice per step, not per op.  A non-finite batch
+    loss stops training before ``backward``: the batch's forward pass is
+    replayed under a ``FiniteWatch``, and TrainingDivergence names the first
+    op whose output went non-finite.  The loss alone misses a NaN that relu
+    or TMR maps to 0, so ``_momentum_step`` also checks each updated weight
+    and raises TrainingDivergence naming the parameter.
     """
     if not examples:
         raise ContractViolation("train: empty dataset")
@@ -144,10 +150,14 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
+                    if not math.isfinite(total.item()):
+                        # no parameter has moved: the replay sees the same state
+                        with FiniteWatch():
+                            _batch_loss(model, batch, cfg)
                     backward(total)
             except NonFiniteError as exc:
                 raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
-            _momentum_step(named, velocity, cfg, scratch)
+            _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx)
             det_sum += det_v
             ld_sum += ld_v
             lu_sum += lu_v
@@ -164,9 +174,15 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
 # streamed from memory on each pass.
 _STEP_BLOCK = 1 << 16
 
+# x * 0 is +-0 for finite x and NaN for NaN or Inf, so a block's dot product
+# with zeros is 0.0 exactly when every value in the block is finite; it cannot
+# overflow, and it reads the block once while it is still in L2.
+_ZEROS = np.zeros(_STEP_BLOCK)
+_ZEROS.flags.writeable = False
+
 
 def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
-                   scratch: np.ndarray) -> None:
+                   scratch: np.ndarray, epoch: int, batch: int) -> None:
     """One SGD-with-momentum update of every parameter, in place.
 
     Each element goes through ``v = v * m; v = v + g; s = v * lr; w = w - s``,
@@ -177,6 +193,12 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
     and the step takes it off ``t.grad``.  A parameter without a gradient
     keeps decaying and moving by its velocity, or stays as it is if it has
     none yet.
+
+    Each updated block of weights is checked for NaN and Inf.  On the first
+    non-finite block the step stops with TrainingDivergence naming the
+    parameter, at ``epoch`` and ``batch``.  By then the parameters before it
+    in ``named`` order and its earlier blocks have taken the step; the rest
+    have not.
     """
     m, lr = cfg.momentum, cfg.learning_rate
     for name, t in named:
@@ -197,6 +219,8 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
                     vb += g[lo:lo + _STEP_BLOCK]
             wb = w[lo:lo + _STEP_BLOCK]
             wb -= np.multiply(vb, lr, out=scratch[:vb.size])
+            if not np.dot(wb, _ZEROS[:wb.size]) == 0.0:
+                raise TrainingDivergence(epoch, batch, what=f"parameter {name!r}")
 
 
 def _batch_loss(model, batch, cfg: TrainConfig):

@@ -8,7 +8,7 @@ import pytest
 
 from kphead import gradcheck
 from kphead import tensor as T
-from kphead.errors import GraphStateError
+from kphead.errors import GraphStateError, NonFiniteError
 from kphead.tensor import Tensor, backward, finite_diff_grad
 
 
@@ -182,11 +182,16 @@ class TestWeightGradientSums:
 
     def test_no_two_gradients_share_memory(self):
         """A weight gradient stored without a zero-filled buffer is its own
-        array, also where ``add`` hands one gradient to both of its inputs."""
+        array, also where ``add`` hands one gradient to both of its inputs,
+        where ``mul`` gets one tensor twice and where ``gather_at`` picks one
+        point twice."""
         rng = np.random.default_rng(7)
         w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
         a = Tensor(rng.standard_normal(3), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
+        c = Tensor(rng.standard_normal(3), requires_grad=True)
+        maps = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
+        targets = Tensor(2.0 * rng.standard_normal((3, 2)), requires_grad=True)
         grid = Tensor(rng.standard_normal((2, 5, 6)))
         rows = Tensor(rng.standard_normal((2, 4)))
         coeffs = Tensor(rng.standard_normal((3, 3)))
@@ -196,15 +201,27 @@ class TestWeightGradientSums:
             batch = T.reshape(T.concat([fiber, rows]), (3, 4))
             out = T.add(T.linear(batch, w_lin, b_lin), T.reshape(T.concat([T.add(a, b)] * 3),
                                                                  (3, 3)))
-            return T.sum_all(T.mul(out, coeffs))
+            picked = T.gather_at(maps, [(1, 4), (1, 4), (0, 2)])
+            extra = T.add(T.sum_all(T.mul(c, c)), T.sum_all(T.smooth_l1(picked, targets)))
+            return T.add(T.sum_all(T.mul(out, coeffs)), extra)
 
         backward(loss())
-        leaves = (w_lin, b_lin, w_conv, b_conv, a, b)
+        leaves = (w_lin, b_lin, w_conv, b_conv, a, b, c, maps, targets)
         for i, s in enumerate(leaves):
             for t in leaves[i + 1:]:
                 assert not np.shares_memory(s.grad, t.grad)
         for t in leaves:
             np.testing.assert_allclose(t.grad, finite_diff_grad(loss, t), rtol=1e-6, atol=1e-8)
+
+
+class TestFiniteWatch:
+    def test_ops_check_their_outputs_only_under_a_watch(self):
+        x, zeros = Tensor(np.array([1.0, np.inf])), Tensor(np.zeros(2))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(T.mul(x, zeros).data[1])  # inf * 0
+            with pytest.raises(NonFiniteError, match="operation 'mul'"), T.FiniteWatch():
+                T.mul(x, zeros)
+        assert not T._finite_watches
 
 
 class TestFiniteDifferenceOracle:

@@ -273,12 +273,17 @@ class TestToyTrainEvalHeatmaps:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite grid value" in err
 
-    def test_divergent_training_exits_3(self, tmp_path):
+    def test_divergent_training_exits_3(self, tmp_path, capsys):
         data = gen(tmp_path)
+        capsys.readouterr()
         rc = main(["toy", "train", "--data", str(data), "--out",
                    str(tmp_path / "p.bin")] + BASE_FLAGS
                   + ["--train.learning_rate", "1e9", "--train.epochs", "4"])
         assert rc == 3
+        err = capsys.readouterr().err
+        assert is_one_error_line(err)
+        assert ("epoch 3, batch 0: operation 'conv2d' produced non-finite values"
+                in err)
 
     @pytest.mark.parametrize("flag", ["--seed", "--train.seed"])
     def test_negative_train_seed_exits_2(self, tmp_path, capsys, flag):

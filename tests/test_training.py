@@ -90,7 +90,20 @@ class TestTrainLoop:
         data, _ = generate_dataset(cfg.data)
         with pytest.raises(TrainingDivergence) as err:
             train(model, data, cfg.train)
-        assert err.value.epoch >= 1 and err.value.batch >= 0
+        assert str(err.value) == ("non-finite loss at epoch 2, batch 1: "
+                                  "operation 'conv2d' produced non-finite values")
+
+    def test_a_nan_that_relu_hides_still_stops_training(self):
+        """relu maps a NaN conv output to 0, so the loss stays finite; the
+        momentum step's check of the updated weights catches it."""
+        cfg = tiny_run_config()
+        model, _ = tiny_models(cfg)
+        model.disc_params.blocks[0].reduce.weight.data[0, 0, 1, 1] = np.nan
+        data, _ = generate_dataset(cfg.data)
+        with pytest.raises(TrainingDivergence) as err:
+            train(model, data, cfg.train)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert "parameter 'discovery.block0.reduce.weight'" in str(err.value)
 
 
 class TestMomentumStep:
@@ -139,7 +152,7 @@ class TestMomentumStep:
                 t.grad = None if g is None else g.copy()
                 v[...] = cfg.momentum * v + (g if g is not None else 0.0)
                 w -= cfg.learning_rate * v
-            _momentum_step(named, velocity, cfg, scratch)
+            _momentum_step(named, velocity, cfg, scratch, 1, 0)
             for t, w in zip(params, want):
                 assert t.data.tobytes() == w.tobytes() and t.grad is None
 
