@@ -17,6 +17,7 @@ import numpy as np
 from .dataset import ToyExample
 from .errors import ContractViolation
 from .losses import BACKGROUND
+from .tensor import NoGrad
 
 EVAL_CHUNK = 16  # examples per forward pass
 
@@ -61,6 +62,8 @@ def key_part_recall(points: list[tuple[int, int]],
 
 
 def evaluate(model, examples: list[ToyExample]) -> Metrics:
+    """Metrics of ``model`` over ``examples``, in forward passes of
+    ``EVAL_CHUNK`` examples that record no graph."""
     if not examples:
         raise ContractViolation("evaluate: empty dataset")
     correct = 0
@@ -72,29 +75,30 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
     bg_peaks: list[float] = []
     distinct: list[int] = []
 
-    for first in range(0, len(examples), EVAL_CHUNK):
-        chunk = examples[first:first + EVAL_CHUNK]
-        fwd = model.forward(*(ex.x for ex in chunk))
-        preds = np.argmax(fwd.output.v_cls.data, axis=1)
-        for i, ex in enumerate(chunk):
-            if preds[i] == ex.class_id:
-                correct += 1
-            if ex.class_id != BACKGROUND:
-                start = model.head_cfg.reg_start(ex.class_id)
-                pred_box = fwd.output.v_reg.data[i, start:start + 4]
-                box_err_sum += float(np.mean(np.abs(pred_box - ex.box_target)))
-                box_count += 1
-            if fwd.parts is not None:
-                parts = fwd.parts[i]
-                peaks = parts.confidences
-                if ex.y_hat == 1:
-                    fg_peaks.append(float(np.mean(peaks)))
-                    hits, total = key_part_recall(parts.points, ex.planted_points)
-                    hit_sum += hits
-                    planted_sum += total
-                    distinct.append(len(set(parts.points)))
-                else:
-                    bg_peaks.append(float(np.mean(peaks)))
+    with NoGrad():
+        for first in range(0, len(examples), EVAL_CHUNK):
+            chunk = examples[first:first + EVAL_CHUNK]
+            fwd = model.forward(*(ex.x for ex in chunk))
+            preds = np.argmax(fwd.output.v_cls.data, axis=1)
+            for i, ex in enumerate(chunk):
+                if preds[i] == ex.class_id:
+                    correct += 1
+                if ex.class_id != BACKGROUND:
+                    start = model.head_cfg.reg_start(ex.class_id)
+                    pred_box = fwd.output.v_reg.data[i, start:start + 4]
+                    box_err_sum += float(np.mean(np.abs(pred_box - ex.box_target)))
+                    box_count += 1
+                if fwd.parts is not None:
+                    parts = fwd.parts[i]
+                    peaks = parts.confidences
+                    if ex.y_hat == 1:
+                        fg_peaks.append(float(np.mean(peaks)))
+                        hits, total = key_part_recall(parts.points, ex.planted_points)
+                        hit_sum += hits
+                        planted_sum += total
+                        distinct.append(len(set(parts.points)))
+                    else:
+                        bg_peaks.append(float(np.mean(peaks)))
 
     cfg = model.head_cfg
     if fwd.parts is None:  # a head without key parts has no discovery metrics

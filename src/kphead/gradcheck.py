@@ -47,13 +47,13 @@ def _compare(build, checked: list[Tensor]) -> float:
 
 
 def _clear_of_kinks(make_case, rng):
-    """Re-sample deterministically until the probe forward pass keeps a
-    margin around every kink/tie."""
+    """Re-sample deterministically until the probe forward pass, which
+    records no graph, keeps a margin around every kink/tie."""
     base = int(rng.integers(2 ** 31))
     for attempt in range(200):
         case_rng = np.random.default_rng([base, attempt])
         build, checked = make_case(case_rng)
-        with KinkWatch() as watch:
+        with KinkWatch() as watch, T.NoGrad():
             build()
         if watch.min_margin > KINK_MARGIN:
             return build, checked

@@ -9,6 +9,7 @@ import numpy as np
 
 from .dataset import ToyExample
 from .errors import ConfigError, ContractViolation
+from .tensor import NoGrad
 
 CONFIDENCE_THRESHOLD = 0.1  # parts above this are flagged in the sidecar
 
@@ -57,13 +58,15 @@ def export_heatmaps(model, example: ToyExample, out_dir,
                     threshold: float = CONFIDENCE_THRESHOLD) -> list[str]:
     """Write K part-confidence graymaps, one global-activation graymap
     (rectified, channel-summed, min-max normalized) and a sidecar listing
-    extracted key-part coordinates/confidences.  Returns the written paths.
+    extracted key-part coordinates/confidences.  The forward pass records
+    no graph.  Returns the written paths.
     Raises ConfigError for a model without confidence maps (the baseline).
     """
     if model.kind != "condensed":
         raise ConfigError("heatmaps need a condensed model")
     os.makedirs(out_dir, exist_ok=True)
-    fwd = model.forward(example.x)
+    with NoGrad():
+        fwd = model.forward(example.x)
     maps, parts = fwd.maps[0].data, fwd.parts[0]
     paths = []
     for k in range(maps.shape[0]):

@@ -24,6 +24,12 @@ Ops do not check their outputs for NaN or Inf: training checks its loss and
 its updated weights once per step.  Under a ``FiniteWatch``, which training
 enters only to replay a diverged batch's forward pass, every op checks its
 output and raises NonFiniteError naming the first op that went non-finite.
+
+Under ``NoGrad`` ops record no graph: outputs keep no parents and no backward
+closure, so the saved intermediates are freed with the output.  Every forward
+pass that is never differentiated runs under it: ``evaluate``, the heatmap
+export, each evaluation inside ``finite_diff_grad``, gradcheck's kink probe
+and training's replay of a diverged batch.
 """
 
 from __future__ import annotations
@@ -152,14 +158,32 @@ class FiniteWatch:
 _finite_watches: list[FiniteWatch] = []
 
 
+class NoGrad:
+    """Context manager under which ops record no graph: every output has
+    ``requires_grad = False``, no parents and no backward closure.  It nests,
+    and ``backward`` rejects a loss recorded under it."""
+
+    def __enter__(self) -> "NoGrad":
+        _no_grad.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _no_grad.remove(self)
+
+
+_no_grad: list[NoGrad] = []
+
+
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    """Wrap an op result, noting the graph node.  The output is checked for
-    NaN and Inf only under a ``FiniteWatch``."""
+    """Wrap an op result, noting the graph node unless under ``NoGrad``.
+    The output is checked for NaN and Inf only under a ``FiniteWatch``."""
     if _finite_watches and not np.isfinite(data).all():
         raise NonFiniteError(f"operation {op!r} produced non-finite values")
     out = Tensor(data)
     out.op = op
+    if _no_grad:
+        return out
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -188,12 +212,17 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate into existing buffers (callers zero parameters
     between steps).  Raises GraphStateError on a second backward over the
-    same recording or when ``loss`` is not the output of a recorded op.
+    same recording, when ``loss`` is not the output of a recorded op, or
+    when it depends on no tensor that requires a gradient (it was built from
+    constants only, or under ``NoGrad``).
     """
     if loss.data.size != 1:
         raise ContractViolation(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.op == "leaf":
         raise GraphStateError("loss was not produced by a recorded forward pass")
+    if not loss.requires_grad:
+        raise GraphStateError(
+            "loss depends on no tensor that requires a gradient; nothing to differentiate")
     if loss._backward_done:
         raise GraphStateError("backward already ran over this recording; run a new forward pass")
     loss._backward_done = True
@@ -613,8 +642,8 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
                      step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient estimate of a scalar function of ``x``.
 
-    ``f`` is re-evaluated at x +/- step*e_i per element; it must be
-    deterministic and must not mutate its argument.
+    ``f`` is re-evaluated at x +/- step*e_i per element, under ``NoGrad``; it
+    must be deterministic and must not mutate its argument.
     """
     def evaluate() -> float:
         out = f(x)
@@ -623,12 +652,13 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
     grad = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     grad_flat = grad.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + step
-        f_plus = evaluate()
-        flat[i] = original - step
-        f_minus = evaluate()
-        flat[i] = original
-        grad_flat[i] = (f_plus - f_minus) / (2.0 * step)
+    with NoGrad():
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + step
+            f_plus = evaluate()
+            flat[i] = original - step
+            f_minus = evaluate()
+            flat[i] = original
+            grad_flat[i] = (f_plus - f_minus) / (2.0 * step)
     return grad

@@ -14,7 +14,7 @@ from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, 
 from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
 from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
                    full_condensed_forward, init_baseline_params, init_head_params)
-from .tensor import FiniteWatch, Tensor, backward
+from .tensor import FiniteWatch, NoGrad, Tensor, backward
 
 
 @dataclass
@@ -126,10 +126,10 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
 
     Finiteness is checked twice per step, not per op.  A non-finite batch
     loss stops training before ``backward``: the batch's forward pass is
-    replayed under a ``FiniteWatch``, and TrainingDivergence names the first
-    op whose output went non-finite.  The loss alone misses a NaN that relu
-    or TMR maps to 0, so ``_momentum_step`` also checks each updated weight
-    and raises TrainingDivergence naming the parameter.
+    replayed under a ``FiniteWatch`` and ``NoGrad``, and TrainingDivergence
+    names the first op whose output went non-finite.  The loss alone misses
+    a NaN that relu or TMR maps to 0, so ``_momentum_step`` also checks each
+    updated weight and raises TrainingDivergence naming the parameter.
     """
     if not examples:
         raise ContractViolation("train: empty dataset")
@@ -152,7 +152,7 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
                     total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
                     if not math.isfinite(total.item()):
                         # no parameter has moved: the replay sees the same state
-                        with FiniteWatch():
+                        with FiniteWatch(), NoGrad():
                             _batch_loss(model, batch, cfg)
                     backward(total)
             except NonFiniteError as exc:

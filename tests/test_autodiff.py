@@ -62,6 +62,15 @@ class TestGraphStateRules:
         with pytest.raises(GraphStateError):
             backward(Tensor(np.array([1.0]), requires_grad=True))
 
+    def test_backward_on_a_loss_needing_no_gradient_rejected(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with T.NoGrad():
+            recorded_without_graph = T.sum_all(x)
+        for loss in (T.add(Tensor(1.0), Tensor(2.0)), recorded_without_graph):
+            with pytest.raises(GraphStateError, match="no tensor that requires a gradient"):
+                backward(loss)
+        assert x.grad is None
+
     def test_fresh_forward_allows_backward_again(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         backward(T.sum_all(x))
@@ -224,7 +233,55 @@ class TestFiniteWatch:
         assert not T._finite_watches
 
 
+class TestNoGrad:
+    def test_outputs_record_no_graph(self):
+        x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+        with T.NoGrad():
+            out = T.sum_all(T.relu(T.mul(x, x)))
+        assert (out.requires_grad, out._parents, out._backward_fn) == (False, (), None)
+        assert out.item() == 5.0
+
+    def test_nests(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        with T.NoGrad():
+            with T.NoGrad():
+                inner = T.sum_all(x)
+            outer = T.sum_all(x)
+        assert inner._backward_fn is None and outer._backward_fn is None
+        assert not T._no_grad
+        assert T.sum_all(x)._backward_fn is not None
+
+    def test_an_exception_inside_leaves_recording_on(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(ValueError), T.NoGrad():
+            raise ValueError("inside")
+        assert not T._no_grad
+        loss = T.sum_all(x)
+        assert loss._parents == (x,)
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [1.0])
+
+    def test_a_finite_watch_inside_still_names_the_op(self):
+        x = Tensor(np.array([1.0, np.inf]), requires_grad=True)
+        with np.errstate(invalid="ignore"), T.NoGrad():
+            with pytest.raises(NonFiniteError, match="operation 'mul'"), T.FiniteWatch():
+                T.mul(x, Tensor(np.zeros(2)))
+        assert not T._finite_watches and not T._no_grad
+
+
 class TestFiniteDifferenceOracle:
+    def test_evaluations_record_no_graph(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        outputs = []
+
+        def f(t):
+            outputs.append(T.sum_all(T.mul(t, t)))
+            return outputs[-1]
+
+        np.testing.assert_allclose(finite_diff_grad(f, x), [2.0, -4.0], rtol=1e-9)
+        assert len(outputs) == 4
+        assert all(out._backward_fn is None and not out._parents for out in outputs)
+
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0]))
         fd = finite_diff_grad(lambda t: float((t.data ** 2).sum()), x)

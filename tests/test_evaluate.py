@@ -1,11 +1,15 @@
 """Evaluation metrics: recall matching, chance-level estimate, fixtures."""
 
+import contextlib
+import importlib
+
 import numpy as np
+import pytest
 
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.evaluate import chance_recall_estimate, evaluate, key_part_recall
 from kphead.runconfig import RunConfig
-from kphead.training import build_condensed
+from kphead.training import build_baseline, build_condensed
 
 
 class TestKeyPartRecall:
@@ -53,18 +57,56 @@ class TestChanceLevel:
         assert abs(estimate - chance_recall_estimate(d, k, h, w)) < 0.02
 
 
+def _small_models_and_test_set():
+    cfg = RunConfig()
+    cfg.data = ToyDatasetSpec(channels=16, num_classes=2, parts_per_class=2,
+                              n_train=8, n_test=20, seed=5)
+    cfg.head.num_parts = 2
+    cfg.head.pool_len = 2
+    cfg.head.hidden = 8
+    cfg.okpd.groups = 2
+    models = {"condensed": build_condensed(cfg.discovery_config(), cfg.head_config(), seed=0),
+              "baseline": build_baseline(cfg.head_config(), seed=0)}
+    return models, generate_dataset(cfg.data)[1]
+
+
+# ``kphead.evaluate`` is shadowed by the function the package re-exports
+evaluate_mod = importlib.import_module("kphead.evaluate")
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_records_no_graph_and_matches_a_recorded_run(self, kind, monkeypatch):
+        models, test_set = _small_models_and_test_set()
+        model = models[kind]
+        forwards = []
+
+        def capturing(*xs):
+            fwd = type(model).forward(model, *xs)
+            forwards.append(fwd)
+            return fwd
+
+        def run():
+            forwards.clear()
+            with monkeypatch.context() as m:
+                m.setattr(model, "forward", capturing)
+                return evaluate(model, test_set).csv_row(), list(forwards)
+
+        row, fwds = run()
+        assert len(fwds) == 2  # 16 + 4 examples
+        for fwd in fwds:
+            outputs = [fwd.output.v_cls, fwd.output.v_reg] + (fwd.maps or [])
+            assert all(t._backward_fn is None and not t._parents for t in outputs)
+        assert all(t.grad is None for _, t in model.named_tensors())
+
+        monkeypatch.setattr(evaluate_mod, "NoGrad", contextlib.nullcontext)
+        recorded_row, recorded = run()
+        assert all(f.output.v_cls._backward_fn is not None for f in recorded)
+        assert row == recorded_row
+
     def test_untrained_model_reports_all_fields(self):
-        cfg = RunConfig()
-        cfg.data = ToyDatasetSpec(channels=16, num_classes=2, parts_per_class=2,
-                                  n_train=8, n_test=16, seed=5)
-        cfg.head.num_parts = 2
-        cfg.head.pool_len = 2
-        cfg.head.hidden = 8
-        cfg.okpd.groups = 2
-        model = build_condensed(cfg.discovery_config(), cfg.head_config(), seed=0)
-        _, test_set = generate_dataset(cfg.data)
-        m = evaluate(model, test_set)
+        models, test_set = _small_models_and_test_set()
+        m = evaluate(models["condensed"], test_set)
         assert 0.0 <= m.accuracy <= 1.0
         assert 0.0 <= m.part_recall <= 1.0
         assert m.chance_level == chance_recall_estimate(2, 2, 7, 7)

@@ -76,6 +76,20 @@ class TestExport:
         assert len(pgms) == 3 + 1
         assert any(p.endswith("global.pgm") for p in pgms)
 
+    def test_export_records_no_graph(self, tmp_path, monkeypatch):
+        model, data = tiny_condensed()
+        forwards = []
+
+        def capturing(*xs):
+            forwards.append(type(model).forward(model, *xs))
+            return forwards[-1]
+
+        monkeypatch.setattr(model, "forward", capturing)
+        export_heatmaps(model, data[0], tmp_path / "out")
+        (fwd,) = forwards
+        recorded = [fwd.output.v_cls, fwd.output.v_reg] + fwd.maps + fwd.global_map
+        assert all(t._backward_fn is None and not t._parents for t in recorded)
+
     def test_confidence_maps_round_trip(self, tmp_path):
         model, data = tiny_condensed()
         export_heatmaps(model, data[0], tmp_path / "out")
