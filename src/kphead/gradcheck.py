@@ -83,7 +83,8 @@ def _projected(op, *shapes, kinks: bool = False):
 
     def make_case(rng):
         inputs = [_param(rng, shape) for shape in shapes]
-        proj = Tensor(rng.standard_normal(op(*inputs).shape))
+        with T.NoGrad():  # a probe for the output's shape
+            proj = Tensor(rng.standard_normal(op(*inputs).shape))
         return (lambda: T.sum_all(T.mul(op(*inputs), proj))), inputs
 
     return _checked(make_case, kinks)

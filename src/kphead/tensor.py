@@ -16,9 +16,11 @@ Every op adds its gradients when its closure runs.  ``linear`` maps a whole
 N x D batch at once, so its weight gradient is one ``g.T @ x`` product per
 call; ``conv2d`` runs one example at a time and adds one product per example.
 
-``conv2d`` is one batched matmul over im2col columns, and so is its input
-gradient: the same im2col run on the output gradient, against each group's
-flipped and transposed kernel.  A 1x1 kernel uses the grid as its columns.
+``conv2d`` multiplies first and shifts after: one batched matmul takes every
+kernel tap of every output channel at every input position, and a sum over
+one strided view of a padded copy adds the k*k shifted C_out-channel planes.
+Its backward reads the output gradient's taps through the same kind of view,
+so nothing C_in*k*k*H*W wide is built.  A 1x1 kernel is the matmul alone.
 
 Ops do not check their outputs for NaN or Inf: training checks its loss and
 its updated weights once per step.  Under a ``FiniteWatch``, which training
@@ -28,8 +30,8 @@ output and raises NonFiniteError naming the first op that went non-finite.
 Under ``NoGrad`` ops record no graph: outputs keep no parents and no backward
 closure, so the saved intermediates are freed with the output.  Every forward
 pass that is never differentiated runs under it: ``evaluate``, the heatmap
-export, each evaluation inside ``finite_diff_grad``, gradcheck's kink probe
-and training's replay of a diverged batch.
+export, each evaluation inside ``finite_diff_grad``, gradcheck's kink and
+shape probes and training's replay of a diverged batch.
 """
 
 from __future__ import annotations
@@ -522,23 +524,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record(x_data @ w_data.T + bias.data, "linear", (x, weight, bias), bwd)
 
 
-def _im2col(data: np.ndarray, k: int, dilation: int, padding: int,
-            groups: int) -> np.ndarray:
-    """Columns of a same-padded correlation over a C x H x W array: row
-    (c, i, j) of group g holds channel c's tap (i, j) at every position.
-    A 1x1 kernel reads the grid itself as its columns."""
-    c, h, w = data.shape
-    if k == 1:
-        return data.reshape(groups, c // groups, h * w)
-    padded = np.zeros((c, h + 2 * padding, w + 2 * padding))
-    padded[:, padding:padding + h, padding:padding + w] = data
-    s_c, s_h, s_w = padded.strides
-    taps = np.lib.stride_tricks.as_strided(
-        padded, shape=(c, k, k, h, w),
-        strides=(s_c, dilation * s_h, dilation * s_w, s_h, s_w), writeable=False)
-    return taps.reshape(groups, c // groups * k * k, h * w)
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
            dilation: int = 1, padding: int | None = None) -> Tensor:
     """Same-padded 2-D cross-correlation with group and dilation structure.
@@ -547,6 +532,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
     odd, ``bias`` is C_out.  ``padding`` defaults to dilation*(k-1)//2, the
     unique zero-padding that preserves the spatial size; any other value is
     rejected.
+
+    Each group's (C_out/groups * k*k) x (C_in/groups) kernel taps multiply
+    the grid viewed as (C_in/groups) x (H*W); output (r, c) then sums tap
+    (i, j) at input position (r + d*i - p, c + d*j - p).  The backward pass
+    multiplies the output gradient's flipped taps by the grid (weight
+    gradient) and by the transposed taps (input gradient).
     """
     if x.data.ndim != 3:
         raise ContractViolation(f"conv2d: input must be C x H x W, got shape {x.shape}")
@@ -576,22 +567,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
             f"conv2d: padding={padding} does not preserve spatial size "
             f"(needs {dilation * (k - 1) // 2} for k={k}, dilation={dilation})")
 
-    cog, cig = c_out // groups, c_in // groups
-    cols = _im2col(x.data, k, dilation, padding, groups)
-    w_mat = weight.data.reshape(groups, cog, cig * k * k)
-    out = (w_mat @ cols).reshape(c_out, h, w) + bias.data[:, None, None]
+    cog, cig, taps = c_out // groups, c_in // groups, k * k
+    x_mat = x.data.reshape(groups, cig, h * w)
+    w_taps = (weight.data.reshape(groups, cog, cig, taps).transpose(0, 1, 3, 2)
+              .reshape(groups, cog * taps, cig))
+    y = w_taps @ x_mat  # every tap of every output channel, at every input position
+    if k == 1:
+        out = y.reshape(c_out, h, w)
+    else:  # col2im: output (r, c) sums tap (i, j) of y at (r + d*i, c + d*j) of a padded y
+        planes = np.zeros((c_out, k, k, h + 2 * padding, w + 2 * padding))
+        planes[..., padding:padding + h, padding:padding + w] = y.reshape(c_out, k, k, h, w)
+        s_o, s_i, s_j, s_r, s_c = planes.strides
+        out = np.ndarray((c_out, k, k, h, w), np.float64, planes, 0, (
+            s_o, s_i + dilation * s_r, s_j + dilation * s_c, s_r, s_c)).sum(axis=(1, 2))
+    out += bias.data[:, None, None]
 
     def bwd(g):
-        g_mat = g.reshape(groups, cog, h * w)
-        _accumulate(weight, (g_mat @ cols.transpose(0, 2, 1)).reshape(weight.shape),
-                    fresh=True)
+        if k == 1:
+            g_y = g.reshape(groups, cog, h * w)
+        else:  # im2col of g, taps flipped: tap (i, j) of y at (r, c) fed (r+p-d*i, c+p-d*j)
+            g_pad = np.zeros((c_out, h + 2 * padding, w + 2 * padding))
+            g_pad[:, padding:padding + h, padding:padding + w] = g
+            s_o, s_r, s_c = g_pad.strides
+            g_taps = np.ndarray((c_out, k, k, h, w), np.float64, g_pad, 0, (
+                s_o, dilation * s_r, dilation * s_c, s_r, s_c))
+            g_y = g_taps[:, ::-1, ::-1].reshape(groups, cog * taps, h * w)
+        g_w = (g_y @ x_mat.transpose(0, 2, 1)).reshape(groups, cog, taps, cig)
+        _accumulate(weight, np.ascontiguousarray(g_w.transpose(0, 1, 3, 2))
+                    .reshape(weight.shape), fresh=True)
         _accumulate(bias, g.sum(axis=(1, 2)), fresh=True)
         if x.requires_grad:
-            # the same correlation of g with each group's flipped, transposed kernel
-            w_t = (weight.data[:, :, ::-1, ::-1].reshape(groups, cog, cig, k * k)
-                   .transpose(0, 2, 1, 3).reshape(groups, cig, cog * k * k))
-            g_cols = _im2col(g, k, dilation, padding, groups)
-            _accumulate(x, (w_t @ g_cols).reshape(c_in, h, w), fresh=True)
+            _accumulate(x, (w_taps.transpose(0, 2, 1) @ g_y).reshape(c_in, h, w), fresh=True)
 
     return _record(out, "conv2d", (x, weight, bias), bwd)
 
@@ -643,7 +649,8 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
     """Central-difference gradient estimate of a scalar function of ``x``.
 
     ``f`` is re-evaluated at x +/- step*e_i per element, under ``NoGrad``; it
-    must be deterministic and must not mutate its argument.
+    must be deterministic and must not mutate its argument.  ``x`` is restored
+    even when ``f`` raises.
     """
     def evaluate() -> float:
         out = f(x)
@@ -655,10 +662,12 @@ def finite_diff_grad(f: Callable[[Tensor], float | Tensor], x: Tensor,
     with NoGrad():
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
-            f_plus = evaluate()
-            flat[i] = original - step
-            f_minus = evaluate()
-            flat[i] = original
+            try:
+                flat[i] = original + step
+                f_plus = evaluate()
+                flat[i] = original - step
+                f_minus = evaluate()
+            finally:
+                flat[i] = original
             grad_flat[i] = (f_plus - f_minus) / (2.0 * step)
     return grad

@@ -191,9 +191,9 @@ class TestWeightGradientSums:
 
     def test_no_two_gradients_share_memory(self):
         """A weight gradient stored without a zero-filled buffer is its own
-        array, also where ``add`` hands one gradient to both of its inputs,
-        where ``mul`` gets one tensor twice and where ``gather_at`` picks one
-        point twice."""
+        C-contiguous array, also where ``add`` hands one gradient to both of
+        its inputs, where ``mul`` gets one tensor twice and where
+        ``gather_at`` picks one point twice."""
         rng = np.random.default_rng(7)
         w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
         a = Tensor(rng.standard_normal(3), requires_grad=True)
@@ -204,9 +204,13 @@ class TestWeightGradientSums:
         grid = Tensor(rng.standard_normal((2, 5, 6)))
         rows = Tensor(rng.standard_normal((2, 4)))
         coeffs = Tensor(rng.standard_normal((3, 3)))
+        # two input channels per group, so that a transposed weight gradient is not contiguous
+        w_dense = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
 
         def loss(_=None):
-            fiber = T.gather_at(T.conv2d(grid, w_conv, b_conv, groups=2), [(1, 4)])
+            conv = T.add(T.conv2d(grid, w_conv, b_conv, groups=2),
+                         T.conv2d(grid, w_dense, b_conv, dilation=2))
+            fiber = T.gather_at(conv, [(1, 4)])
             batch = T.reshape(T.concat([fiber, rows]), (3, 4))
             out = T.add(T.linear(batch, w_lin, b_lin), T.reshape(T.concat([T.add(a, b)] * 3),
                                                                  (3, 3)))
@@ -215,11 +219,14 @@ class TestWeightGradientSums:
             return T.add(T.sum_all(T.mul(out, coeffs)), extra)
 
         backward(loss())
-        leaves = (w_lin, b_lin, w_conv, b_conv, a, b, c, maps, targets)
+        leaves = (w_lin, b_lin, w_conv, w_dense, b_conv, a, b, c, maps, targets)
         for i, s in enumerate(leaves):
             for t in leaves[i + 1:]:
                 assert not np.shares_memory(s.grad, t.grad)
         for t in leaves:
+            # _momentum_step updates a first gradient, adopted as the velocity,
+            # through reshape(-1), which copies a non-contiguous array
+            assert t.grad.flags.c_contiguous
             np.testing.assert_allclose(t.grad, finite_diff_grad(loss, t), rtol=1e-6, atol=1e-8)
 
 
@@ -292,6 +299,22 @@ class TestFiniteDifferenceOracle:
         x = Tensor(np.zeros(3))
         fd = finite_diff_grad(lambda t: float(w @ t.data), x)
         np.testing.assert_allclose(fd, w, atol=1e-10)
+
+    def test_input_restored_when_f_raises(self):
+        x = Tensor(np.array([0.1, -0.0, 3.0]))
+        before = x.data.tobytes()
+        calls = []
+
+        def f(t):
+            calls.append(t.data.copy())
+            if len(calls) == 2:
+                raise RuntimeError("f failed")
+            return float(t.data.sum())
+
+        with pytest.raises(RuntimeError, match="f failed"):
+            finite_diff_grad(f, x)
+        assert calls[1][0] == 0.1 - 1e-5  # it raised on a perturbed input
+        assert x.data.tobytes() == before
 
 
 class TestGradcheckSuite:
