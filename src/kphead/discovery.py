@@ -158,7 +158,8 @@ def predict_confidence(refined: Tensor, params: DiscoveryParams,
 
 
 def tmr_squash(raw: Tensor, alpha: float = 0.5, epsilon: float = 0.1) -> Tensor:
-    """Squash raw confidence maps into [0, 1) by truncated maximum regularization.
+    """Squash raw confidence maps, K x H x W or N x K x H x W, into [0, 1) by
+    truncated maximum regularization.
 
     Per map with raw maximum c_m, every value c becomes
     ``max(0, (c + alpha) / (max(0, (c_m + alpha) - 1) + 1 + epsilon))``.
@@ -171,19 +172,24 @@ def tmr_squash(raw: Tensor, alpha: float = 0.5, epsilon: float = 0.1) -> Tensor:
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    if raw.data.ndim != 3:
-        raise ContractViolation(f"tmr_squash needs K x H x W maps, got shape {raw.shape}")
+    if raw.data.ndim not in (3, 4):
+        raise ContractViolation(
+            f"tmr_squash needs K x H x W or N x K x H x W maps, got shape {raw.shape}")
     return T.truncated_max_squash(raw, alpha, epsilon)
 
 
-def extract_key_parts(maps: Tensor) -> KeyPartSet:
-    """Read each map's peak location and value; not differentiable by design.
+def extract_key_parts(maps: Tensor) -> list[KeyPartSet]:
+    """Read each map's peak location and value, one KeyPartSet per example of
+    N x K x H x W maps (K x H x W maps are one example); not differentiable
+    by design.  One argmax runs over all N*K maps.
 
     Peaks may coincide across maps: spreading them apart is a training-time
     pressure, not a structural guarantee.
     """
     flat = T._maps_as_rows(maps, "extract_key_parts")
     peak_idx = T._first_peaks(flat)
-    rows, cols = np.divmod(peak_idx, maps.shape[2])
-    return KeyPartSet(points=list(zip(rows.tolist(), cols.tolist())),
-                      confidences=flat[np.arange(flat.shape[0]), peak_idx].tolist())
+    per_example = (-1, maps.shape[-3])
+    rows, cols = np.divmod(peak_idx.reshape(per_example), maps.shape[-1])
+    peaks = flat[np.arange(flat.shape[0]), peak_idx].reshape(per_example)
+    return [KeyPartSet(points=list(zip(r, c)), confidences=conf)
+            for r, c, conf in zip(rows.tolist(), cols.tolist(), peaks.tolist())]

@@ -93,13 +93,12 @@ def _projected(op, *shapes, kinks: bool = False):
 # -- checks with their own draws -------------------------------------------
 
 def _discovery_objective_case(rng):
-    raws = [_param(rng, (2, 4, 4)) for _ in range(3)]
+    raw = _param(rng, (3, 2, 4, 4))
 
     def build():
-        maps_batch = [tmr_squash(raw, 0.5, 0.1) for raw in raws]
-        return losses.discovery_objective(maps_batch, [1, 0, 1])
+        return losses.discovery_objective(tmr_squash(raw, 0.5, 0.1), [1, 0, 1])
 
-    return build, raws
+    return build, [raw]
 
 
 _DETECTION_CFG = HeadConfig(channels=8, num_classes=3, num_parts=1, pool_len=1,
@@ -143,21 +142,26 @@ def _condensed_head_case(rng):
     return build, checked
 
 
+# The grid and map ops run their batched N x C x H x W forms, whose per-example
+# C x H x W form is the N = 1 case of the same code.
 CHECKS = {
     "conv2d": _projected(lambda x, w, b: T.conv2d(x, w, b, groups=2, dilation=2),
-                         (4, 5, 5), (4, 2, 3, 3), (4,)),
-    "adaptive_avg_pool": _projected(lambda x: T.adaptive_avg_pool(x, 5), (3, 7, 7)),
+                         (2, 4, 4, 3), (4, 2, 3, 3), (4,)),
+    "adaptive_avg_pool": _projected(lambda x: T.adaptive_avg_pool(x, 4), (2, 2, 7, 5)),
     "linear": _projected(lambda x, w, b: T.linear(x, w, b), (2, 8), (3, 8), (3,)),
     "relu": _projected(lambda x: T.relu(x), (24,), kinks=True),
     # perfbench reports gradcheck.add_mul_div.s
     "add_mul_div": _projected(lambda a, b: T.mul(T.add(a, b), T.sub(a, b)), (6,), (6,)),
-    "concat": _projected(lambda *parts: T.concat(parts), (2, 3), (4,), (2, 2)),
-    # the repeated point checks that gradients accumulate
-    "gather_at": _projected(lambda x: T.gather_at(x, [(0, 0), (2, 3), (2, 3), (1, 1)]),
-                            (3, 4, 4)),
+    # the stacked pair joins the third part row by row
+    "concat": _projected(lambda a, b, c: T.concat([T.stack([a, b]), c], rows=2),
+                         (2, 3), (2, 3), (2, 1, 2)),
+    # the repeated points check that gradients accumulate
+    "gather_at": _projected(lambda x: T.gather_at(x, [[(0, 0), (2, 2), (2, 2), (1, 1)],
+                                                      [(3, 0), (1, 2), (3, 0), (0, 1)]]),
+                            (2, 2, 4, 3)),
     "smooth_l1": _projected(lambda a, b: T.smooth_l1(a, b), (6,), (6,), kinks=True),
     "logsumexp": _projected(lambda x: T.logsumexp(x), (2, 7)),
-    "tmr_squash": _projected(lambda raw: tmr_squash(raw, 0.5, 0.1), (3, 5, 5), kinks=True),
+    "tmr_squash": _projected(lambda raw: tmr_squash(raw, 0.5, 0.1), (2, 3, 4, 3), kinks=True),
     "discovery_objective": _checked(_discovery_objective_case),
     "detection_loss": _checked(_detection_loss_case),
     "condensed_head_loss": _checked(_condensed_head_case),

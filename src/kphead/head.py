@@ -4,7 +4,9 @@ single-FC classifier/regressor, plus the two-FC baseline head it replaces.
 The condensed head decomposes proposal appearance into a key-part block
 (ordered feature fibers at discovered peaks plus the confidence maps) and a
 global block (spatially pooled, channel-reduced descriptor), concatenates
-the two and runs one fully connected layer before the output heads.
+the two and runs one fully connected layer before the output heads.  Past
+discovery's per-grid convolutions, every step runs once over the batch's
+N x C x H x W grids and N x K x H x W maps.
 """
 
 from __future__ import annotations
@@ -111,38 +113,44 @@ class HeadOutput:
     v_reg: Tensor  # N x (4*num_classes or 4) box offsets
 
 
-def key_part_modeling(x: Tensor, maps: Tensor, parts: KeyPartSet) -> Tensor:
-    """Gather the channel fiber at each part's peak, in part order, then
-    append the K full confidence maps (row-major flattened).
+def key_part_modeling(x: Tensor, maps: Tensor, parts: Sequence[KeyPartSet]) -> Tensor:
+    """Each example's key-part block, one row per example: the channel fiber
+    at each part's peak, in part order, then the K full confidence maps
+    (row-major flattened).
 
+    ``x`` is the N x C x H x W grid, ``maps`` the N x K x H x W squashed maps
+    and ``parts`` one KeyPartSet per example; the result is N x (K*C + K*H*W).
     Gather indices are constants of the forward pass; gradients flow into
     ``x`` at the gathered positions and into ``maps`` everywhere.
     """
-    if len(parts) != maps.shape[0]:
+    if (x.data.ndim != 4 or maps.data.ndim != 4 or x.shape[0] != maps.shape[0]
+            or len(parts) != maps.shape[0] or any(len(p) != maps.shape[1] for p in parts)):
         raise ContractViolation(
-            f"key_part_modeling: {len(parts)} parts vs {maps.shape[0]} maps")
-    fibers = T.gather_at(x, parts.points)
-    return T.concat([fibers, maps])
+            f"key_part_modeling: grids {x.shape}, maps {maps.shape} and "
+            f"{[len(p) for p in parts]} parts per example disagree")
+    fibers = T.gather_at(x, [p.points for p in parts])
+    return T.concat([fibers, maps], rows=x.shape[0])
 
 
 def global_activation(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
-    """Pool the grid to L x L, then 1x1-convolve down to the kept channels."""
+    """Pool each grid to L x L, then 1x1-convolve down to the kept channels:
+    N x C x H x W in, N x kept_channels x L x L out."""
     pooled = T.adaptive_avg_pool(x, cfg.pool_len)
     return T.conv2d(pooled, params.global_conv.weight, params.global_conv.bias)
 
 
-def head_forward(z_ks: Sequence[Tensor], z_gs: Sequence[Tensor], params: HeadParams,
-                 cfg: HeadConfig) -> HeadOutput:
-    """Each example's descriptor row is its key-part block ``z_ks[i]`` then its
-    global block ``z_gs[i]``, both read row-major; the N rows go through the
-    single FC -> relu -> parallel classifier and regressor as one batch."""
-    descriptor = T.concat([z for pair in zip(z_ks, z_gs) for z in pair])
-    if len(z_ks) != len(z_gs) or descriptor.size != len(z_ks) * cfg.descriptor_len:
+def head_forward(z_k: Tensor, z_g: Tensor, params: HeadParams, cfg: HeadConfig) -> HeadOutput:
+    """Example i's descriptor row is its key-part block ``z_k[i]`` then its
+    global block ``z_g[i]``, read row-major, joined row-wise into one N x D
+    matrix; the N rows go through the single FC -> relu -> parallel
+    classifier and regressor as one batch."""
+    n = z_k.shape[0]
+    descriptor = T.concat([z_k, z_g], rows=n)
+    if descriptor.shape[1] != cfg.descriptor_len:
         raise ContractViolation(
-            f"head_forward: {len(z_ks)} key-part and {len(z_gs)} global blocks of "
-            f"{descriptor.size} values in all, for descriptors of length {cfg.descriptor_len}")
-    rows = T.reshape(descriptor, (len(z_ks), cfg.descriptor_len))
-    hidden = T.relu(T.linear(rows, params.fc.weight, params.fc.bias))
+            f"head_forward: key-part blocks {z_k.shape} and global blocks {z_g.shape} give "
+            f"descriptors of length {descriptor.shape[1]}, not {cfg.descriptor_len}")
+    hidden = T.relu(T.linear(descriptor, params.fc.weight, params.fc.bias))
     v_cls = T.linear(hidden, params.cls.weight, params.cls.bias)
     v_reg = T.linear(hidden, params.reg.weight, params.reg.bias)
     return HeadOutput(v_cls=v_cls, v_reg=v_reg)
@@ -151,14 +159,14 @@ def head_forward(z_ks: Sequence[Tensor], z_gs: Sequence[Tensor], params: HeadPar
 @dataclass
 class Forward:
     """Everything a forward pass over N grids yields: the N output rows plus,
-    for the condensed head, one entry per example of the intermediates the
-    losses and visualizations consume (``None`` for the baseline head, which
-    has none).  A descriptor's global block is its global map read row-major."""
+    for the condensed head, the intermediates the losses and visualizations
+    consume (``None`` for the baseline head, which has none).  A descriptor's
+    global block is its example's global map read row-major."""
 
     output: HeadOutput
-    maps: list[Tensor] | None = None        # K x H x W each, squashed
-    parts: list[KeyPartSet] | None = None
-    global_map: list[Tensor] | None = None  # kept_channels x L x L each
+    maps: Tensor | None = None              # N x K x H x W, squashed
+    parts: list[KeyPartSet] | None = None   # one per example
+    global_map: Tensor | None = None        # N x kept_channels x L x L
 
 
 def _check_grids(xs: Sequence[Tensor], cfg: HeadConfig) -> None:
@@ -175,21 +183,26 @@ def full_condensed_forward(xs: Sequence[Tensor], disc_params: DiscoveryParams,
                            head_cfg: HeadConfig) -> Forward:
     """Run the whole condensed head on a batch of proposal grids.
 
-    Discovery, key-part extraction and global pooling run per grid, since
-    each grid has its own peaks; the FC layers and outputs run once for all.
+    The concentration blocks and the confidence prediction run per grid.
+    From the joined N x K x H x W raw maps on, everything runs once for the
+    batch: TMR, the peak search, the key-part gather, the global branch, the
+    descriptor join, the FC layers and the outputs.
     """
     if disc_cfg.channels != head_cfg.channels or disc_cfg.num_parts != head_cfg.num_parts:
         raise ConfigError("discovery and head configs disagree on channels/num_parts")
     _check_grids(xs, head_cfg)
-    maps, parts, z_k, global_map = [], [], [], []
+    refined, raws = [], []
+    # perfbench pins one discovery.block0.reduce3x3 call per example until
+    # ROADMAP item 1 repairs it; discovery's convs batch after that
     for x in xs:
-        refined = concentration_forward(x, disc_params, disc_cfg)
-        raw = predict_confidence(refined, disc_params, disc_cfg)
-        maps.append(tmr_squash(raw, disc_cfg.alpha, disc_cfg.epsilon))
-        parts.append(extract_key_parts(maps[-1]))
-        gather_source = refined if disc_cfg.gather_from_refined else x
-        z_k.append(key_part_modeling(gather_source, maps[-1], parts[-1]))
-        global_map.append(global_activation(x, head_params, head_cfg))
+        refined.append(concentration_forward(x, disc_params, disc_cfg))
+        raws.append(predict_confidence(refined[-1], disc_params, disc_cfg))
+    maps = tmr_squash(T.stack(raws), disc_cfg.alpha, disc_cfg.epsilon)
+    parts = extract_key_parts(maps)
+    grids = T.stack(xs)
+    z_k = key_part_modeling(T.stack(refined) if disc_cfg.gather_from_refined else grids,
+                            maps, parts)
+    global_map = global_activation(grids, head_params, head_cfg)
     output = head_forward(z_k, global_map, head_params, head_cfg)
     return Forward(output=output, maps=maps, parts=parts, global_map=global_map)
 

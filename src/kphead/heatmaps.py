@@ -67,13 +67,13 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     with NoGrad():
         fwd = model.forward(example.x)
-    maps, parts = fwd.maps[0].data, fwd.parts[0]
+    maps, parts = fwd.maps.data[0], fwd.parts[0]
     paths = []
     for k in range(maps.shape[0]):
         path = os.path.join(out_dir, f"part_{k:02d}.pgm")
         write_pgm(path, maps[k])
         paths.append(path)
-    activation = normalize01(np.maximum(fwd.global_map[0].data, 0.0).sum(axis=0))
+    activation = normalize01(np.maximum(fwd.global_map.data[0], 0.0).sum(axis=0))
     global_path = os.path.join(out_dir, "global.pgm")
     write_pgm(global_path, activation)
     paths.append(global_path)

@@ -2,8 +2,9 @@
 
 The discovery objective pushes each map's peak confidence toward the
 example's foreground label (discriminative term) and the spatial peak of the
-channel-summed maps toward 1 on foregrounds (uniqueness term).  Each term
-is one smooth L1 over the peaks of the whole batch.  The toy
+channel-summed maps toward 1 on foregrounds (uniqueness term).  Both take
+the batch's N x K x H x W squashed maps, and each is one smooth L1 over the
+peaks of the whole batch.  The toy
 detection loss is cross-entropy over class logits plus smooth L1 on the
 target class's box offsets, summed over a batch's output rows.  Every term
 is a plain sum over the batch, the paper's written form; training divides
@@ -24,43 +25,46 @@ from .tensor import Tensor
 BACKGROUND = 0  # class index 0 is background; foregrounds are 1..num_classes
 
 
-def _check_batch(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> None:
-    if len(maps_batch) != len(labels):
+def _check_batch(maps: Tensor, labels: Sequence[int]) -> None:
+    if maps.data.ndim != 4 or maps.shape[0] != len(labels):
         raise ContractViolation(
-            f"batch of {len(maps_batch)} confidence-map sets vs {len(labels)} labels")
+            f"confidence maps of shape {maps.shape} vs {len(labels)} labels: "
+            f"need N x K x H x W maps for N labels")
     for y in labels:
         if y not in (0, 1):
             raise ContractViolation(f"labels must be 0 or 1, got {y!r}")
 
 
-def discriminative_loss(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
-    """Sum over examples and maps of smooth_l1(peak confidence, label).
+def discriminative_loss(maps: Tensor, labels: Sequence[int]) -> Tensor:
+    """Sum over examples and maps of smooth_l1(peak confidence, label), for
+    N x K x H x W maps and N labels.
 
     Drives every per-map peak toward 1 on foreground examples and 0 on
     background.
     """
-    _check_batch(maps_batch, labels)
-    targets = np.repeat(labels, [maps.shape[0] for maps in maps_batch])
-    return T.sum_all(T.smooth_l1(T.map_peaks(maps_batch), Tensor(targets)))
+    _check_batch(maps, labels)
+    targets = np.repeat(np.asarray(labels, dtype=np.float64), maps.shape[1])
+    return T.sum_all(T.smooth_l1(T.map_peaks(maps), Tensor(targets.reshape(maps.shape[:2]))))
 
 
-def uniqueness_loss(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
-    """Push the spatial peak of the channel-summed maps toward 1 on foregrounds.
+def uniqueness_loss(maps: Tensor, labels: Sequence[int]) -> Tensor:
+    """Push the spatial peak of each example's channel-summed maps toward 1
+    on foregrounds, for N x K x H x W maps and N labels.
 
     Co-located peaks push the summed map past 1 and get penalized; background
-    examples contribute exactly zero.
+    examples are masked out and contribute exactly zero.
     """
-    _check_batch(maps_batch, labels)
-    fg = [maps for maps, y in zip(maps_batch, labels) if y != 0]
-    if not fg:
+    _check_batch(maps, labels)
+    if not any(labels):
         return Tensor(0.0)
-    peaks = T.map_peaks([T.channel_sum(maps) for maps in fg])
-    return T.sum_all(T.smooth_l1(peaks, Tensor(1.0)))
+    peaks = T.map_peaks(T.channel_sum(maps))  # N x 1
+    foreground = Tensor(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
+    return T.sum_all(T.mul(T.smooth_l1(peaks, Tensor(1.0)), foreground))
 
 
-def discovery_objective(maps_batch: Sequence[Tensor], labels: Sequence[int]) -> Tensor:
+def discovery_objective(maps: Tensor, labels: Sequence[int]) -> Tensor:
     """Unweighted sum of the discriminative and uniqueness terms."""
-    return T.add(discriminative_loss(maps_batch, labels), uniqueness_loss(maps_batch, labels))
+    return T.add(discriminative_loss(maps, labels), uniqueness_loss(maps, labels))
 
 
 def detection_loss(out: HeadOutput, classes: Sequence[int],

@@ -2,7 +2,7 @@
 
 The operation set is exactly what the condensed detection head needs:
 convolution (grouped, dilated, same-padded), adaptive average pooling,
-affine maps, relu/add/concat plumbing, the truncated-max squash, peak lookup
+affine maps, relu/add/concat/stack plumbing, the truncated-max squash, peak lookup
 and feature gathering, plus the scalar arithmetic the training objectives
 are built from.
 
@@ -14,7 +14,12 @@ same recording is rejected.
 
 Every op adds its gradients when its closure runs.  ``linear`` maps a whole
 N x D batch at once, so its weight gradient is one ``g.T @ x`` product per
-call; ``conv2d`` runs one example at a time and adds one product per example.
+call.  The grid and map ops (``conv2d``, ``adaptive_avg_pool``, ``gather_at``,
+``truncated_max_squash``, ``map_peaks``, ``channel_sum``) take an optional
+leading example axis: an N x C x H x W input runs as one batch, and a C x H x W
+input is the N = 1 case of the same code, with the example axis dropped
+from the output.  A batched ``conv2d`` sums its examples' weight-gradient
+products.
 
 ``conv2d`` multiplies first and shifts after: one batched matmul takes every
 kernel tap of every output channel at every input position, and a sum over
@@ -37,6 +42,7 @@ shape probes and training's replay of a diverged batch.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -368,33 +374,58 @@ def reshape(t: Tensor, shape: Shape) -> Tensor:
     return _record(t.data.reshape(shape), "reshape", (t,), bwd)
 
 
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Flatten each part row-major and concatenate in caller order.
+def concat(parts: Sequence[Tensor], rows: int | None = None) -> Tensor:
+    """Join parts in caller order.
 
-    The gradient is routed back to each part by its range in the output.
+    Without ``rows`` each part is flattened row-major and the result is one
+    vector.  With ``rows`` = N every part has a leading axis of N, read as N
+    rows, and row i of the N x D result is row i of every part, joined.  The
+    gradient is routed back to each part by its columns in the output.
     """
     parts = list(parts)
     if not parts:
         raise ContractViolation("concat needs at least one part")
-    flats = [p.data.reshape(-1) for p in parts]
-    offsets = np.cumsum([0] + [f.size for f in flats])
+    n = 1 if rows is None else rows
+    if rows is not None and any(p.shape[:1] != (n,) for p in parts):
+        raise ContractViolation(
+            f"concat: parts {[p.shape for p in parts]} do not all have {n} rows")
+    flats = [p.data.reshape(n, -1) for p in parts]
+    offsets = list(itertools.accumulate((f.shape[1] for f in flats), initial=0))
+    out = np.concatenate(flats, axis=1)
 
     def bwd(g):
-        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(part, g[start:stop].reshape(part.shape))
+        g = g.reshape(n, -1)
+        for part, start, stop in zip(parts, offsets, offsets[1:]):
+            _accumulate(part, g[:, start:stop].reshape(part.shape))
 
-    return _record(np.concatenate(flats), "concat", parts, bwd)
+    return _record(out.reshape(-1) if rows is None else out, "concat", parts, bwd)
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Join N tensors of one shape along a new leading example axis; example
+    i's gradient goes back to part i."""
+    parts = list(parts)
+    if not parts or any(p.shape != parts[0].shape for p in parts):
+        raise ContractViolation(
+            f"stack needs tensors of one shape, got {[p.shape for p in parts]}")
+
+    def bwd(g):
+        for part, g_part in zip(parts, g):
+            _accumulate(part, g_part)
+
+    return _record(np.array([p.data for p in parts]), "stack", parts, bwd)
 
 
 def channel_sum(t: Tensor) -> Tensor:
-    """Sum a C x H x W tensor over channels into a 1 x H x W map."""
-    if t.data.ndim != 3:
-        raise ContractViolation(f"channel_sum needs a 3-D tensor, got shape {t.shape}")
+    """Sum a C x H x W tensor over channels into a 1 x H x W map, or each
+    example of an N x C x H x W tensor into N x 1 x H x W."""
+    if t.data.ndim not in (3, 4):
+        raise ContractViolation(f"channel_sum needs a 3-D or 4-D tensor, got shape {t.shape}")
 
     def bwd(g):
         _accumulate(t, np.broadcast_to(g, t.shape).copy(), fresh=True)
 
-    return _record(t.data.sum(axis=0, keepdims=True), "channel_sum", (t,), bwd)
+    return _record(t.data.sum(axis=-3, keepdims=True), "channel_sum", (t,), bwd)
 
 
 # -- peak lookup and gathering ---------------------------------------------
@@ -409,50 +440,46 @@ def _first_peaks(flat: np.ndarray) -> np.ndarray:
 
 
 def _maps_as_rows(t: Tensor, op: str) -> np.ndarray:
-    """View a non-empty K x H x W tensor as K rows of H*W values."""
-    if t.data.ndim != 3 or t.size == 0:
-        raise ContractViolation(f"{op} needs non-empty K x H x W maps, got shape {t.shape}")
-    return t.data.reshape(t.shape[0], -1)
+    """View non-empty K x H x W or N x K x H x W maps as (N*)K rows of H*W
+    values."""
+    if t.data.ndim not in (3, 4) or t.size == 0:
+        raise ContractViolation(
+            f"{op} needs non-empty K x H x W or N x K x H x W maps, got shape {t.shape}")
+    return t.data.reshape(-1, t.shape[-2] * t.shape[-1])
 
 
-def map_peaks(map_sets: Sequence[Tensor]) -> Tensor:
-    """Each map's value at its first row-major maximum, for every map of every
-    K x H x W set in order, as one vector.
+def map_peaks(maps: Tensor) -> Tensor:
+    """Each map's value at its first row-major maximum: K values for K x H x W
+    maps, N x K for N x K x H x W.
 
     The argmax is frozen: a peak's gradient goes to that one position of its map.
     """
-    map_sets = list(map_sets)
-    if not map_sets:
-        raise ContractViolation("map_peaks needs at least one map set")
-    flats = [_maps_as_rows(maps, "map_peaks") for maps in map_sets]
-    picks = [(np.arange(flat.shape[0]), _first_peaks(flat)) for flat in flats]
+    flat = _maps_as_rows(maps, "map_peaks")
+    pick = (np.arange(flat.shape[0]), _first_peaks(flat))
 
     def bwd(g):
-        start = 0
-        for maps, flat, pick in zip(map_sets, flats, picks):
-            buf = np.zeros_like(maps.data)
-            buf.reshape(flat.shape)[pick] = g[start:start + flat.shape[0]]
-            _accumulate(maps, buf, fresh=True)
-            start += flat.shape[0]
+        buf = np.zeros_like(maps.data)
+        buf.reshape(flat.shape)[pick] = g.reshape(-1)
+        _accumulate(maps, buf, fresh=True)
 
-    return _record(np.concatenate([flat[pick] for flat, pick in zip(flats, picks)]),
-                   "map_peaks", map_sets, bwd)
+    return _record(flat[pick].reshape(maps.shape[:-2]), "map_peaks", (maps,), bwd)
 
 
 def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
-    """Squash K x H x W maps into [0, 1) by each map's truncated maximum.
+    """Squash K x H x W or N x K x H x W maps into [0, 1) by each map's
+    truncated maximum.
 
     Map k with peak value c_m (first row-major maximum) becomes
     ``relu((c + alpha) / (relu(c_m + alpha - 1) + 1 + epsilon))``.  The peak
     position gets gradient through both the numerator and the denominator.
     """
     flat = _maps_as_rows(raw, "truncated_max_squash")
-    k = flat.shape[0]
-    rows = np.arange(k)
+    rows = np.arange(flat.shape[0])
     peak_idx = _first_peaks(flat)
     shifted = flat[rows, peak_idx] + (alpha - 1.0)
     truncated = shifted > 0.0
-    denom = (np.where(truncated, shifted, 0.0) + (1.0 + epsilon)).reshape(k, 1, 1)
+    denom = (np.where(truncated, shifted, 0.0) + (1.0 + epsilon)).reshape(
+        raw.shape[:-2] + (1, 1))
     num = raw.data + alpha
     squashed = num / denom
     positive = squashed > 0.0
@@ -464,39 +491,60 @@ def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
         g = g * positive
         grad = g / denom
         g_denom = -g * num / (denom * denom)
-        # one np.sum per map: the rounding of a scalar denominator's gradient
-        g_peak = np.array([np.sum(term) for term in g_denom]) * truncated
+        # one pairwise sum along each map's row: np.sum's rounding per map
+        g_peak = g_denom.reshape(flat.shape).sum(axis=1) * truncated
         grad.reshape(flat.shape)[rows, peak_idx] += g_peak
         _accumulate(raw, grad, fresh=True)
 
     return _record(np.where(positive, squashed, 0.0), "truncated_max_squash", (raw,), bwd)
 
 
-def gather_at(t: Tensor, points: Sequence[tuple[int, int]]) -> Tensor:
-    """Collect the channel fiber at each (row, col) point into a P x C tensor.
+def gather_at(t: Tensor, points) -> Tensor:
+    """Collect the channel fiber at each (row, col) point.
 
-    Row k of the output is the C-vector at ``points[k]``; the gradient
-    scatters back to exactly those positions, accumulating on duplicates.
+    For a C x H x W tensor ``points`` is P (row, col) pairs and the output is
+    P x C, row p being the C-vector at ``points[p]``.  For an N x C x H x W
+    tensor ``points`` is N x P pairs, one list per example, and the output is
+    N x P x C.  The gradient scatters back to exactly those positions,
+    accumulating on duplicates.
     """
-    if t.data.ndim != 3:
-        raise ContractViolation(f"gather_at needs a C x H x W tensor, got shape {t.shape}")
-    _, h, w = t.shape
+    shape = t.data.shape
+    if len(shape) not in (3, 4):
+        raise ContractViolation(
+            f"gather_at needs a C x H x W or N x C x H x W tensor, got shape {shape}")
+    lead, (h, w) = shape[:-3], shape[-2:]
     try:
-        rows, cols = np.array(points, dtype=np.intp).reshape(len(points), 2).T
+        pts = np.array(points, dtype=np.intp)
+        if pts.size == 0:
+            pts = pts.reshape(lead + (0, 2))
+        pairs = pts.shape[:-2] == lead and pts.shape[-1:] == (2,)
     except OverflowError:
         raise ContractViolation(f"gather_at: a point lies outside the {h}x{w} grid") from None
-    outside = np.flatnonzero((rows < 0) | (rows >= h) | (cols < 0) | (cols >= w))
-    if outside.size:
-        k = int(outside[0])
+    except ValueError:  # ragged lists
+        pairs = False
+    if not pairs:
+        raise ContractViolation(f"gather_at: points must be {'N x ' * len(lead)}"
+                                f"P (row, col) pairs for a {shape} tensor")
+    data = t.data.reshape((-1,) + shape[-3:])
+    rows, cols = pts.reshape(data.shape[0], -1, 2).transpose(2, 0, 1)
+    examples = np.arange(data.shape[0])[:, None]
+    try:  # an index past the grid raises; a negative one would wrap around
+        if pts.size and pts.min() < 0:
+            raise IndexError
+        # the advanced indices around the channel slice put the N x P axes first
+        fibers = data[examples, :, rows, cols]
+    except IndexError:
+        i, p = divmod(int(np.flatnonzero((rows < 0) | (rows >= h) | (cols < 0)
+                                         | (cols >= w))[0]), rows.shape[1])
         raise ContractViolation(
-            f"gather_at: point {k} = ({rows[k]}, {cols[k]}) outside {h}x{w} grid")
+            f"gather_at: point {p} = ({rows[i, p]}, {cols[i, p]}) outside {h}x{w} grid") from None
 
     def bwd(g):
-        buf = np.zeros_like(t.data)
-        np.add.at(buf, (slice(None), rows, cols), g.T)
-        _accumulate(t, buf, fresh=True)
+        buf = np.zeros_like(data)
+        np.add.at(buf, (examples, slice(None), rows, cols), g.reshape(fibers.shape))
+        _accumulate(t, buf.reshape(shape), fresh=True)
 
-    return _record(t.data[:, rows, cols].T, "gather_at", (t,), bwd)
+    return _record(fibers.reshape(lead + fibers.shape[1:]), "gather_at", (t,), bwd)
 
 
 # -- layers -----------------------------------------------------------------
@@ -528,23 +576,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
            dilation: int = 1, padding: int | None = None) -> Tensor:
     """Same-padded 2-D cross-correlation with group and dilation structure.
 
-    ``x`` is C_in x H x W, ``weight`` is C_out x (C_in/groups) x k x k with k
-    odd, ``bias`` is C_out.  ``padding`` defaults to dilation*(k-1)//2, the
-    unique zero-padding that preserves the spatial size; any other value is
+    ``x`` is C_in x H x W, or N x C_in x H x W for N examples at once;
+    ``weight`` is C_out x (C_in/groups) x k x k with k odd, ``bias`` is
+    C_out.  ``padding`` defaults to dilation*(k-1)//2, the unique
+    zero-padding that preserves the spatial size; any other value is
     rejected.
 
     Each group's (C_out/groups * k*k) x (C_in/groups) kernel taps multiply
-    the grid viewed as (C_in/groups) x (H*W); output (r, c) then sums tap
-    (i, j) at input position (r + d*i - p, c + d*j - p).  The backward pass
-    multiplies the output gradient's flipped taps by the grid (weight
-    gradient) and by the transposed taps (input gradient).
+    each example's grid viewed as (C_in/groups) x (H*W); output (r, c) then
+    sums tap (i, j) at input position (r + d*i - p, c + d*j - p).  The
+    backward pass multiplies the output gradient's flipped taps by the grid
+    (weight gradient, summed over the examples) and by the transposed taps
+    (input gradient).
     """
-    if x.data.ndim != 3:
-        raise ContractViolation(f"conv2d: input must be C x H x W, got shape {x.shape}")
-    if weight.data.ndim != 4:
-        raise ContractViolation(f"conv2d: weight must be 4-D, got shape {weight.shape}")
-    c_in, h, w = x.shape
-    c_out, c_in_g, kh, kw = weight.shape
+    x_shape, w_shape = x.data.shape, weight.data.shape
+    if len(x_shape) == 3:  # lead is (N,) for a batch, () for one example
+        lead = ()
+        c_in, h, w = x_shape
+    elif len(x_shape) == 4:
+        lead = x_shape[:1]
+        c_in, h, w = x_shape[1:]
+    else:
+        raise ContractViolation(
+            f"conv2d: input must be C x H x W or N x C x H x W, got shape {x_shape}")
+    if len(w_shape) != 4:
+        raise ContractViolation(f"conv2d: weight must be 4-D, got shape {w_shape}")
+    c_out, c_in_g, kh, kw = w_shape
     if kh != kw:
         raise ContractViolation(f"conv2d: kernel must be square, got {kh}x{kw}")
     k = kh
@@ -558,8 +615,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
     if c_in_g != c_in // groups:
         raise ContractViolation(
             f"conv2d: weight axis 1 is {c_in_g}, expected C_in/groups = {c_in // groups}")
-    if bias.shape != (c_out,):
-        raise ContractViolation(f"conv2d: bias {bias.shape} vs C_out={c_out}")
+    if bias.data.shape != (c_out,):
+        raise ContractViolation(f"conv2d: bias {bias.data.shape} vs C_out={c_out}")
     if padding is None:
         padding = dilation * (k - 1) // 2
     if 2 * padding != dilation * (k - 1):
@@ -568,36 +625,46 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,
             f"(needs {dilation * (k - 1) // 2} for k={k}, dilation={dilation})")
 
     cog, cig, taps = c_out // groups, c_in // groups, k * k
-    x_mat = x.data.reshape(groups, cig, h * w)
-    w_taps = (weight.data.reshape(groups, cog, cig, taps).transpose(0, 1, 3, 2)
-              .reshape(groups, cog * taps, cig))
-    y = w_taps @ x_mat  # every tap of every output channel, at every input position
-    if k == 1:
-        out = y.reshape(c_out, h, w)
+    x_mat = x.data.reshape(lead + (groups, cig, h * w))
+    if k == 1:  # the one tap is the weight matrix as it is
+        w_taps = weight.data.reshape(groups, cog, cig)
+        out = (w_taps @ x_mat).reshape(lead + (c_out, h, w))
     else:  # col2im: output (r, c) sums tap (i, j) of y at (r + d*i, c + d*j) of a padded y
-        planes = np.zeros((c_out, k, k, h + 2 * padding, w + 2 * padding))
-        planes[..., padding:padding + h, padding:padding + w] = y.reshape(c_out, k, k, h, w)
-        s_o, s_i, s_j, s_r, s_c = planes.strides
-        out = np.ndarray((c_out, k, k, h, w), np.float64, planes, 0, (
-            s_o, s_i + dilation * s_r, s_j + dilation * s_c, s_r, s_c)).sum(axis=(1, 2))
+        w_taps = (weight.data.reshape(groups, cog, cig, taps).transpose(0, 1, 3, 2)
+                  .reshape(groups, cog * taps, cig))
+        y = w_taps @ x_mat  # every tap of every output channel, at every input position
+        tap_shape = lead + (c_out, k, k, h, w)
+        planes = np.zeros(lead + (c_out, k, k, h + 2 * padding, w + 2 * padding))
+        planes[..., padding:padding + h, padding:padding + w] = y.reshape(tap_shape)
+        st = planes.strides
+        s_i, s_j, s_r, s_c = st[-4:]
+        out = np.ndarray(tap_shape, np.float64, planes, 0, st[:-4] + (
+            s_i + dilation * s_r, s_j + dilation * s_c, s_r, s_c)).sum(axis=(-4, -3))
     out += bias.data[:, None, None]
 
     def bwd(g):
         if k == 1:
-            g_y = g.reshape(groups, cog, h * w)
-        else:  # im2col of g, taps flipped: tap (i, j) of y at (r, c) fed (r+p-d*i, c+p-d*j)
-            g_pad = np.zeros((c_out, h + 2 * padding, w + 2 * padding))
-            g_pad[:, padding:padding + h, padding:padding + w] = g
-            s_o, s_r, s_c = g_pad.strides
-            g_taps = np.ndarray((c_out, k, k, h, w), np.float64, g_pad, 0, (
-                s_o, dilation * s_r, dilation * s_c, s_r, s_c))
-            g_y = g_taps[:, ::-1, ::-1].reshape(groups, cog * taps, h * w)
-        g_w = (g_y @ x_mat.transpose(0, 2, 1)).reshape(groups, cog, taps, cig)
-        _accumulate(weight, np.ascontiguousarray(g_w.transpose(0, 1, 3, 2))
-                    .reshape(weight.shape), fresh=True)
-        _accumulate(bias, g.sum(axis=(1, 2)), fresh=True)
+            g_y = g.reshape(lead + (groups, cog, h * w))
+        else:  # im2col of g, taps flipped: tap (i, j) of y at (r, c) fed (r+p-d*i, c+p-d*j),
+            # read through negative tap strides from the last tap's offset
+            g_pad = np.zeros(lead + (c_out, h + 2 * padding, w + 2 * padding))
+            g_pad[..., padding:padding + h, padding:padding + w] = g
+            st = g_pad.strides
+            s_r, s_c = st[-2:]
+            g_taps = np.ndarray(lead + (c_out, k, k, h, w), np.float64, g_pad,
+                                2 * padding * (s_r + s_c),
+                                st[:-2] + (-dilation * s_r, -dilation * s_c, s_r, s_c))
+            g_y = g_taps.reshape(lead + (groups, cog * taps, h * w))
+        g_w = g_y @ x_mat.swapaxes(-1, -2)
+        g_b = g.sum(axis=(-2, -1))
+        if lead:  # one product per example: sum the examples'
+            g_w, g_b = g_w.sum(axis=0), g_b.sum(axis=0)
+        _accumulate(weight, np.ascontiguousarray(
+            g_w.reshape(groups, cog, taps, cig).transpose(0, 1, 3, 2)).reshape(w_shape),
+            fresh=True)
+        _accumulate(bias, g_b, fresh=True)
         if x.requires_grad:
-            _accumulate(x, (w_taps.transpose(0, 2, 1) @ g_y).reshape(c_in, h, w), fresh=True)
+            _accumulate(x, (w_taps.transpose(0, 2, 1) @ g_y).reshape(x_shape), fresh=True)
 
     return _record(out, "conv2d", (x, weight, bias), bwd)
 
@@ -621,24 +688,28 @@ def _pool_kernel(h: int, w: int, out_len: int) -> np.ndarray:
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
-    """Average-pool a C x H x W tensor down to C x L x L.
+    """Average-pool a C x H x W tensor down to C x L x L, or each example of
+    an N x C x H x W tensor down to N x C x L x L.
 
     Bin (i, j) averages rows [floor(i*H/L), ceil((i+1)*H/L)) and the
     analogous column range; adjacent bins may overlap when L does not
-    divide the extent.  The pooling is one matmul of the C x (H*W) grid
+    divide the extent.  The pooling is one matmul of the (N*)C x (H*W) grid
     against an averaging matrix built once per (H, W, L).
     """
-    if x.data.ndim != 3:
-        raise ContractViolation(f"adaptive_avg_pool: input must be C x H x W, got {x.shape}")
-    c, h, w = x.shape
+    if x.data.ndim not in (3, 4):
+        raise ContractViolation(
+            f"adaptive_avg_pool: input must be C x H x W or N x C x H x W, got {x.shape}")
+    h, w = x.shape[-2:]
     if not (1 <= out_len <= h and out_len <= w):
         raise ConfigError(f"adaptive_avg_pool: out_len={out_len} outside [1, min({h}, {w})]")
     kernel = _pool_kernel(h, w, out_len)
 
     def bwd(g):
-        _accumulate(x, (g.reshape(c, -1) @ kernel).reshape(x.shape), fresh=True)
+        _accumulate(x, (g.reshape(-1, out_len * out_len) @ kernel).reshape(x.shape),
+                    fresh=True)
 
-    return _record((x.data.reshape(c, h * w) @ kernel.T).reshape(c, out_len, out_len),
+    return _record((x.data.reshape(-1, h * w) @ kernel.T)
+                   .reshape(x.shape[:-2] + (out_len, out_len)),
                    "adaptive_avg_pool", (x,), bwd)
 
 

@@ -190,20 +190,20 @@ def test_criterion_7_loss_contracts():
     start = time.perf_counter()
     perfect_fg = np.zeros((2, 4, 4))
     perfect_fg[0, 1, 2] = 1.0  # summed map peaks exactly at 1 via map 0
-    assert discriminative_loss([Tensor(np.array(
-        [[[1.0, 0.0], [0.0, 0.0]]]))], [1]).item() == 0.0
-    assert discriminative_loss([Tensor(np.zeros((3, 4, 4)))], [0]).item() == 0.0
-    assert uniqueness_loss([Tensor(perfect_fg)], [1]).item() == 0.0
+    assert discriminative_loss(Tensor(np.array(
+        [[[[1.0, 0.0], [0.0, 0.0]]]])), [1]).item() == 0.0
+    assert discriminative_loss(Tensor(np.zeros((1, 3, 4, 4))), [0]).item() == 0.0
+    assert uniqueness_loss(Tensor(perfect_fg[None]), [1]).item() == 0.0
 
     peaks = np.zeros((2, 4, 4))
     peaks[0, 0, 0] = 0.5
     peaks[1, 2, 2] = 1.0
-    assert discriminative_loss([Tensor(peaks)], [1]).item() == 0.125
+    assert discriminative_loss(Tensor(peaks[None]), [1]).item() == 0.125
 
     colocated = np.zeros((2, 4, 4))
     colocated[0, 2, 2] = 0.9
     colocated[1, 2, 2] = 0.9
-    assert uniqueness_loss([Tensor(colocated)], [1]).item() == \
+    assert uniqueness_loss(Tensor(colocated[None]), [1]).item() == \
         pytest.approx(0.32, abs=1e-15)
     assert time.perf_counter() - start < 1.0
 

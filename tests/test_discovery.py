@@ -164,21 +164,31 @@ class TestExtractKeyParts:
         maps = np.zeros((2, 7, 7))
         maps[0, 1, 1] = 1.0
         maps[1, 6, 3] = 1.0
-        parts = extract_key_parts(Tensor(maps))
+        (parts,) = extract_key_parts(Tensor(maps))
         assert parts.points == [(1, 1), (6, 3)]
         assert parts.confidences == [1.0, 1.0]
 
     def test_constant_maps_duplicate_origin(self):
-        parts = extract_key_parts(Tensor(np.zeros((3, 4, 4))))
+        (parts,) = extract_key_parts(Tensor(np.zeros((3, 4, 4))))
         assert parts.points == [(0, 0)] * 3
 
     def test_permuting_maps_permutes_points(self):
         rng = np.random.default_rng(11)
         maps = rng.standard_normal((4, 5, 5))
         perm = [2, 0, 3, 1]
-        base = extract_key_parts(Tensor(maps))
-        shuffled = extract_key_parts(Tensor(maps[perm]))
+        (base,) = extract_key_parts(Tensor(maps))
+        (shuffled,) = extract_key_parts(Tensor(maps[perm]))
         assert shuffled.points == [base.points[i] for i in perm]
+
+    def test_batch_gives_each_examples_parts(self):
+        """One search over N x K x H x W maps returns, per example, what a
+        search over that example's K x H x W maps returns."""
+        rng = np.random.default_rng(12)
+        maps = rng.integers(0, 3, size=(3, 2, 4, 5)).astype(float)  # many ties
+        batched = extract_key_parts(Tensor(maps))
+        assert len(batched) == 3
+        for parts, example in zip(batched, maps):
+            assert parts == extract_key_parts(Tensor(example))[0]
 
 
 class TestTranslationEquivariance:
@@ -216,7 +226,7 @@ class TestTranslationEquivariance:
         x = 0.01 * rng.standard_normal((8, 12, 12))
         x[ch, 5, 6] = 50.0  # dominant interior spike
         shifted = np.roll(x, shift=(1, 1), axis=(1, 2))
-        base = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, x))))
-        moved = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, shifted))))
+        (base,) = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, x))))
+        (moved,) = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, shifted))))
         assert base.points == [(5, 6)] * 2
         assert moved.points == [(6, 7)] * 2

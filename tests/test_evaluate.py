@@ -95,7 +95,8 @@ class TestEvaluate:
         row, fwds = run()
         assert len(fwds) == 2  # 16 + 4 examples
         for fwd in fwds:
-            outputs = [fwd.output.v_cls, fwd.output.v_reg] + (fwd.maps or [])
+            outputs = [fwd.output.v_cls, fwd.output.v_reg] + (
+                [fwd.maps, fwd.global_map] if fwd.maps is not None else [])
             assert all(t._backward_fn is None and not t._parents for t in outputs)
         assert all(t.grad is None for _, t in model.named_tensors())
 

@@ -87,7 +87,7 @@ class TestExport:
         monkeypatch.setattr(model, "forward", capturing)
         export_heatmaps(model, data[0], tmp_path / "out")
         (fwd,) = forwards
-        recorded = [fwd.output.v_cls, fwd.output.v_reg] + fwd.maps + fwd.global_map
+        recorded = [fwd.output.v_cls, fwd.output.v_reg, fwd.maps, fwd.global_map]
         assert all(t._backward_fn is None and not t._parents for t in recorded)
 
     def test_confidence_maps_round_trip(self, tmp_path):
@@ -95,7 +95,7 @@ class TestExport:
         export_heatmaps(model, data[0], tmp_path / "out")
         fwd = model.forward(data[0].x)
         back = read_pgm(tmp_path / "out" / "part_00.pgm")
-        assert np.max(np.abs(back - fwd.maps[0].data[0])) <= 1.0 / 255.0 + 1e-12
+        assert np.max(np.abs(back - fwd.maps.data[0, 0])) <= 1.0 / 255.0 + 1e-12
 
     def test_sidecar_lists_every_part_with_threshold_flag(self, tmp_path):
         model, data = tiny_condensed()

@@ -274,7 +274,7 @@ class TestArgmax2d:
 
     @staticmethod
     def argmax2d(m):
-        parts = extract_key_parts(Tensor(m[None]))
+        (parts,) = extract_key_parts(Tensor(m[None]))
         return parts.points[0] + (parts.confidences[0],)
 
     def test_all_equal_breaks_to_origin(self):
@@ -322,27 +322,58 @@ class TestFusedPeakOps:
 
     @pytest.mark.parametrize("case", range(5))
     def test_map_peaks_tie_break_matches_argmax_oracle(self, case):
-        """Two map sets (3 and 1 maps) give one vector of 4 peaks, in order."""
+        """2 x 2 maps give 2 x 2 peaks, example by example, in order."""
         rng = np.random.default_rng([15, case])
         maps_data = rng.integers(0, 3, size=(4, 5, 6)).astype(float)  # many ties
-        map_sets = [Tensor(maps_data[:3], requires_grad=True),
-                    Tensor(maps_data[3:], requires_grad=True)]
-        peaks = T.map_peaks(map_sets)
-        T.backward(T.sum_all(T.mul(peaks, Tensor(np.arange(1.0, 5.0)))))
-        grad = np.concatenate([maps.grad for maps in map_sets])
+        maps = Tensor(maps_data.reshape(2, 2, 5, 6), requires_grad=True)
+        peaks = T.map_peaks(maps)
+        assert peaks.shape == (2, 2)
+        T.backward(T.sum_all(T.mul(peaks, Tensor(np.arange(1.0, 5.0).reshape(2, 2)))))
+        grad = maps.grad.reshape(4, 5, 6)
         for k in range(4):
             r, c, value = oracles.argmax2d_loops(maps_data[k])
-            assert peaks.data[k] == value
+            assert peaks.data.reshape(-1)[k] == value
             want = np.zeros((5, 6))
             want[r, c] = k + 1.0
             np.testing.assert_array_equal(grad[k], want)
 
-    @pytest.mark.parametrize("op", [lambda t: T.map_peaks([t]),
+    @pytest.mark.parametrize("op", [lambda t: T.map_peaks(t),
                                     lambda t: T.truncated_max_squash(t, 0.5, 0.1)],
                              ids=["map_peaks", "<lambda>"])
     def test_non_map_input_rejected(self, op):
         with pytest.raises(ContractViolation):
             op(Tensor(np.zeros((3, 3))))
+
+    @staticmethod
+    def tmr_grad_summing_each_map(raw, alpha, epsilon, g):
+        """TMR's input gradient with each map's denominator gradient summed by
+        its own ``np.sum`` over that H x W map, one map at a time."""
+        flat = raw.reshape(-1, raw.shape[-2] * raw.shape[-1])
+        rows = np.arange(flat.shape[0])
+        peak_idx = np.argmax(flat, axis=1)
+        shifted = flat[rows, peak_idx] + (alpha - 1.0)
+        denom = (np.maximum(shifted, 0.0) + (1.0 + epsilon)).reshape(raw.shape[:-2] + (1, 1))
+        num = raw + alpha
+        g = g * (num / denom > 0.0)
+        grad = g / denom
+        g_denom = (-g * num / (denom * denom)).reshape((-1,) + raw.shape[-2:])
+        g_peak = np.array([np.sum(term) for term in g_denom]) * (shifted > 0.0)
+        grad.reshape(flat.shape)[rows, peak_idx] += g_peak
+        return grad
+
+    @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (2, 16, 7, 7), (5, 9, 13), (2, 3, 20, 20),
+                                       (1, 1, 1, 300), (2, 2, 300, 1)])
+    def test_tmr_denominator_gradient_rounds_as_a_per_map_np_sum(self, shape):
+        """One row sum over all N*K maps gives, bit for bit, the gradient that
+        summing each map with its own np.sum gives; maps of more than 128
+        values cover np.sum's pairwise blocks."""
+        rng = np.random.default_rng(list(shape))
+        raw_data = rng.standard_normal(shape) * 3.0 + 1.0  # most maps truncated
+        g = rng.standard_normal(shape) * np.exp(rng.standard_normal(shape))
+        raw = Tensor(raw_data, requires_grad=True)
+        T.backward(T.sum_all(T.mul(T.truncated_max_squash(raw, 0.5, 0.1), Tensor(g))))
+        np.testing.assert_array_equal(raw.grad,
+                                      self.tmr_grad_summing_each_map(raw_data, 0.5, 0.1, g))
 
 
 class TestGatherAt:
@@ -441,3 +472,185 @@ class TestForwardOracleSweep:
                       for r, cc in zip(rng.integers(0, h, 4), rng.integers(0, w_, 4))]
             np.testing.assert_allclose(T.gather_at(x, points).data,
                                        oracles.gather_loops(x.data, points), atol=1e-12)
+
+
+def batched_and_per_example(op, batch, params=(), seed=0):
+    """Run ``op(x, i, *params)`` once on the N x ... ``batch`` (``i`` None)
+    and once per example ``i`` on its slice, backward from one random output
+    gradient.  Returns the batched [output, input gradient, parameter
+    gradients...] and the per-example ones, outputs and input gradients
+    stacked and parameter gradients summed over the examples."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(batch.copy(), requires_grad=True)
+    ps = [Tensor(p.copy(), requires_grad=True) for p in params]
+    out = op(x, None, *ps)
+    g = rng.standard_normal(out.shape)
+    T.backward(T.sum_all(T.mul(out, Tensor(g))))
+    batched = [out.data, x.grad] + [p.grad for p in ps]
+    outs, x_grads, p_grads = [], [], [np.zeros_like(p) for p in params]
+    for i, example in enumerate(batch):
+        xi = Tensor(example.copy(), requires_grad=True)
+        psi = [Tensor(p.copy(), requires_grad=True) for p in params]
+        oi = op(xi, i, *psi)
+        T.backward(T.sum_all(T.mul(oi, Tensor(g[i]))))
+        outs.append(oi.data)
+        x_grads.append(xi.grad)
+        for total, p in zip(p_grads, psi):
+            total += p.grad
+    return batched, [np.stack(outs), np.stack(x_grads)] + p_grads, g
+
+
+class TestExampleAxis:
+    """Every op that takes a leading example axis: over N stacked inputs it
+    equals the stack of its per-example results, forward and vector-Jacobian
+    product, within ``TOL`` (a product or a sum over the examples may round
+    in another order); the loop oracles check the batched forms at 1e-12."""
+
+    TOL = 1e-13
+
+    def assert_equivalent(self, batched, per_example):
+        for got, want in zip(batched, per_example):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=self.TOL, atol=self.TOL)
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_conv2d(self, case):
+        rng = np.random.default_rng([21, case])
+        groups, dilation, k = (1, 2, 4)[case % 3], 1 + case % 2, (1, 3, 5)[case % 3]
+        cig, cog = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        n, h, w = int(rng.integers(1, 5)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        xs = rng.standard_normal((n, groups * cig, h, w))
+        weight = rng.standard_normal((groups * cog, cig, k, k))
+        bias = rng.standard_normal(groups * cog)
+        batched, per_example, g = batched_and_per_example(
+            lambda x, i, wt, b: T.conv2d(x, wt, b, groups=groups, dilation=dilation),
+            xs, (weight, bias), seed=case)
+        self.assert_equivalent(batched, per_example)
+        out, gx, gw, gb = batched
+        g_w, g_b = np.zeros_like(weight), np.zeros_like(bias)
+        for i in range(n):
+            np.testing.assert_allclose(
+                out[i], oracles.conv2d_loops(xs[i], weight, bias, groups, dilation), atol=1e-12)
+            vjp = oracles.conv2d_vjp_loops(xs[i], weight, g[i], groups, dilation)
+            np.testing.assert_allclose(gx[i], vjp[0], rtol=0, atol=1e-12)
+            g_w += vjp[1]
+            g_b += vjp[2]
+        np.testing.assert_allclose(gw, g_w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gb, g_b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_adaptive_avg_pool(self, case):
+        rng = np.random.default_rng([22, case])
+        h, w = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        out_len = int(rng.integers(1, min(h, w) + 1))
+        xs = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 5)), h, w))
+        batched, per_example, _ = batched_and_per_example(
+            lambda x, i: T.adaptive_avg_pool(x, out_len), xs, seed=case)
+        self.assert_equivalent(batched, per_example)
+        for got, x in zip(batched[0], xs):
+            np.testing.assert_allclose(got, oracles.adaptive_avg_pool_loops(x, out_len),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_gather_at(self, case):
+        rng = np.random.default_rng([23, case])
+        n, c, h, w = 1 + case % 4, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 5
+        xs = rng.standard_normal((n, c, h, w))
+        points = [[(int(r), int(col)) for r, col in zip(rng.integers(0, h, 6),
+                                                        rng.integers(0, 3, 6))]
+                  for _ in range(n)]  # 6 points among 3h cells: duplicates
+        batched, per_example, _ = batched_and_per_example(
+            lambda x, i: T.gather_at(x, points if i is None else points[i]), xs, seed=case)
+        self.assert_equivalent(batched, per_example)
+        for got, x, pts in zip(batched[0], xs, points):
+            np.testing.assert_allclose(got, oracles.gather_loops(x, pts), atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_truncated_max_squash(self, case):
+        rng = np.random.default_rng([24, case])
+        raw = np.stack([TestFusedPeakOps.maps_with_hard_cases(rng) for _ in range(3)])
+        batched, per_example, g = batched_and_per_example(
+            lambda x, i: T.truncated_max_squash(x, 0.5, 0.1), raw, seed=case)
+        self.assert_equivalent(batched, per_example)
+        for out, grad, r, gi in zip(batched[0], batched[1], raw, g):
+            np.testing.assert_allclose(out, oracles.tmr_loops(r, 0.5, 0.1), atol=1e-12)
+            np.testing.assert_allclose(grad, oracles.tmr_vjp_loops(r, 0.5, 0.1, gi),
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_map_peaks(self, case):
+        rng = np.random.default_rng([25, case])
+        maps = rng.integers(0, 3, size=(4, 3, 5, 6)).astype(float)  # many ties
+        batched, per_example, _ = batched_and_per_example(lambda x, i: T.map_peaks(x), maps,
+                                                          seed=case)
+        self.assert_equivalent(batched, per_example)
+        for peaks, example in zip(batched[0], maps):
+            assert list(peaks) == [oracles.argmax2d_loops(m)[2] for m in example]
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_channel_sum(self, case):
+        rng = np.random.default_rng([26, case])
+        maps = rng.standard_normal((3, 2 + case, 4, 5))
+        batched, per_example, _ = batched_and_per_example(lambda x, i: T.channel_sum(x), maps,
+                                                          seed=case)
+        self.assert_equivalent(batched, per_example)
+        for got, example in zip(batched[0], maps):
+            want = np.zeros((1, 4, 5))
+            for channel in example:
+                want[0] += channel
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_concat(self):
+        """``concat(parts, rows=N)`` stacks each example's flat
+        ``concat(parts_i)``; its gradient is each part's columns."""
+        rng = np.random.default_rng(27)
+        a, b = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 5))
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = T.concat([ta, tb], rows=3)
+        want = np.stack([T.concat([Tensor(a[i]), Tensor(b[i])]).data for i in range(3)])
+        np.testing.assert_array_equal(out.data, want)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(ta.grad, g[:, :4].reshape(a.shape))
+        np.testing.assert_array_equal(tb.grad, g[:, 4:])
+        with pytest.raises(ContractViolation):
+            T.concat([Tensor(a), Tensor(b[:2])], rows=3)
+
+    def test_stack(self):
+        """``stack`` puts part i at example i and routes example i's gradient
+        back to part i."""
+        rng = np.random.default_rng(29)
+        arrays = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+        parts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.stack(parts)
+        np.testing.assert_array_equal(out.data, np.stack(arrays))
+        g = rng.standard_normal(out.shape)
+        T.backward(T.sum_all(T.mul(out, Tensor(g))))
+        for i, part in enumerate(parts):
+            np.testing.assert_array_equal(part.grad, g[i])
+        for bad in ([], [Tensor(arrays[0]), Tensor(arrays[1][:1])]):
+            with pytest.raises(ContractViolation):
+                T.stack(bad)
+
+    def test_three_axis_input_is_the_one_example_case(self):
+        """A C x H x W input gives the N = 1 batch's output without its
+        example axis."""
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((4, 5, 6))
+        w, b = Tensor(rng.standard_normal((2, 2, 3, 3))), Tensor(rng.standard_normal(2))
+        for op in (lambda t: T.conv2d(t, w, b, groups=2, dilation=2),
+                   lambda t: T.adaptive_avg_pool(t, 3), lambda t: T.gather_at(
+                       t, [(1, 2), (4, 0)] if t.data.ndim == 3 else [[(1, 2), (4, 0)]]),
+                   lambda t: T.truncated_max_squash(t, 0.5, 0.1), T.map_peaks, T.channel_sum):
+            one, batch = op(Tensor(x)).data, op(Tensor(x[None])).data
+            assert batch.shape == (1,) + one.shape
+            np.testing.assert_array_equal(batch[0], one)
+
+    def test_gather_points_must_match_the_examples(self):
+        x = Tensor(np.zeros((2, 3, 4, 4)))
+        for points in ([(0, 0)], [[(0, 0)]], [[(0, 0)], [(1, 1), (2, 2)]], [[(0, 0, 1)]] * 2):
+            with pytest.raises(ContractViolation):
+                T.gather_at(x, points)
+        with pytest.raises(ContractViolation, match="outside"):
+            T.gather_at(x, [[(0, 0)], [(4, 0)]])
+        assert T.gather_at(x, [[], []]).shape == (2, 0, 3)

@@ -350,6 +350,33 @@ class TestBatchAxis:
             slack = 1e-12 * np.abs(want) + 25 * np.finfo(float).eps * np.abs(before[name])
             assert np.all(np.abs(moved - want) <= slack), name
 
+    def test_each_example_adds_only_discoverys_nodes(self):
+        """At the RunConfig() defaults a condensed training batch records, per
+        example, only discovery's nodes: conv, relu, conv and add per block,
+        then the predict conv.  TMR, the head and the losses record a fixed
+        count per batch (32 for a batch with a foreground and a background)."""
+        cfg = RunConfig()
+        cfg.data = dataclasses.replace(cfg.data, n_train=32, n_test=1)
+        examples = generate_dataset(cfg.data)[0]
+        fg = [ex for ex in examples if ex.y_hat]
+        bg = [ex for ex in examples if not ex.y_hat]
+        ordered = [fg[0], bg[0]] + fg[1:] + bg[1:]
+        model = build_condensed(cfg.discovery_config(), cfg.head_config(), cfg.train.seed)
+
+        def recorded_nodes(batch):
+            seen, stack = {}, [_batch_loss(model, batch, cfg.train)[0]]
+            while stack:
+                t = stack.pop()
+                if id(t) not in seen:
+                    seen[id(t)] = t
+                    stack.extend(t._parents)
+            return sum(t._backward_fn is not None for t in seen.values())
+
+        per_example = 4 * cfg.discovery_config().num_blocks + 1
+        assert per_example == 9
+        for n in (2, 3, 8, 16):
+            assert recorded_nodes(ordered[:n]) == per_example * n + 32, n
+
     def test_head_weights_enter_linear_once_per_batch(self, monkeypatch):
         cfg = tiny_run_config(epochs=1, batch_size=8)
         data, _ = generate_dataset(cfg.data)
