@@ -4,7 +4,9 @@ truncated maximum regularization and peak extraction.
 The network refines a proposal feature grid with a few residual blocks
 (grouped dilated 3x3 conv -> relu -> 1x1 restore -> add input), predicts one
 raw confidence map per key part with a 1x1 convolution, squashes the maps
-into [0, 1) and reads each part's location off its map's peak.
+into [0, 1) and reads each part's location off its map's peak.  Every step
+takes a batch of N grids at once; only the grouped 3x3 conv runs once per
+grid.
 """
 
 from __future__ import annotations
@@ -135,25 +137,43 @@ class KeyPartSet:
 
 
 def concentration_forward(x: Tensor, params: DiscoveryParams, cfg: DiscoveryConfig) -> Tensor:
-    """Apply the residual concentration blocks; spatial size is preserved."""
-    if x.data.ndim != 3 or x.shape[0] != cfg.channels:
-        raise ConfigError(
-            f"concentration input must be {cfg.channels} x H x W, got shape {x.shape}")
+    """Apply the residual concentration blocks to a C x H x W grid or to N x C
+    x H x W grids; the shape is preserved.
+
+    In each block the grouped dilated 3x3 conv runs once per example: on
+    ``pick(out, i)`` for each of N > 1 examples, whose N outputs one
+    ``stack`` joins, and on the whole input when it holds one example.  The
+    relu, the 1x1 restore conv and the residual add run once over the batch.
+    """
+    if x.data.ndim not in (3, 4) or x.shape[-3] != cfg.channels:
+        raise ConfigError(f"concentration input must be {cfg.channels} x H x W or "
+                          f"N x {cfg.channels} x H x W, got shape {x.shape}")
+    # the grouped 3x3 runs once per example: perfbench's tracing test pins
+    # 2 x 16 discovery.block0.reduce3x3 calls for 2 epochs of 16 examples,
+    # and the batched 3x3's form is still unchosen (ROADMAP item 2)
+    n = x.shape[0] if x.data.ndim == 4 else 1
     out = x
     for blk in params.blocks:
-        mid = T.relu(T.conv2d(out, blk.reduce.weight, blk.reduce.bias,
-                              groups=cfg.groups, dilation=cfg.dilation))
-        restored = T.conv2d(mid, blk.restore.weight, blk.restore.bias)
-        out = T.add(out, restored)
+        def reduce(t: Tensor) -> Tensor:
+            return T.conv2d(t, blk.reduce.weight, blk.reduce.bias,
+                            groups=cfg.groups, dilation=cfg.dilation)
+
+        mid = T.relu(reduce(out) if n == 1 else T.stack([reduce(T.pick(out, i))
+                                                          for i in range(n)]))
+        out = T.add(out, T.conv2d(mid, blk.restore.weight, blk.restore.bias))
     return out
 
 
 def predict_confidence(refined: Tensor, params: DiscoveryParams,
                        cfg: DiscoveryConfig) -> Tensor:
-    """Raw (unbounded) per-part confidence maps from a 1x1 convolution."""
-    if refined.shape[0] != cfg.channels:
-        raise ContractViolation(
-            f"predict_confidence: expected {cfg.channels} channels, got {refined.shape[0]}")
+    """Raw (unbounded) per-part confidence maps from a 1x1 convolution: K x H
+    x W for a C x H x W grid, N x K x H x W for N x C x H x W grids."""
+    if refined.data.ndim not in (3, 4):
+        raise ContractViolation(f"predict_confidence: expected a C x H x W or "
+                                f"N x C x H x W grid, got shape {refined.shape}")
+    if refined.shape[-3] != cfg.channels:
+        raise ContractViolation(f"predict_confidence: expected {cfg.channels} channels, "
+                                f"got {refined.shape[-3]}")
     return T.conv2d(refined, params.predict.weight, params.predict.bias)
 
 

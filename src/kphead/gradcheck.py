@@ -152,9 +152,11 @@ CHECKS = {
     "relu": _projected(lambda x: T.relu(x), (24,), kinks=True),
     # perfbench reports gradcheck.add_mul_div.s
     "add_mul_div": _projected(lambda a, b: T.mul(T.add(a, b), T.sub(a, b)), (6,), (6,)),
-    # the stacked pair joins the third part row by row
-    "concat": _projected(lambda a, b, c: T.concat([T.stack([a, b]), c], rows=2),
-                         (2, 3), (2, 3), (2, 1, 2)),
+    # the stacked pair joins examples of the third part row by row; picking
+    # example 1 twice checks that picks accumulate
+    "concat": _projected(lambda a, b, c: T.concat([T.stack([a, b]), T.pick(c, 1),
+                                                   T.pick(c, 0), T.pick(c, 1)], rows=2),
+                         (2, 3), (2, 3), (2, 2, 1)),
     # the repeated points check that gradients accumulate
     "gather_at": _projected(lambda x: T.gather_at(x, [[(0, 0), (2, 2), (2, 2), (1, 1)],
                                                       [(3, 0), (1, 2), (3, 0), (0, 1)]]),

@@ -4,9 +4,9 @@ single-FC classifier/regressor, plus the two-FC baseline head it replaces.
 The condensed head decomposes proposal appearance into a key-part block
 (ordered feature fibers at discovered peaks plus the confidence maps) and a
 global block (spatially pooled, channel-reduced descriptor), concatenates
-the two and runs one fully connected layer before the output heads.  Past
-discovery's per-grid convolutions, every step runs once over the batch's
-N x C x H x W grids and N x K x H x W maps.
+the two and runs one fully connected layer before the output heads.  Every
+step runs once over the batch's N x C x H x W grids and N x K x H x W maps,
+except discovery's grouped 3x3 convs, which run per grid.
 """
 
 from __future__ import annotations
@@ -113,23 +113,24 @@ class HeadOutput:
     v_reg: Tensor  # N x (4*num_classes or 4) box offsets
 
 
-def key_part_modeling(x: Tensor, maps: Tensor, parts: Sequence[KeyPartSet]) -> Tensor:
-    """Each example's key-part block, one row per example: the channel fiber
-    at each part's peak, in part order, then the K full confidence maps
-    (row-major flattened).
+def key_part_modeling(x: Tensor, maps: Tensor,
+                      parts: Sequence[KeyPartSet]) -> tuple[Tensor, Tensor]:
+    """Each example's key-part block, as its two pieces: the channel fiber at
+    each part's peak, in part order, then the K full confidence maps.  Read
+    row-major, example i's pieces are its K*C + K*H*W block.
 
     ``x`` is the N x C x H x W grid, ``maps`` the N x K x H x W squashed maps
-    and ``parts`` one KeyPartSet per example; the result is N x (K*C + K*H*W).
-    Gather indices are constants of the forward pass; gradients flow into
-    ``x`` at the gathered positions and into ``maps`` everywhere.
+    and ``parts`` one KeyPartSet per example; the pieces are the N x K x C
+    fibers and ``maps`` itself.  Gather indices are constants of the forward
+    pass; gradients flow into ``x`` at the gathered positions and into
+    ``maps`` everywhere.
     """
     if (x.data.ndim != 4 or maps.data.ndim != 4 or x.shape[0] != maps.shape[0]
             or len(parts) != maps.shape[0] or any(len(p) != maps.shape[1] for p in parts)):
         raise ContractViolation(
             f"key_part_modeling: grids {x.shape}, maps {maps.shape} and "
             f"{[len(p) for p in parts]} parts per example disagree")
-    fibers = T.gather_at(x, [p.points for p in parts])
-    return T.concat([fibers, maps], rows=x.shape[0])
+    return T.gather_at(x, [p.points for p in parts]), maps
 
 
 def global_activation(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
@@ -139,17 +140,19 @@ def global_activation(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
     return T.conv2d(pooled, params.global_conv.weight, params.global_conv.bias)
 
 
-def head_forward(z_k: Tensor, z_g: Tensor, params: HeadParams, cfg: HeadConfig) -> HeadOutput:
-    """Example i's descriptor row is its key-part block ``z_k[i]`` then its
-    global block ``z_g[i]``, read row-major, joined row-wise into one N x D
-    matrix; the N rows go through the single FC -> relu -> parallel
+def head_forward(z_k: Sequence[Tensor], z_g: Tensor, params: HeadParams,
+                 cfg: HeadConfig) -> HeadOutput:
+    """Example i's descriptor row is its key-part block, the pieces ``z_k``
+    (``key_part_modeling``'s fibers and maps) at example i, then its global
+    block ``z_g[i]``, each read row-major; one row-wise join makes the N x D
+    matrix.  The N rows go through the single FC -> relu -> parallel
     classifier and regressor as one batch."""
-    n = z_k.shape[0]
-    descriptor = T.concat([z_k, z_g], rows=n)
+    pieces = [*z_k, z_g]
+    descriptor = T.concat(pieces, rows=z_g.shape[0])
     if descriptor.shape[1] != cfg.descriptor_len:
         raise ContractViolation(
-            f"head_forward: key-part blocks {z_k.shape} and global blocks {z_g.shape} give "
-            f"descriptors of length {descriptor.shape[1]}, not {cfg.descriptor_len}")
+            f"head_forward: blocks {[p.shape for p in pieces]} give descriptors of "
+            f"length {descriptor.shape[1]}, not {cfg.descriptor_len}")
     hidden = T.relu(T.linear(descriptor, params.fc.weight, params.fc.bias))
     v_cls = T.linear(hidden, params.cls.weight, params.cls.bias)
     v_reg = T.linear(hidden, params.reg.weight, params.reg.bias)
@@ -183,25 +186,21 @@ def full_condensed_forward(xs: Sequence[Tensor], disc_params: DiscoveryParams,
                            head_cfg: HeadConfig) -> Forward:
     """Run the whole condensed head on a batch of proposal grids.
 
-    The concentration blocks and the confidence prediction run per grid.
-    From the joined N x K x H x W raw maps on, everything runs once for the
-    batch: TMR, the peak search, the key-part gather, the global branch, the
-    descriptor join, the FC layers and the outputs.
+    The N grids are stacked once, and everything runs once for the batch
+    except the concentration blocks' grouped 3x3 conv, which runs per grid:
+    the blocks' relus, 1x1 convs and residual adds, the confidence
+    prediction, TMR, the peak search, the key-part gather, the global
+    branch, the descriptor join, the FC layers and the outputs.
     """
     if disc_cfg.channels != head_cfg.channels or disc_cfg.num_parts != head_cfg.num_parts:
         raise ConfigError("discovery and head configs disagree on channels/num_parts")
     _check_grids(xs, head_cfg)
-    refined, raws = [], []
-    # perfbench pins one discovery.block0.reduce3x3 call per example until
-    # ROADMAP item 1 repairs it; discovery's convs batch after that
-    for x in xs:
-        refined.append(concentration_forward(x, disc_params, disc_cfg))
-        raws.append(predict_confidence(refined[-1], disc_params, disc_cfg))
-    maps = tmr_squash(T.stack(raws), disc_cfg.alpha, disc_cfg.epsilon)
-    parts = extract_key_parts(maps)
     grids = T.stack(xs)
-    z_k = key_part_modeling(T.stack(refined) if disc_cfg.gather_from_refined else grids,
-                            maps, parts)
+    refined = concentration_forward(grids, disc_params, disc_cfg)
+    maps = tmr_squash(predict_confidence(refined, disc_params, disc_cfg),
+                      disc_cfg.alpha, disc_cfg.epsilon)
+    parts = extract_key_parts(maps)
+    z_k = key_part_modeling(refined if disc_cfg.gather_from_refined else grids, maps, parts)
     global_map = global_activation(grids, head_params, head_cfg)
     output = head_forward(z_k, global_map, head_params, head_cfg)
     return Forward(output=output, maps=maps, parts=parts, global_map=global_map)

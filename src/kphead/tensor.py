@@ -2,9 +2,9 @@
 
 The operation set is exactly what the condensed detection head needs:
 convolution (grouped, dilated, same-padded), adaptive average pooling,
-affine maps, relu/add/concat/stack plumbing, the truncated-max squash, peak lookup
-and feature gathering, plus the scalar arithmetic the training objectives
-are built from.
+affine maps, relu/add/concat/stack/pick plumbing, the truncated-max squash,
+peak lookup and feature gathering, plus the scalar arithmetic the training
+objectives are built from.
 
 The recorded graph lives in the output tensors themselves: every operation
 stores its tag, its input references and a backward closure over the saved
@@ -19,7 +19,8 @@ call.  The grid and map ops (``conv2d``, ``adaptive_avg_pool``, ``gather_at``,
 leading example axis: an N x C x H x W input runs as one batch, and a C x H x W
 input is the N = 1 case of the same code, with the example axis dropped
 from the output.  A batched ``conv2d`` sums its examples' weight-gradient
-products.
+products.  ``stack`` joins N tensors into a batch and ``pick`` reads one
+example back out of it, as a view.
 
 ``conv2d`` multiplies first and shifts after: one batched matmul takes every
 kernel tap of every output channel at every input position, and a sum over
@@ -414,6 +415,21 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
             _accumulate(part, g_part)
 
     return _record(np.array([p.data for p in parts]), "stack", parts, bwd)
+
+
+def pick(batch: Tensor, i: int) -> Tensor:
+    """Example ``i`` of an N x ... batch, as a view of the batch's data.  Its
+    gradient is added into slot i of the batch's one gradient buffer, so the
+    gradients of repeated picks accumulate."""
+    if batch.data.ndim < 2 or not 0 <= i < batch.shape[0]:
+        raise ContractViolation(f"pick: no example {i} in a batch of shape {batch.shape}")
+
+    def bwd(g):
+        if batch.grad is None:
+            batch.grad = np.zeros_like(batch.data)
+        batch.grad[i] += g
+
+    return _record(batch.data[i], "pick", (batch,), bwd)
 
 
 def channel_sum(t: Tensor) -> Tensor:

@@ -162,11 +162,27 @@ def smooth_l1_ref(a, b):
 
 
 def residual_block_loops(x, w3, b3, w1, b1, groups, dilation):
-    """One concentration block: grouped dilated 3x3, relu, 1x1, add input."""
+    """One concentration block: grouped dilated 3x3, relu, 1x1, add input; an
+    N x C x H x W ``x`` runs it on each example in turn."""
+    if x.ndim == 4:
+        return np.stack([residual_block_loops(ex, w3, b3, w1, b1, groups, dilation)
+                         for ex in x])
     mid = conv2d_loops(x, w3, b3, groups=groups, dilation=dilation)
     mid = np.maximum(mid, 0.0)
     restored = conv2d_loops(mid, w1, b1, groups=1, dilation=1)
     return x + restored
+
+
+def recorded_nodes(*roots):
+    """The recorded op nodes reachable from ``roots`` that a backward pass
+    runs: those with a backward closure, leaves and constants left out."""
+    seen, stack = {}, list(roots)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return [t for t in seen.values() if t._backward_fn is not None]
 
 
 def cross_entropy_ref(logits, target):

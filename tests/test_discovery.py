@@ -7,8 +7,9 @@ import pytest
 import oracles
 from kphead import tensor as T
 from kphead.discovery import (DiscoveryConfig, extract_key_parts, init_discovery_params,
-                              concentration_forward, predict_confidence, tmr_squash)
-from kphead.errors import ConfigError
+                              concentration_forward, named_tensors, predict_confidence,
+                              tmr_squash)
+from kphead.errors import ConfigError, ContractViolation
 from kphead.tensor import Tensor, backward
 
 TOY_CFG = DiscoveryConfig(channels=8, num_parts=2, num_blocks=1, reduction=2,
@@ -57,6 +58,48 @@ class TestConcentration:
             groups=TOY_CFG.groups, dilation=TOY_CFG.dilation)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
+    def test_batch_matches_block_loop_oracle(self):
+        rng = np.random.default_rng(21)
+        params = toy_params()
+        x = Tensor(rng.standard_normal((3, 8, 5, 5)))
+        out = concentration_forward(x, params, TOY_CFG)
+        blk = params.blocks[0]
+        want = oracles.residual_block_loops(
+            x.data, blk.reduce.weight.data, blk.reduce.bias.data,
+            blk.restore.weight.data, blk.restore.bias.data,
+            groups=TOY_CFG.groups, dilation=TOY_CFG.dilation)
+        assert want.shape == (3, 8, 5, 5)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
+
+    def test_batch_matches_each_grid_on_its_own(self):
+        """Concentration then prediction over N stacked grids gives each grid's
+        raw maps of a pass over that grid alone, and the same vector-Jacobian
+        product: each grid's input gradient, and parameter gradients summed
+        over the grids (a sum over the examples may round in another order)."""
+        cfg = DiscoveryConfig(channels=8, num_parts=3, num_blocks=2, reduction=2,
+                              groups=2, dilation=2)
+        params = toy_params(cfg, seed=22)
+        named = named_tensors("discovery", params)
+        rng = np.random.default_rng(23)
+        grids = rng.standard_normal((4, 8, 6, 5))
+        g = rng.standard_normal((4, 3, 6, 5))
+
+        def run(x_data, g_data):
+            for _, t in named:
+                t.grad = None
+            x = Tensor(x_data.copy(), requires_grad=True)
+            raw = predict_confidence(concentration_forward(x, params, cfg), params, cfg)
+            backward(T.sum_all(T.mul(raw, Tensor(g_data))))
+            return [raw.data, x.grad] + [t.grad for _, t in named]
+
+        batched = run(grids, g)
+        per_grid = [run(x, gi) for x, gi in zip(grids, g)]
+        want = ([np.stack([one[0] for one in per_grid]), np.stack([one[1] for one in per_grid])]
+                + [sum(one[j] for one in per_grid) for j in range(2, len(batched))])
+        for got, expected in zip(batched, want):
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
     def test_shape_preserved_at_full_scale(self):
         cfg = DiscoveryConfig(channels=256, num_parts=16)
         params = init_discovery_params(cfg, np.random.default_rng(0))
@@ -91,6 +134,14 @@ class TestPredictConfidence:
         want = oracles.conv2d_loops(x.data, params.predict.weight.data,
                                     params.predict.bias.data)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
+
+    def test_wrong_channel_count_names_the_channel_axis(self):
+        params = toy_params()
+        for shape in ((6, 5, 5), (8, 6, 5, 5)):
+            with pytest.raises(ContractViolation, match="expected 8 channels, got 6$"):
+                predict_confidence(Tensor(np.zeros(shape)), params, TOY_CFG)
+        with pytest.raises(ContractViolation, match=r"got shape \(8, 5\)"):
+            predict_confidence(Tensor(np.zeros((8, 5))), params, TOY_CFG)
 
 
 class TestTruncatedMaxSquash:

@@ -632,6 +632,26 @@ class TestExampleAxis:
             with pytest.raises(ContractViolation):
                 T.stack(bad)
 
+    def test_pick(self):
+        """``pick`` views example i of the batch; the gradients of repeated
+        picks add up in the batch's slot i, and an example never picked gets
+        zeros."""
+        rng = np.random.default_rng(30)
+        data = rng.standard_normal((3, 2, 4))
+        batch = Tensor(data, requires_grad=True)
+        picks = [T.pick(batch, i) for i in (2, 0, 2)]
+        assert all(np.shares_memory(p.data, data) for p in picks)
+        for p, i in zip(picks, (2, 0, 2)):
+            np.testing.assert_array_equal(p.data, data[i])
+        gs = [rng.standard_normal((2, 4)) for _ in picks]
+        T.backward(T.sum_all(T.concat([T.mul(p, Tensor(g)) for p, g in zip(picks, gs)])))
+        np.testing.assert_array_equal(batch.grad, [gs[1], np.zeros((2, 4)), gs[0] + gs[2]])
+        for bad in (-1, 3):
+            with pytest.raises(ContractViolation, match="no example"):
+                T.pick(batch, bad)
+        with pytest.raises(ContractViolation):
+            T.pick(Tensor(np.zeros(3)), 0)
+
     def test_three_axis_input_is_the_one_example_case(self):
         """A C x H x W input gives the N = 1 batch's output without its
         example axis."""

@@ -352,9 +352,12 @@ class TestBatchAxis:
 
     def test_each_example_adds_only_discoverys_nodes(self):
         """At the RunConfig() defaults a condensed training batch records, per
-        example, only discovery's nodes: conv, relu, conv and add per block,
-        then the predict conv.  TMR, the head and the losses record a fixed
-        count per batch (32 for a batch with a foreground and a background)."""
+        example, only the grouped 3x3 conv of each concentration block and the
+        pick of its input from the batch (block 0 picks from the grids, which
+        need no gradient, and records no pick).  Each block's stack, relu, 1x1
+        conv and add, the predict conv, TMR, the head and the losses record a
+        fixed count per batch (39 for a batch with a foreground and a
+        background)."""
         cfg = RunConfig()
         cfg.data = dataclasses.replace(cfg.data, n_train=32, n_test=1)
         examples = generate_dataset(cfg.data)[0]
@@ -364,18 +367,12 @@ class TestBatchAxis:
         model = build_condensed(cfg.discovery_config(), cfg.head_config(), cfg.train.seed)
 
         def recorded_nodes(batch):
-            seen, stack = {}, [_batch_loss(model, batch, cfg.train)[0]]
-            while stack:
-                t = stack.pop()
-                if id(t) not in seen:
-                    seen[id(t)] = t
-                    stack.extend(t._parents)
-            return sum(t._backward_fn is not None for t in seen.values())
+            return len(oracles.recorded_nodes(_batch_loss(model, batch, cfg.train)[0]))
 
-        per_example = 4 * cfg.discovery_config().num_blocks + 1
-        assert per_example == 9
+        per_example = 2 * cfg.discovery_config().num_blocks - 1
+        assert per_example == 3
         for n in (2, 3, 8, 16):
-            assert recorded_nodes(ordered[:n]) == per_example * n + 32, n
+            assert recorded_nodes(ordered[:n]) == per_example * n + 39, n
 
     def test_head_weights_enter_linear_once_per_batch(self, monkeypatch):
         cfg = tiny_run_config(epochs=1, batch_size=8)
