@@ -3,7 +3,9 @@ plus flat-file parameter serialization (f32 payload + plain-text manifest)."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +132,13 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     names the first op whose output went non-finite.  The loss alone misses
     a NaN that relu or TMR maps to 0, so ``_momentum_step`` also checks each
     updated weight and raises TrainingDivergence naming the parameter.
+
+    A model of at least ``_SPLIT_MIN`` parameter values, on a process that
+    may run on more than one CPU, updates its parameters on two threads:
+    ``train`` starts one worker thread for the length of the call, which
+    takes about half of each step's blocks, and shuts it down before it
+    returns or raises.  The bytes are those of the one-thread step.  Smaller
+    models, or one usable CPU, start no thread.
     """
     if not examples:
         raise ContractViolation("train: empty dataset")
@@ -137,52 +146,82 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     for _, t in named:
         t.grad = None
     velocity: dict[str, np.ndarray] = {}
-    scratch = np.empty(min(_STEP_BLOCK, max(t.size for _, t in named)))
+    block = min(_STEP_BLOCK, max(t.size for _, t in named))
+    scratch = np.empty(block)
     order_rng = np.random.default_rng([cfg.seed, 21])
     logs: list[EpochLog] = []
+    split = (sum(t.size for _, t in named) >= _SPLIT_MIN
+             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = order_rng.permutation(len(examples))
-        det_sum = ld_sum = lu_sum = 0.0
-        correct = 0
-        for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
-                    if not math.isfinite(total.item()):
-                        # no parameter has moved: the replay sees the same state
-                        with FiniteWatch(), NoGrad():
-                            _batch_loss(model, batch, cfg)
-                    backward(total)
-            except NonFiniteError as exc:
-                raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
-            _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx)
-            det_sum += det_v
-            ld_sum += ld_v
-            lu_sum += lu_v
-            correct += hits
-        n = len(examples)
-        logs.append(EpochLog(epoch=epoch, det_loss=det_sum / n, l_d=ld_sum / n,
-                             l_u=lu_sum / n, acc=correct / n))
+    with _step_pool() if split else contextlib.nullcontext() as pool:
+        worker = None if pool is None else (pool, np.empty(block))
+        for epoch in range(1, cfg.epochs + 1):
+            order = order_rng.permutation(len(examples))
+            det_sum = ld_sum = lu_sum = 0.0
+            correct = 0
+            for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
+                batch = [examples[i] for i in order[start:start + cfg.batch_size]]
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
+                        if not math.isfinite(total.item()):
+                            # no parameter has moved: the replay sees the same state
+                            with FiniteWatch(), NoGrad():
+                                _batch_loss(model, batch, cfg)
+                        backward(total)
+                except NonFiniteError as exc:
+                    raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
+                _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx,
+                               worker)
+                det_sum += det_v
+                ld_sum += ld_v
+                lu_sum += lu_v
+                correct += hits
+            n = len(examples)
+            logs.append(EpochLog(epoch=epoch, det_loss=det_sum / n, l_d=ld_sum / n,
+                                 l_u=lu_sum / n, acc=correct / n))
     return logs
 
 
-# Values per block of the momentum step: a block each of the weight,
-# velocity, gradient and scratch arrays (2 MiB in all) stays in L2 through
-# the block's four passes, where a whole array of fc1.weight's size would be
-# streamed from memory on each pass.
+# Values per block of the momentum step.  A block's five passes (decay, add,
+# scale, subtract, finiteness dot) each read a block of the weight, velocity,
+# gradient or scratch array that an earlier pass has just touched, where a
+# whole array of fc1.weight's size would be streamed from memory on each
+# pass.  At 64 Ki values the four blocks take 2 MiB, a whole L2 of the 2-CPU
+# Xeon this was sized on.  32 Ki made serial steps with a velocity faster
+# there (8.2 vs 8.8 ms for the paper-size condensed head), but one-step
+# train() calls of both paper-size heads, on the split path, 1-5% slower;
+# toy-size calls were level.
 _STEP_BLOCK = 1 << 16
 
 # x * 0 is +-0 for finite x and NaN for NaN or Inf, so a block's dot product
 # with zeros is 0.0 exactly when every value in the block is finite; it cannot
-# overflow, and it reads the block once while it is still in L2.
+# overflow, and it reads the block once while it is still in cache.
 _ZEROS = np.zeros(_STEP_BLOCK)
 _ZEROS.flags.writeable = False
 
+# Parameter values from which ``train`` hands half of each step to a worker
+# thread, given two usable CPUs.  Below it starting the thread and sharing the
+# interpreter lock cost more than the second CPU saves.  One-step train()
+# calls of the toy baseline with fc1 widened broke even at 1.88M values (4.74
+# vs 4.77 ms), were 6% faster split at 3.0M and 7% slower at 0.87M, the
+# default toy baseline's size.
+_SPLIT_MIN = 1 << 21
+
+
+def _step_pool():
+    """The one worker thread of a split step.  The executor is imported here,
+    so that a process that trains only smaller models never loads it: the
+    import alone made toy-size one-step train() calls ~1% slower and raised
+    peak RSS by ~0.6 MB."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1)
+
 
 def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
-                   scratch: np.ndarray, epoch: int, batch: int) -> None:
+                   scratch: np.ndarray, epoch: int, batch: int,
+                   worker: tuple | None = None) -> None:
     """One SGD-with-momentum update of every parameter, in place.
 
     Each element goes through ``v = v * m; v = v + g; s = v * lr; w = w - s``,
@@ -194,13 +233,23 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
     keeps decaying and moving by its velocity, or stays as it is if it has
     none yet.
 
-    Each updated block of weights is checked for NaN and Inf.  On the first
-    non-finite block the step stops with TrainingDivergence naming the
-    parameter, at ``epoch`` and ``batch``.  By then the parameters before it
-    in ``named`` order and its earlier blocks have taken the step; the rest
-    have not.
+    ``worker`` is None or a (one-thread executor, scratch block) pair.  Given
+    one, the (parameter, block) list in ``named`` order is cut into two
+    contiguous shares of about equal value count: the worker updates the
+    second share while the calling thread updates the first.  Every value
+    goes through the same passes either way, so the bytes do not change.
+
+    Each updated block of weights is checked for NaN and Inf, and a share
+    stops at its first non-finite block.  The step then raises
+    TrainingDivergence at ``epoch`` and ``batch``, naming the earliest
+    parameter in ``named`` order that a share stopped on.  By then every
+    gradient is off ``t.grad``.  In each share the blocks up to the one it
+    stopped on have taken the step and the later ones have not; a share that
+    found no non-finite block has taken all of its blocks.  With one thread
+    there is one share, so the parameters before the named one, and its
+    blocks up to the non-finite one, have moved.
     """
-    m, lr = cfg.momentum, cfg.learning_rate
+    work = []  # (name, weights, velocity, gradient or None, first) per block
     for name, t in named:
         g, t.grad = t.grad, None
         v = velocity.get(name)
@@ -212,15 +261,39 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
         w, v = t.data.reshape(-1), v.reshape(-1)
         g = None if first or g is None else g.reshape(-1)
         for lo in range(0, w.size, _STEP_BLOCK):
-            vb = v[lo:lo + _STEP_BLOCK]
-            if not first:
-                vb *= m
-                if g is not None:
-                    vb += g[lo:lo + _STEP_BLOCK]
-            wb = w[lo:lo + _STEP_BLOCK]
-            wb -= np.multiply(vb, lr, out=scratch[:vb.size])
-            if not np.dot(wb, _ZEROS[:wb.size]) == 0.0:
-                raise TrainingDivergence(epoch, batch, what=f"parameter {name!r}")
+            hi = lo + _STEP_BLOCK
+            work.append((name, w[lo:hi], v[lo:hi], None if g is None else g[lo:hi], first))
+    if worker is None:
+        stopped = _step_blocks(work, cfg, scratch)
+    else:
+        pool, worker_scratch = worker
+        # the calling thread takes blocks until it holds half of the values
+        cut, rest = 0, sum(item[1].size for item in work) / 2
+        while rest > 0:
+            rest -= work[cut][1].size
+            cut += 1
+        later = pool.submit(_step_blocks, work[cut:], cfg, worker_scratch)
+        stopped = _step_blocks(work[:cut], cfg, scratch)
+        stopped_later = later.result()
+        if stopped is None:
+            stopped = stopped_later
+    if stopped is not None:
+        raise TrainingDivergence(epoch, batch, what=f"parameter {stopped!r}")
+
+
+def _step_blocks(work, cfg: TrainConfig, scratch: np.ndarray) -> str | None:
+    """Update the blocks of ``work`` in order; return the name of the first
+    one that holds a non-finite weight after its update, or None."""
+    m, lr = cfg.momentum, cfg.learning_rate
+    for name, wb, vb, gb, first in work:
+        if not first:
+            vb *= m
+            if gb is not None:
+                vb += gb
+        wb -= np.multiply(vb, lr, out=scratch[:vb.size])
+        if not np.dot(wb, _ZEROS[:wb.size]) == 0.0:
+            return name
+    return None
 
 
 def _batch_loss(model, batch, cfg: TrainConfig):

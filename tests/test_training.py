@@ -1,7 +1,10 @@
 """Training loop mechanics and parameter-file round trips (fast configs)."""
 
 import dataclasses
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,6 +126,9 @@ class TestMomentumStep:
 
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
     def test_train_matches_the_textbook_loop(self, kind):
+        self._check_against_the_textbook_loop(kind)
+
+    def _check_against_the_textbook_loop(self, kind):
         cfg = self._config(epochs=3, batch_size=8)
         data, _ = generate_dataset(cfg.data)
         model, ref = self._model(kind, cfg), self._model(kind, cfg)
@@ -190,6 +196,132 @@ class TestMomentumStep:
         assert len(peaks) == 4
         assert max(peaks) < largest, (peaks, largest)
         assert all(t.grad is None for _, t in model.named_tensors())
+
+
+@pytest.fixture
+def split_step(monkeypatch):
+    """Make ``train`` split every step, on a tiny model and whatever CPUs the
+    process may use; returns the worker's share of each step, as handed to
+    the executor."""
+    shares = []
+    step_pool = training._step_pool
+
+    def recording_pool():
+        pool = step_pool()
+        submit = pool.submit
+
+        def record(fn, work, *args):
+            shares.append(work)
+            return submit(fn, work, *args)
+
+        pool.submit = record
+        return pool
+
+    monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(training, "_step_pool", recording_pool)
+    return shares
+
+
+class TestSplitStep:
+    """The step split between the calling thread and one worker thread."""
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_train_matches_the_textbook_loop(self, kind, split_step):
+        TestMomentumStep()._check_against_the_textbook_loop(kind)
+        # two calls of three epochs of three batches, each share non-empty
+        assert len(split_step) == 2 * 3 * 3 and all(split_step)
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_a_step_allocates_less_than_the_largest_parameter(self, kind, monkeypatch,
+                                                              split_step):
+        TestMomentumStep().test_a_step_allocates_less_than_the_largest_parameter(
+            kind, monkeypatch)
+        assert split_step
+
+    def test_one_usable_cpu_starts_no_thread(self, split_step, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(training, "_step_pool",
+                            lambda: pytest.fail("train started a thread pool"))
+        cfg = tiny_run_config(epochs=1)
+        model, _ = tiny_models(cfg)
+        data, _ = generate_dataset(cfg.data)
+        train(model, data, cfg.train)
+
+    @staticmethod
+    def _train_with_nan_gradients(monkeypatch, picks):
+        """Train the tiny condensed model with a NaN planted in the first
+        gradient of the parameters at ``picks`` in ``named`` order; return
+        the divergence message and the parameter names.  The step raises,
+        and no thread is left behind."""
+        cfg = tiny_run_config()
+        model, _ = tiny_models(cfg)
+        named = model.named_tensors()
+
+        def nan_backward(loss):
+            backward(loss)
+            for i in picks:
+                named[i][1].grad.flat[0] = np.nan
+
+        monkeypatch.setattr(training, "backward", nan_backward)
+        data, _ = generate_dataset(cfg.data)
+        threads = set(threading.enumerate())
+        with pytest.raises(TrainingDivergence) as err:
+            train(model, data, cfg.train)
+        assert (err.value.epoch, err.value.batch) == (1, 0)
+        assert set(threading.enumerate()) == threads
+        return str(err.value), [name for name, _ in named]
+
+    def test_a_nan_in_the_workers_share_is_named(self, monkeypatch, split_step):
+        message, names = self._train_with_nan_gradients(monkeypatch, [-1])
+        assert names[-1] in {item[0] for item in split_step[0]}
+        assert f"parameter {names[-1]!r}" in message
+
+    def test_nans_in_both_shares_name_the_earlier_parameter(self, monkeypatch, split_step):
+        message, names = self._train_with_nan_gradients(monkeypatch, [-1, 0])
+        assert names[0] not in {item[0] for item in split_step[0]}
+        assert f"parameter {names[0]!r}" in message
+
+    def test_each_share_stops_at_its_own_first_non_finite_block(self):
+        """Shares [p0 p0 p1 | p2 p2]: a NaN in p0's first block stops the
+        calling thread there, and the worker still updates all of p2."""
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig()
+        params = [Tensor(rng.standard_normal(n), requires_grad=True)
+                  for n in (2 * _STEP_BLOCK, 5, 2 * _STEP_BLOCK)]
+        named = [(f"p{i}", t) for i, t in enumerate(params)]
+        before = [t.data.copy() for t in params]
+        for t in params:
+            t.grad = rng.standard_normal(t.size)
+        params[0].grad[0] = np.nan
+        want = [w - cfg.learning_rate * t.grad for w, t in zip(before, params)]
+        with ThreadPoolExecutor(max_workers=1) as pool, pytest.raises(TrainingDivergence,
+                                                                      match="'p0'"):
+            _momentum_step(named, {}, cfg, np.empty(_STEP_BLOCK), 1, 0,
+                           (pool, np.empty(_STEP_BLOCK)))
+        p0, p1, p2 = (t.data for t in params)
+        assert np.isnan(p0[0]) and p0[1:_STEP_BLOCK].tobytes() == want[0][1:_STEP_BLOCK].tobytes()
+        assert p0[_STEP_BLOCK:].tobytes() == before[0][_STEP_BLOCK:].tobytes()
+        assert p1.tobytes() == before[1].tobytes()
+        assert p2.tobytes() == want[2].tobytes()
+        assert all(t.grad is None for t in params)
+
+    @pytest.mark.parametrize("lr", [0.02, 1e9])
+    def test_train_leaves_no_thread_behind(self, lr, split_step):
+        """It returns, or with a huge rate raises TrainingDivergence on a
+        non-finite loss after the worker has started, with no thread left
+        over from the split step."""
+        cfg = tiny_run_config(learning_rate=lr, epochs=3)
+        model, _ = tiny_models(cfg)
+        data, _ = generate_dataset(cfg.data)
+        before = set(threading.enumerate())
+        if lr > 1:
+            with pytest.raises(TrainingDivergence):
+                train(model, data, cfg.train)
+        else:
+            train(model, data, cfg.train)
+        assert split_step
+        assert set(threading.enumerate()) == before
 
 
 class TestAblationSwitches:
