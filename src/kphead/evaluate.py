@@ -18,6 +18,7 @@ from .dataset import ToyExample
 from .errors import ContractViolation
 from .losses import BACKGROUND
 from .tensor import NoGrad
+from .training import on_two_cpus
 
 EVAL_CHUNK = 16  # examples per forward pass
 
@@ -63,9 +64,21 @@ def key_part_recall(points: list[tuple[int, int]],
 
 def evaluate(model, examples: list[ToyExample]) -> Metrics:
     """Metrics of ``model`` over ``examples``, in forward passes of
-    ``EVAL_CHUNK`` examples that record no graph."""
+    ``EVAL_CHUNK`` examples that record no graph.
+
+    A model of at least ``training._SPLIT_MIN`` parameter values, on a
+    process that may run on more than one CPU, evaluates on two threads
+    (``training.on_two_cpus``): one worker thread serves the whole call and
+    computes half of each ``linear`` product whose weight has at least
+    ``tensor._LINEAR_SPLIT_MIN`` values.  At the FPN-VOC head shapes the
+    metrics are the same bytes either way (see ``tensor.linear``).  Smaller
+    models, or one usable CPU, start no thread."""
     if not examples:
         raise ContractViolation("evaluate: empty dataset")
+    return on_two_cpus(model, _evaluate, model, examples)
+
+
+def _evaluate(model, examples: list[ToyExample]) -> Metrics:
     correct = 0
     box_err_sum = 0.0
     box_count = 0

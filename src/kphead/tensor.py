@@ -14,7 +14,14 @@ same recording is rejected.
 
 Every op adds its gradients when its closure runs.  ``linear`` maps a whole
 N x D batch at once, so its weight gradient is one ``g.T @ x`` product per
-call.  The grid and map ops (``conv2d``, ``adaptive_avg_pool``, ``gather_at``,
+call.  Under a ``Worker``, a context that holds one one-thread executor in a
+module-level slot (training and evaluation of a large model enter one for
+the call), ``linear`` splits each of its three products whose weight has at
+least ``_LINEAR_SPLIT_MIN`` values: the worker's thread computes one half of
+the output's longer axis and the calling thread the other, into one array.
+The reduction axis is never split; the halves match the whole product's
+bytes at the FPN-VOC head shapes, but not at every shape (see ``linear``).
+The grid and map ops (``conv2d``, ``adaptive_avg_pool``, ``gather_at``,
 ``truncated_max_squash``, ``map_peaks``, ``channel_sum``) take an optional
 leading example axis: an N x C x H x W input runs as one batch, and a C x H x W
 input is the N = 1 case of the same code, with the example axis dropped
@@ -181,6 +188,35 @@ class NoGrad:
 
 
 _no_grad: list[NoGrad] = []
+
+
+class Worker:
+    """Context manager that lends ``linear`` a second CPU: ``executor`` is a
+    one-thread ``concurrent.futures`` executor, and while the innermost
+    entered ``Worker`` holds it, each ``linear`` product with a weight of at
+    least ``_LINEAR_SPLIT_MIN`` values computes half of its output on the
+    executor's thread.  Training's momentum step finds the same executor
+    through ``Worker.current()``.  Entering and leaving neither start nor
+    stop the thread: whoever made the executor shuts it down.  It nests like
+    ``NoGrad``, and like it the slot is one per process, not per thread."""
+
+    def __init__(self, executor):
+        self.executor = executor
+
+    def __enter__(self):
+        _workers.append(self.executor)
+        return self.executor
+
+    def __exit__(self, *exc) -> None:
+        _workers.remove(self.executor)
+
+    @staticmethod
+    def current():
+        """The executor of the innermost entered ``Worker``, or None."""
+        return _workers[-1] if _workers else None
+
+
+_workers: list = []
 
 
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
@@ -565,9 +601,64 @@ def gather_at(t: Tensor, points) -> Tensor:
 
 # -- layers -----------------------------------------------------------------
 
+# Weight values from which ``linear`` splits its products under a ``Worker``.
+# Below it the hand-off to the worker thread costs more than the second CPU
+# saves.  Per product on the 2-CPU Xeon this was sized on, BLAS on 1 thread: a
+# 128 x 1024 weight was level at N = 16 (x @ W.T 0.101 vs 0.077 ms, g.T @ x
+# 0.068 vs 0.071) and slower split at N = 4 (0.017 vs 0.045 ms); at 256 x 1024
+# every product at both N was faster split (x @ W.T 0.134 -> 0.051 ms at
+# N = 4), and a 1024 x 1024 one 0.78 -> 0.46 ms at N = 16.  At the FPN-VOC
+# setting fc, fc1 and fc2 split; cls and reg do not.
+_LINEAR_SPLIT_MIN = 1 << 18
+
+
+def _linear_pool(x_data: np.ndarray, w_data: np.ndarray):
+    """The entered ``Worker``'s executor when ``linear``'s products on an
+    N x D batch ``x_data`` and weight ``w_data`` are large enough to split,
+    else None."""
+    if x_data.ndim == 2 and w_data.size >= _LINEAR_SPLIT_MIN:
+        return _workers[-1]
+    return None
+
+
+def _split_matmul(a: np.ndarray, b: np.ndarray, pool) -> np.ndarray:
+    """``a @ b`` for 2-D ``a`` and ``b``, with the output's longer axis cut in
+    two: ``pool``'s thread computes the second half into the output while
+    the calling thread computes the first.  The reduction axis is never cut,
+    so each output element is still one BLAS dot product."""
+    rows, cols = a.shape[0], b.shape[1]
+    out = np.empty((rows, cols))
+    if cols >= rows:
+        h = cols // 2
+        first, second = (a, b[:, :h], out[:, :h]), (a, b[:, h:], out[:, h:])
+    else:
+        h = rows // 2
+        first, second = (a[:h], b, out[:h]), (a[h:], b, out[h:])
+    later = pool.submit(np.matmul, *second)
+    try:
+        np.matmul(*first)
+    finally:
+        later.result()
+    return out
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight.T + bias of a length-D vector or of each row of
-    an N x D batch; the output is O or N x O for an O x D weight."""
+    an N x D batch; the output is O or N x O for an O x D weight.
+
+    Under a ``Worker``, an N x D batch against a weight of at least
+    ``_LINEAR_SPLIT_MIN`` values computes each of its three products
+    (``x @ W.T``, ``g.T @ x``, ``g @ W``) into one new array, half on the
+    worker's thread and half on the calling thread (``_split_matmul``); each
+    product checks for an entered ``Worker`` when it runs.  The halves may
+    round differently from the whole product, because BLAS blocks a
+    narrower matrix differently.  With OpenBLAS 0.3.31 the bytes were the
+    same for every product of fc1 (1024 x 12544), fc (1024 x 6480) and fc2
+    (1024 x 1024) at N = 1..16.  Over odd shapes (N in {1, 3, 16}, D and O
+    from 5 to 4097) 48 of 225 products differed, by up to 2.7e-15 of the
+    largest output magnitude (16 x 4097 @ 4097 x 1023).  Without a
+    ``Worker`` the products are plain ``@``.
+    """
     if x.data.ndim not in (1, 2):
         raise ContractViolation(f"linear needs a D or N x D input, got shape {x.shape}")
     d = x.shape[-1]
@@ -579,13 +670,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x_data, w_data = x.data, weight.data
 
     def bwd(g):
+        pool = _linear_pool(x_data, w_data) if _workers else None
         if x.requires_grad:
-            _accumulate(x, g @ w_data, fresh=True)
+            _accumulate(x, g @ w_data if pool is None else _split_matmul(g, w_data, pool),
+                        fresh=True)
         g_rows = g.reshape(-1, w_data.shape[0])
-        _accumulate(weight, g_rows.T @ x_data.reshape(-1, d), fresh=True)
+        x_rows = x_data.reshape(-1, d)
+        _accumulate(weight, g_rows.T @ x_rows if pool is None
+                    else _split_matmul(g_rows.T, x_rows, pool), fresh=True)
         _accumulate(bias, g_rows.sum(axis=0), fresh=True)
 
-    return _record(x_data @ w_data.T + bias.data, "linear", (x, weight, bias), bwd)
+    pool = _linear_pool(x_data, w_data) if _workers else None
+    out = x_data @ w_data.T if pool is None else _split_matmul(x_data, w_data.T, pool)
+    return _record(out + bias.data, "linear", (x, weight, bias), bwd)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, groups: int = 1,

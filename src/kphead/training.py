@@ -3,7 +3,7 @@ plus flat-file parameter serialization (f32 payload + plain-text manifest)."""
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, 
 from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
 from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
                    full_condensed_forward, init_baseline_params, init_head_params)
-from .tensor import FiniteWatch, NoGrad, Tensor, backward
+from .tensor import FiniteWatch, NoGrad, Tensor, Worker, backward
 
 
 @dataclass
@@ -48,6 +48,12 @@ class _Model:
 
     def scalar_count(self) -> int:
         return sum(t.size for _, t in self.named_tensors())
+
+    @functools.cached_property
+    def large(self) -> bool:
+        """At least ``_SPLIT_MIN`` parameter values, decided at the first
+        ``train`` or ``evaluate`` call (see ``on_two_cpus``)."""
+        return self.scalar_count() >= _SPLIT_MIN
 
 
 @dataclass
@@ -134,14 +140,20 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     updated weight and raises TrainingDivergence naming the parameter.
 
     A model of at least ``_SPLIT_MIN`` parameter values, on a process that
-    may run on more than one CPU, updates its parameters on two threads:
-    ``train`` starts one worker thread for the length of the call, which
-    takes about half of each step's blocks, and shuts it down before it
-    returns or raises.  The bytes are those of the one-thread step.  Smaller
-    models, or one usable CPU, start no thread.
+    may run on more than one CPU, trains on two threads (``on_two_cpus``):
+    one worker thread serves the whole call.  It computes half of each
+    ``linear`` product whose weight has at least
+    ``tensor._LINEAR_SPLIT_MIN`` values, and about half of each step's
+    blocks.  The step's bytes are those of the one-thread step, and the
+    products' bytes are the same at the FPN-VOC head shapes (see
+    ``tensor.linear``).  Smaller models, or one usable CPU, start no thread.
     """
     if not examples:
         raise ContractViolation("train: empty dataset")
+    return on_two_cpus(model, _train, model, examples, cfg)
+
+
+def _train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]:
     named = model.named_tensors()
     for _, t in named:
         t.grad = None
@@ -150,36 +162,32 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     scratch = np.empty(block)
     order_rng = np.random.default_rng([cfg.seed, 21])
     logs: list[EpochLog] = []
-    split = (sum(t.size for _, t in named) >= _SPLIT_MIN
-             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1)
-
-    with _step_pool() if split else contextlib.nullcontext() as pool:
-        worker = None if pool is None else (pool, np.empty(block))
-        for epoch in range(1, cfg.epochs + 1):
-            order = order_rng.permutation(len(examples))
-            det_sum = ld_sum = lu_sum = 0.0
-            correct = 0
-            for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
-                batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
-                        if not math.isfinite(total.item()):
-                            # no parameter has moved: the replay sees the same state
-                            with FiniteWatch(), NoGrad():
-                                _batch_loss(model, batch, cfg)
-                        backward(total)
-                except NonFiniteError as exc:
-                    raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
-                _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx,
-                               worker)
-                det_sum += det_v
-                ld_sum += ld_v
-                lu_sum += lu_v
-                correct += hits
-            n = len(examples)
-            logs.append(EpochLog(epoch=epoch, det_loss=det_sum / n, l_d=ld_sum / n,
-                                 l_u=lu_sum / n, acc=correct / n))
+    pool = Worker.current()
+    worker = None if pool is None else (pool, np.empty(block))
+    for epoch in range(1, cfg.epochs + 1):
+        order = order_rng.permutation(len(examples))
+        det_sum = ld_sum = lu_sum = 0.0
+        correct = 0
+        for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
+            batch = [examples[i] for i in order[start:start + cfg.batch_size]]
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
+                    if not math.isfinite(total.item()):
+                        # no parameter has moved: the replay sees the same state
+                        with FiniteWatch(), NoGrad():
+                            _batch_loss(model, batch, cfg)
+                    backward(total)
+            except NonFiniteError as exc:
+                raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
+            _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx, worker)
+            det_sum += det_v
+            ld_sum += ld_v
+            lu_sum += lu_v
+            correct += hits
+        n = len(examples)
+        logs.append(EpochLog(epoch=epoch, det_loss=det_sum / n, l_d=ld_sum / n,
+                             l_u=lu_sum / n, acc=correct / n))
     return logs
 
 
@@ -200,7 +208,7 @@ _STEP_BLOCK = 1 << 16
 _ZEROS = np.zeros(_STEP_BLOCK)
 _ZEROS.flags.writeable = False
 
-# Parameter values from which ``train`` hands half of each step to a worker
+# Parameter values from which ``train`` and ``evaluate`` run with a worker
 # thread, given two usable CPUs.  Below it starting the thread and sharing the
 # interpreter lock cost more than the second CPU saves.  One-step train()
 # calls of the toy baseline with fc1 widened broke even at 1.88M values (4.74
@@ -210,13 +218,27 @@ _SPLIT_MIN = 1 << 21
 
 
 def _step_pool():
-    """The one worker thread of a split step.  The executor is imported here,
-    so that a process that trains only smaller models never loads it: the
+    """The one worker thread of a call on two CPUs.  The executor is imported
+    here, so that a process that runs only smaller models never loads it: the
     import alone made toy-size one-step train() calls ~1% slower and raised
     peak RSS by ~0.6 MB."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1)
+
+
+def on_two_cpus(model, fn, *args):
+    """``fn(*args)``; for a ``large`` model, when ``os.sched_getaffinity``
+    lists more than one CPU, with one one-thread executor entered as a
+    ``tensor.Worker`` around it.  ``linear`` and ``_momentum_step`` hand it
+    half of their work.  It is shut down, its thread joined, before this
+    returns or raises.  A smaller model runs ``fn`` with nothing around it
+    and never asks for the CPU count."""
+    if not model.large or not (hasattr(os, "sched_getaffinity")
+                               and len(os.sched_getaffinity(0)) > 1):
+        return fn(*args)
+    with _step_pool() as pool, Worker(pool):
+        return fn(*args)
 
 
 def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,

@@ -1,12 +1,18 @@
 """Evaluation metrics: recall matching, chance-level estimate, fixtures."""
 
 import contextlib
+import dataclasses
 import importlib
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from kphead import tensor as T
+from kphead import training
 from kphead.dataset import ToyDatasetSpec, generate_dataset
+from kphead.errors import ContractViolation
 from kphead.evaluate import chance_recall_estimate, evaluate, key_part_recall
 from kphead.runconfig import RunConfig
 from kphead.training import build_baseline, build_condensed
@@ -115,3 +121,48 @@ class TestEvaluate:
         assert np.isfinite(m.box_mae)
         row = m.csv_row()
         assert len(row.split(",")) == len(m.CSV_HEADER.split(","))
+
+
+class TestEvaluateThreads:
+    """``evaluate`` runs a large model with one worker thread for the call
+    and a small one with none."""
+
+    @staticmethod
+    def _no_pool(monkeypatch):
+        monkeypatch.setattr(training, "_step_pool",
+                            lambda: pytest.fail("evaluate started a thread pool"))
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_a_small_model_starts_no_thread(self, kind, monkeypatch):
+        models, test_set = _small_models_and_test_set()
+        self._no_pool(monkeypatch)
+        threads = set(threading.enumerate())
+        evaluate(models[kind], test_set)
+        assert set(threading.enumerate()) == threads
+
+    def test_one_usable_cpu_makes_no_executor(self, monkeypatch):
+        monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        self._no_pool(monkeypatch)
+        models, test_set = _small_models_and_test_set()
+        evaluate(models["baseline"], test_set)
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_a_large_model_leaves_no_thread_and_the_same_metrics(self, kind, forced_split):
+        models, test_set = _small_models_and_test_set()
+        want = evaluate_mod._evaluate(models[kind], test_set).csv_row()  # no Worker
+        threads = set(threading.enumerate())
+        assert evaluate(models[kind], test_set).csv_row() == want
+        assert set(threading.enumerate()) == threads
+        assert forced_split and T.Worker.current() is None
+
+    def test_an_error_mid_forward_leaves_no_thread(self, forced_split):
+        models, test_set = _small_models_and_test_set()
+        bad = test_set[16]  # the second forward pass's first example
+        test_set[16] = dataclasses.replace(bad, x=T.Tensor(bad.x.data[1:]))
+        threads = set(threading.enumerate())
+        with pytest.raises(ContractViolation):
+            evaluate(models["baseline"], test_set)
+        assert forced_split  # the first forward pass used the worker
+        assert set(threading.enumerate()) == threads
+        assert T.Worker.current() is None

@@ -1,5 +1,7 @@
 """Graymap export: file count, round trips, normalization guard, sidecar."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestExport:
         model, data = tiny_condensed()
         paths = export_heatmaps(model, data[0], tmp_path / "out", threshold=0.1)
         sidecar = [p for p in paths if p.endswith(".txt")][0]
-        lines = open(sidecar).read().splitlines()
+        lines = Path(sidecar).read_text().splitlines()
         assert "0.1" in lines[0]
         rows = [l for l in lines if not l.startswith("#")]
         assert len(rows) == 3

@@ -1,9 +1,12 @@
 """Forward semantics of every tensor operation against naive loop oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import oracles
+from kphead import gradcheck
 from kphead import tensor as T
 from kphead.discovery import extract_key_parts
 from kphead.errors import ConfigError, ContractViolation
@@ -231,6 +234,92 @@ class TestLinear:
         for row, x_row in zip(out.data, x.data):
             np.testing.assert_allclose(row, oracles.linear_loops(x_row, w.data, b.data),
                                        atol=1e-12)
+
+
+@pytest.fixture
+def split_linear(monkeypatch):
+    """A real one-thread executor, for a test to enter as a ``T.Worker``,
+    with every batched ``linear`` product large enough to split; returns
+    (executor, list of the arguments of each product handed to it)."""
+    monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 0)
+    handed = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        submit = pool.submit
+
+        def counted(fn, *args):
+            handed.append(args)
+            return submit(fn, *args)
+
+        pool.submit = counted
+        yield pool, handed
+
+
+def _linear_with_vjp(x, w, b, g):
+    """Output of ``T.linear`` and the gradients of ``sum(out * g)`` with
+    respect to x, the weight and the bias."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.linear(xt, wt, bt)
+    T.backward(T.sum_all(T.mul(out, Tensor(g))))
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+class TestSplitLinear:
+    """``linear`` under a ``Worker``: each product's output is cut in two
+    along its longer axis, one half computed on the worker's thread."""
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    @pytest.mark.parametrize("d, o", [(7, 5), (33, 65), (1025, 1023)])
+    def test_forward_and_vjp_match_the_unsplit_op(self, split_linear, n, d, o):
+        pool, handed = split_linear
+        rng = np.random.default_rng([n, d, o])
+        args = (rng.standard_normal((n, d)), rng.standard_normal((o, d)),
+                rng.standard_normal(o), rng.standard_normal((n, o)))
+        plain = _linear_with_vjp(*args)
+        assert not handed
+        with T.Worker(pool):
+            split = _linear_with_vjp(*args)
+        assert len(handed) == 3  # x @ W.T, g @ W and g.T @ x
+        for got, want in zip(split, plain):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_the_paper_hidden_layer_is_byte_identical(self, split_linear):
+        pool, handed = split_linear
+        rng = np.random.default_rng(7)
+        args = (rng.standard_normal((16, 1024)), rng.standard_normal((1024, 1024)),
+                rng.standard_normal(1024), rng.standard_normal((16, 1024)))
+        plain = _linear_with_vjp(*args)
+        with T.Worker(pool):
+            split = _linear_with_vjp(*args)
+        assert len(handed) == 3
+        assert [a.tobytes() for a in split] == [a.tobytes() for a in plain]
+
+    def test_gradcheck_passes_on_the_split_path(self, split_linear):
+        pool, handed = split_linear
+        with T.Worker(pool):
+            err = gradcheck.CHECKS["linear"](np.random.default_rng([0, 0, 2]))
+        assert handed and err < gradcheck.GRAD_TOL
+
+    def test_small_weights_and_vectors_do_not_split(self, split_linear, monkeypatch):
+        pool, handed = split_linear
+        monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 6)
+        rng = np.random.default_rng(8)
+        with T.Worker(pool):
+            _linear_with_vjp(rng.standard_normal((4, 2)), rng.standard_normal((2, 2)),
+                             np.zeros(2), rng.standard_normal((4, 2)))
+            _linear_with_vjp(rng.standard_normal(3), rng.standard_normal((2, 3)),
+                             np.zeros(2), rng.standard_normal(2))
+        assert not handed
+
+    def test_workers_nest_and_leave_the_slot_empty(self, split_linear):
+        pool, _ = split_linear
+        with ThreadPoolExecutor(max_workers=1) as inner:
+            with T.Worker(pool):
+                with pytest.raises(RuntimeError), T.Worker(inner):
+                    assert T.Worker.current() is inner
+                    raise RuntimeError
+                assert T.Worker.current() is pool
+        assert T.Worker.current() is None
 
 
 class TestElementwiseAndConcat:

@@ -5,6 +5,7 @@ import os
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +348,33 @@ class TestAblationSwitches:
         assert all(row.l_d == 0.0 for row in logs)
 
 
+class TestSplitProducts:
+    """On two CPUs ``train`` also hands half of each large ``linear`` product
+    to its worker thread."""
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_training_matches_training_on_one_thread(self, kind, forced_split, monkeypatch):
+        cfg = tiny_run_config()
+        data, _ = generate_dataset(cfg.data)
+        pick = {"condensed": 0, "baseline": 1}[kind]
+        plain, split = tiny_models(cfg)[pick], tiny_models(cfg)[pick]
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            plain_logs = train(plain, data, cfg.train)
+        assert not forced_split
+
+        threads = set(threading.enumerate())
+        split_logs = train(split, data, cfg.train)
+        assert set(threading.enumerate()) == threads
+        assert np.matmul in forced_split and training._step_blocks in forced_split
+        for (name, a), (_, b) in zip(plain.named_tensors(), split.named_tensors()):
+            assert np.max(np.abs(a.data - b.data)) <= 1e-12 * np.max(np.abs(a.data)), name
+        for a, b in zip(plain_logs, split_logs):
+            np.testing.assert_allclose(
+                [b.det_loss, b.l_d, b.l_u, b.acc], [a.det_loss, a.l_d, a.l_u, a.acc],
+                rtol=1e-12)
+
+
 class TestParameterFiles:
     def test_round_trip_at_f32_precision(self, tmp_path):
         cfg = tiny_run_config()
@@ -377,7 +405,7 @@ class TestParameterFiles:
         model, _ = tiny_models(cfg)
         path = tmp_path / "params.bin"
         save_params(path, model, {})
-        manifest = open(manifest_path(path)).read().splitlines()
+        manifest = Path(manifest_path(path)).read_text().splitlines()
         assert manifest[0] == "kphead-params v1"
         tensor_rows = manifest[manifest.index("tensors:") + 1:]
         assert len(tensor_rows) == len(model.named_tensors())
