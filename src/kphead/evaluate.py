@@ -6,6 +6,10 @@ receptive fields blur exact peak locations by design).  The reported chance
 level D*K/(H*W) is the expected number of exact planted-cell/key-point
 coincidences per foreground example if the K points were placed uniformly
 and independently.
+
+Evaluation runs no graph and takes no thread of its own: a large ``linear``
+product in a forward pass shares the process's worker thread
+(``tensor._worker``), as it does in training.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .dataset import ToyExample
 from .errors import ContractViolation
 from .losses import BACKGROUND
 from .tensor import NoGrad
-from .training import on_two_cpus
 
 EVAL_CHUNK = 16  # examples per forward pass
 
@@ -66,19 +69,14 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
     """Metrics of ``model`` over ``examples``, in forward passes of
     ``EVAL_CHUNK`` examples that record no graph.
 
-    A model of at least ``training._SPLIT_MIN`` parameter values, on a
-    process that may run on more than one CPU, evaluates on two threads
-    (``training.on_two_cpus``): one worker thread serves the whole call and
-    computes half of each ``linear`` product whose weight has at least
-    ``tensor._LINEAR_SPLIT_MIN`` values.  At the FPN-VOC head shapes the
-    metrics are the same bytes either way (see ``tensor.linear``).  Smaller
-    models, or one usable CPU, start no thread."""
+    On a process that may run on more than one CPU, the worker thread
+    (``tensor._worker``) computes half of each ``linear`` product whose
+    weight has at least ``tensor._LINEAR_SPLIT_MIN`` values (at the toy
+    setting, the baseline's fc1 alone).  At the FPN-VOC head shapes, and for
+    the toy baseline's 16-example passes, the metrics are the same bytes
+    either way (see ``tensor.linear``)."""
     if not examples:
         raise ContractViolation("evaluate: empty dataset")
-    return on_two_cpus(model, _evaluate, model, examples)
-
-
-def _evaluate(model, examples: list[ToyExample]) -> Metrics:
     correct = 0
     box_err_sum = 0.0
     box_count = 0

@@ -14,11 +14,11 @@ same recording is rejected.
 
 Every op adds its gradients when its closure runs.  ``linear`` maps a whole
 N x D batch at once, so its weight gradient is one ``g.T @ x`` product per
-call.  Under a ``Worker``, a context that holds one one-thread executor in a
-module-level slot (training and evaluation of a large model enter one for
-the call), ``linear`` splits each of its three products whose weight has at
-least ``_LINEAR_SPLIT_MIN`` values: the worker's thread computes one half of
-the output's longer axis and the calling thread the other, into one array.
+call.  A process that may run on more than one CPU keeps one worker thread
+(``_worker``), made the first time some work is large enough to split:
+``linear`` splits each of its three products whose weight has at least
+``_LINEAR_SPLIT_MIN`` values, the worker's thread computing one half of the
+output's longer axis and the calling thread the other, into one array.
 The reduction axis is never split; the halves match the whole product's
 bytes at the FPN-VOC head shapes, but not at every shape (see ``linear``).
 The grid and map ops (``conv2d``, ``adaptive_avg_pool``, ``gather_at``,
@@ -52,6 +52,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -190,33 +192,37 @@ class NoGrad:
 _no_grad: list[NoGrad] = []
 
 
-class Worker:
-    """Context manager that lends ``linear`` a second CPU: ``executor`` is a
-    one-thread ``concurrent.futures`` executor, and while the innermost
-    entered ``Worker`` holds it, each ``linear`` product with a weight of at
-    least ``_LINEAR_SPLIT_MIN`` values computes half of its output on the
-    executor's thread.  Training's momentum step finds the same executor
-    through ``Worker.current()``.  Entering and leaving neither start nor
-    stop the thread: whoever made the executor shuts it down.  It nests like
-    ``NoGrad``, and like it the slot is one per process, not per thread."""
+def _worker():
+    """The process's one worker thread, as a one-thread executor, or None
+    while ``os.sched_getaffinity`` lets the process run on one CPU only.
 
-    def __init__(self, executor):
-        self.executor = executor
+    It is made, and ``concurrent.futures`` imported, the first time some
+    work large enough to split asks for it, so a process that runs only
+    small models never loads the module (the import alone raised toy-size
+    peak RSS by ~0.6 MB); every later call returns the same executor.  Its
+    thread, ``kphead-worker_0``, sleeps between hand-offs and is joined at
+    interpreter exit.  Whoever hands it work waits for it before returning
+    or raising, so it is idle between ops.  A forked child starts with an
+    empty slot: the parent's thread does not exist there."""
+    global _pool
+    if _pool is None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        with _pool_lock:
+            if _pool is None:
+                from concurrent.futures import ThreadPoolExecutor
 
-    def __enter__(self):
-        _workers.append(self.executor)
-        return self.executor
-
-    def __exit__(self, *exc) -> None:
-        _workers.remove(self.executor)
-
-    @staticmethod
-    def current():
-        """The executor of the innermost entered ``Worker``, or None."""
-        return _workers[-1] if _workers else None
+                _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kphead-worker")
+    return _pool
 
 
-_workers: list = []
+def _forget_worker() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+_pool = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
@@ -601,24 +607,16 @@ def gather_at(t: Tensor, points) -> Tensor:
 
 # -- layers -----------------------------------------------------------------
 
-# Weight values from which ``linear`` splits its products under a ``Worker``.
-# Below it the hand-off to the worker thread costs more than the second CPU
-# saves.  Per product on the 2-CPU Xeon this was sized on, BLAS on 1 thread: a
-# 128 x 1024 weight was level at N = 16 (x @ W.T 0.101 vs 0.077 ms, g.T @ x
-# 0.068 vs 0.071) and slower split at N = 4 (0.017 vs 0.045 ms); at 256 x 1024
-# every product at both N was faster split (x @ W.T 0.134 -> 0.051 ms at
-# N = 4), and a 1024 x 1024 one 0.78 -> 0.46 ms at N = 16.  At the FPN-VOC
-# setting fc, fc1 and fc2 split; cls and reg do not.
+# Weight values from which ``linear`` splits its products.  Below it the
+# hand-off to the worker thread costs more than the second CPU saves.  Per
+# product on the 2-CPU Xeon this was sized on, BLAS on 1 thread: a 128 x 1024
+# weight was level at N = 16 (x @ W.T 0.101 vs 0.077 ms, g.T @ x 0.068 vs
+# 0.071) and slower split at N = 4 (0.017 vs 0.045 ms); at 256 x 1024 every
+# product at both N was faster split (x @ W.T 0.134 -> 0.051 ms at N = 4),
+# and a 1024 x 1024 one 0.78 -> 0.46 ms at N = 16.  At the FPN-VOC setting
+# fc, fc1 and fc2 split, cls and reg do not; at the toy setting the
+# baseline's fc1 (256 x 3136) splits and nothing else does.
 _LINEAR_SPLIT_MIN = 1 << 18
-
-
-def _linear_pool(x_data: np.ndarray, w_data: np.ndarray):
-    """The entered ``Worker``'s executor when ``linear``'s products on an
-    N x D batch ``x_data`` and weight ``w_data`` are large enough to split,
-    else None."""
-    if x_data.ndim == 2 and w_data.size >= _LINEAR_SPLIT_MIN:
-        return _workers[-1]
-    return None
 
 
 def _split_matmul(a: np.ndarray, b: np.ndarray, pool) -> np.ndarray:
@@ -646,18 +644,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x @ weight.T + bias of a length-D vector or of each row of
     an N x D batch; the output is O or N x O for an O x D weight.
 
-    Under a ``Worker``, an N x D batch against a weight of at least
-    ``_LINEAR_SPLIT_MIN`` values computes each of its three products
-    (``x @ W.T``, ``g.T @ x``, ``g @ W``) into one new array, half on the
-    worker's thread and half on the calling thread (``_split_matmul``); each
-    product checks for an entered ``Worker`` when it runs.  The halves may
-    round differently from the whole product, because BLAS blocks a
-    narrower matrix differently.  With OpenBLAS 0.3.31 the bytes were the
-    same for every product of fc1 (1024 x 12544), fc (1024 x 6480) and fc2
-    (1024 x 1024) at N = 1..16.  Over odd shapes (N in {1, 3, 16}, D and O
-    from 5 to 4097) 48 of 225 products differed, by up to 2.7e-15 of the
-    largest output magnitude (16 x 4097 @ 4097 x 1023).  Without a
-    ``Worker`` the products are plain ``@``.
+    An N x D batch against a weight of at least ``_LINEAR_SPLIT_MIN`` values,
+    on a process with a worker thread (``_worker``), computes each of its
+    three products (``x @ W.T``, ``g.T @ x``, ``g @ W``) into one new array,
+    half on the worker's thread and half on the calling thread
+    (``_split_matmul``); the size is tested first, so smaller layers never
+    ask for the worker.  The halves may round differently from the whole
+    product, because BLAS blocks a narrower matrix differently.  With
+    OpenBLAS 0.3.31 the bytes were the same for every product of fc1
+    (1024 x 12544), fc (1024 x 6480) and fc2 (1024 x 1024) at N = 1..16.
+    Over odd shapes (N in {1, 3, 16}, D and O from 5 to 4097) 48 of 225
+    products differed, by up to 2.7e-15 of the largest output magnitude
+    (16 x 4097 @ 4097 x 1023).  On one usable CPU the products are plain
+    ``@``.
     """
     if x.data.ndim not in (1, 2):
         raise ContractViolation(f"linear needs a D or N x D input, got shape {x.shape}")
@@ -668,9 +667,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (weight.shape[0],):
         raise ContractViolation(f"linear: bias {bias.shape} vs {weight.shape[0]} outputs")
     x_data, w_data = x.data, weight.data
+    split = w_data.size >= _LINEAR_SPLIT_MIN and x_data.ndim == 2
 
     def bwd(g):
-        pool = _linear_pool(x_data, w_data) if _workers else None
+        pool = _worker() if split else None
         if x.requires_grad:
             _accumulate(x, g @ w_data if pool is None else _split_matmul(g, w_data, pool),
                         fresh=True)
@@ -680,7 +680,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                     else _split_matmul(g_rows.T, x_rows, pool), fresh=True)
         _accumulate(bias, g_rows.sum(axis=0), fresh=True)
 
-    pool = _linear_pool(x_data, w_data) if _workers else None
+    pool = _worker() if split else None
     out = x_data @ w_data.T if pool is None else _split_matmul(x_data, w_data.T, pool)
     return _record(out + bias.data, "linear", (x, weight, bias), bwd)
 

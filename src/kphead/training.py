@@ -1,22 +1,26 @@
 """Minibatch SGD training of the baseline and condensed heads on the toy task,
-plus flat-file parameter serialization (f32 payload + plain-text manifest)."""
+plus flat-file parameter serialization (f32 payload + plain-text manifest).
+
+Training takes no thread of its own.  On a process that may run on more
+than one CPU, large ``linear`` products and large momentum steps share the
+process's one worker thread (``tensor._worker``) with the calling thread:
+each decides on its own size whether to split, and waits for the worker
+before it returns or raises."""
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import losses, tensor
 from .dataset import ToyExample
 from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, named_tensors
 from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
 from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
                    full_condensed_forward, init_baseline_params, init_head_params)
-from .tensor import FiniteWatch, NoGrad, Tensor, Worker, backward
+from .tensor import FiniteWatch, NoGrad, Tensor, backward
 
 
 @dataclass
@@ -32,8 +36,13 @@ class TrainConfig:
     use_uniqueness: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0 <= self.okpd_loss_weight < math.inf:
+            raise ConfigError(
+                f"okpd_loss_weight must be finite and >= 0, got {self.okpd_loss_weight}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.seed < 0:
@@ -48,12 +57,6 @@ class _Model:
 
     def scalar_count(self) -> int:
         return sum(t.size for _, t in self.named_tensors())
-
-    @functools.cached_property
-    def large(self) -> bool:
-        """At least ``_SPLIT_MIN`` parameter values, decided at the first
-        ``train`` or ``evaluate`` call (see ``on_two_cpus``)."""
-        return self.scalar_count() >= _SPLIT_MIN
 
 
 @dataclass
@@ -139,31 +142,23 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     a NaN that relu or TMR maps to 0, so ``_momentum_step`` also checks each
     updated weight and raises TrainingDivergence naming the parameter.
 
-    A model of at least ``_SPLIT_MIN`` parameter values, on a process that
-    may run on more than one CPU, trains on two threads (``on_two_cpus``):
-    one worker thread serves the whole call.  It computes half of each
-    ``linear`` product whose weight has at least
-    ``tensor._LINEAR_SPLIT_MIN`` values, and about half of each step's
-    blocks.  The step's bytes are those of the one-thread step, and the
-    products' bytes are the same at the FPN-VOC head shapes (see
-    ``tensor.linear``).  Smaller models, or one usable CPU, start no thread.
+    On a process that may run on more than one CPU, the worker thread
+    (``tensor._worker``) computes half of each ``linear`` product whose
+    weight has at least ``tensor._LINEAR_SPLIT_MIN`` values, and about half
+    of the blocks of each step that updates at least ``_SPLIT_MIN`` values.
+    The step's bytes are those of the one-thread step, and the products'
+    bytes are the same at the FPN-VOC head shapes (see ``tensor.linear``).
     """
     if not examples:
         raise ContractViolation("train: empty dataset")
-    return on_two_cpus(model, _train, model, examples, cfg)
-
-
-def _train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]:
     named = model.named_tensors()
     for _, t in named:
         t.grad = None
     velocity: dict[str, np.ndarray] = {}
     block = min(_STEP_BLOCK, max(t.size for _, t in named))
-    scratch = np.empty(block)
+    scratch = np.empty((2, block))  # the worker's row is only touched on a split step
     order_rng = np.random.default_rng([cfg.seed, 21])
     logs: list[EpochLog] = []
-    pool = Worker.current()
-    worker = None if pool is None else (pool, np.empty(block))
     for epoch in range(1, cfg.epochs + 1):
         order = order_rng.permutation(len(examples))
         det_sum = ld_sum = lu_sum = 0.0
@@ -180,7 +175,7 @@ def _train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog
                     backward(total)
             except NonFiniteError as exc:
                 raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
-            _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx, worker)
+            _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx)
             det_sum += det_v
             ld_sum += ld_v
             lu_sum += lu_v
@@ -208,42 +203,18 @@ _STEP_BLOCK = 1 << 16
 _ZEROS = np.zeros(_STEP_BLOCK)
 _ZEROS.flags.writeable = False
 
-# Parameter values from which ``train`` and ``evaluate`` run with a worker
-# thread, given two usable CPUs.  Below it starting the thread and sharing the
-# interpreter lock cost more than the second CPU saves.  One-step train()
-# calls of the toy baseline with fc1 widened broke even at 1.88M values (4.74
-# vs 4.77 ms), were 6% faster split at 3.0M and 7% slower at 0.87M, the
-# default toy baseline's size.
-_SPLIT_MIN = 1 << 21
-
-
-def _step_pool():
-    """The one worker thread of a call on two CPUs.  The executor is imported
-    here, so that a process that runs only smaller models never loads it: the
-    import alone made toy-size one-step train() calls ~1% slower and raised
-    peak RSS by ~0.6 MB."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=1)
-
-
-def on_two_cpus(model, fn, *args):
-    """``fn(*args)``; for a ``large`` model, when ``os.sched_getaffinity``
-    lists more than one CPU, with one one-thread executor entered as a
-    ``tensor.Worker`` around it.  ``linear`` and ``_momentum_step`` hand it
-    half of their work.  It is shut down, its thread joined, before this
-    returns or raises.  A smaller model runs ``fn`` with nothing around it
-    and never asks for the CPU count."""
-    if not model.large or not (hasattr(os, "sched_getaffinity")
-                               and len(os.sched_getaffinity(0)) > 1):
-        return fn(*args)
-    with _step_pool() as pool, Worker(pool):
-        return fn(*args)
+# Values from which a momentum step hands half of its blocks to the worker
+# thread, given one (see ``tensor._worker``).  Below it the hand-off costs
+# more than the second CPU saves.  Per step on the 2-CPU Xeon this was sized
+# on, BLAS on 1 thread, serial vs split, first step (gradient adopted as the
+# velocity) and velocity step: 256 Ki values 0.34 vs 0.42 ms and 0.67 vs
+# 0.58; 512 Ki 0.76 vs 0.69 and 0.93 vs 0.71; the toy baseline's 0.87M 1.11
+# vs 0.95 and 1.64 vs 1.23.  The toy condensed head (0.16M) does not split.
+_SPLIT_MIN = 1 << 19
 
 
 def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
-                   scratch: np.ndarray, epoch: int, batch: int,
-                   worker: tuple | None = None) -> None:
+                   scratch: np.ndarray, epoch: int, batch: int) -> None:
     """One SGD-with-momentum update of every parameter, in place.
 
     Each element goes through ``v = v * m; v = v + g; s = v * lr; w = w - s``,
@@ -255,11 +226,13 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
     keeps decaying and moving by its velocity, or stays as it is if it has
     none yet.
 
-    ``worker`` is None or a (one-thread executor, scratch block) pair.  Given
-    one, the (parameter, block) list in ``named`` order is cut into two
-    contiguous shares of about equal value count: the worker updates the
-    second share while the calling thread updates the first.  Every value
-    goes through the same passes either way, so the bytes do not change.
+    ``scratch`` has two rows of at least a block each.  A step that updates
+    at least ``_SPLIT_MIN`` values, on a process with a worker thread
+    (``tensor._worker``), cuts its (parameter, block) list in ``named`` order
+    into two contiguous shares of about equal value count: the worker
+    updates the second share, with the second row, while the calling thread
+    updates the first.  Every value goes through the same passes either way,
+    so the bytes do not change.
 
     Each updated block of weights is checked for NaN and Inf, and a share
     stops at its first non-finite block.  The step then raises
@@ -272,6 +245,7 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
     blocks up to the non-finite one, have moved.
     """
     work = []  # (name, weights, velocity, gradient or None, first) per block
+    count = 0
     for name, t in named:
         g, t.grad = t.grad, None
         v = velocity.get(name)
@@ -282,23 +256,25 @@ def _momentum_step(named, velocity: dict[str, np.ndarray], cfg: TrainConfig,
             velocity[name] = v = g
         w, v = t.data.reshape(-1), v.reshape(-1)
         g = None if first or g is None else g.reshape(-1)
+        count += w.size
         for lo in range(0, w.size, _STEP_BLOCK):
             hi = lo + _STEP_BLOCK
             work.append((name, w[lo:hi], v[lo:hi], None if g is None else g[lo:hi], first))
-    if worker is None:
-        stopped = _step_blocks(work, cfg, scratch)
+    pool = tensor._worker() if count >= _SPLIT_MIN else None
+    if pool is None:
+        stopped = _step_blocks(work, cfg, scratch[0])
     else:
-        pool, worker_scratch = worker
         # the calling thread takes blocks until it holds half of the values
-        cut, rest = 0, sum(item[1].size for item in work) / 2
+        cut, rest = 0, count / 2
         while rest > 0:
             rest -= work[cut][1].size
             cut += 1
-        later = pool.submit(_step_blocks, work[cut:], cfg, worker_scratch)
-        stopped = _step_blocks(work[:cut], cfg, scratch)
-        stopped_later = later.result()
-        if stopped is None:
-            stopped = stopped_later
+        later = pool.submit(_step_blocks, work[cut:], cfg, scratch[1])
+        try:
+            stopped = _step_blocks(work[:cut], cfg, scratch[0])
+        finally:
+            stopped_later = later.result()
+        stopped = stopped or stopped_later
     if stopped is not None:
         raise TrainingDivergence(epoch, batch, what=f"parameter {stopped!r}")
 
@@ -434,7 +410,9 @@ def load_params(payload_path) -> tuple[str, dict[str, str], dict[str, np.ndarray
 
 
 def restore_into(model, tensors: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into a freshly built model of the matching kind."""
+    """Copy loaded arrays into a freshly built model of the matching kind,
+    each into the model's own float64 array, so no second copy of a
+    parameter is made and the dict can be changed afterwards."""
     named = model.named_tensors()
     extra = sorted(set(tensors) - {name for name, _ in named})
     if extra:
@@ -446,4 +424,4 @@ def restore_into(model, tensors: dict[str, np.ndarray]) -> None:
         if tensors[name].shape != t.shape:
             raise ContractViolation(
                 f"tensor {name!r}: file shape {tensors[name].shape} vs model {t.shape}")
-        t.data = tensors[name].copy()
+        np.copyto(t.data, tensors[name])

@@ -296,6 +296,16 @@ class TestToyTrainEvalHeatmaps:
         assert is_one_error_line(err) and "seed must be >= 0, got -3" in err
         assert not out.exists()
 
+    def test_momentum_outside_zero_to_one_exits_2(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        out = tmp_path / "p.bin"
+        rc = main(["toy", "train", "--data", str(data), "--out", str(out)]
+                  + BASE_FLAGS + ["--train.momentum", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert is_one_error_line(err) and "momentum must be in [0, 1), got -1.0" in err
+        assert not out.exists()
+
     def test_baseline_model_trains_too(self, tmp_path):
         data = gen(tmp_path)
         rc = main(["toy", "train", "--data", str(data), "--out",

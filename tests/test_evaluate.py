@@ -4,13 +4,11 @@ import contextlib
 import dataclasses
 import importlib
 import os
-import threading
 
 import numpy as np
 import pytest
 
 from kphead import tensor as T
-from kphead import training
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.errors import ContractViolation
 from kphead.evaluate import chance_recall_estimate, evaluate, key_part_recall
@@ -124,45 +122,38 @@ class TestEvaluate:
 
 
 class TestEvaluateThreads:
-    """``evaluate`` runs a large model with one worker thread for the call
-    and a small one with none."""
-
-    @staticmethod
-    def _no_pool(monkeypatch):
-        monkeypatch.setattr(training, "_step_pool",
-                            lambda: pytest.fail("evaluate started a thread pool"))
+    """``evaluate`` hands half of each large ``linear`` product to the
+    process's worker thread; a small model never asks for it."""
 
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
     def test_a_small_model_starts_no_thread(self, kind, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(T, "_pool", None)
         models, test_set = _small_models_and_test_set()
-        self._no_pool(monkeypatch)
-        threads = set(threading.enumerate())
         evaluate(models[kind], test_set)
-        assert set(threading.enumerate()) == threads
+        assert T._pool is None
 
-    def test_one_usable_cpu_makes_no_executor(self, monkeypatch):
-        monkeypatch.setattr(training, "_SPLIT_MIN", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        self._no_pool(monkeypatch)
+    def test_one_usable_cpu_makes_no_executor(self, one_cpu, monkeypatch):
+        monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 0)
         models, test_set = _small_models_and_test_set()
         evaluate(models["baseline"], test_set)
+        assert T._pool is None
 
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
-    def test_a_large_model_leaves_no_thread_and_the_same_metrics(self, kind, forced_split):
+    def test_a_large_model_leaves_no_thread_and_the_same_metrics(self, kind, forced_split,
+                                                                 monkeypatch):
         models, test_set = _small_models_and_test_set()
-        want = evaluate_mod._evaluate(models[kind], test_set).csv_row()  # no Worker
-        threads = set(threading.enumerate())
+        with monkeypatch.context() as m:
+            m.setattr(T, "_worker", lambda: None)
+            want = evaluate(models[kind], test_set).csv_row()
+        assert not forced_split
         assert evaluate(models[kind], test_set).csv_row() == want
-        assert set(threading.enumerate()) == threads
-        assert forced_split and T.Worker.current() is None
+        assert forced_split
 
     def test_an_error_mid_forward_leaves_no_thread(self, forced_split):
         models, test_set = _small_models_and_test_set()
         bad = test_set[16]  # the second forward pass's first example
         test_set[16] = dataclasses.replace(bad, x=T.Tensor(bad.x.data[1:]))
-        threads = set(threading.enumerate())
         with pytest.raises(ContractViolation):
             evaluate(models["baseline"], test_set)
         assert forced_split  # the first forward pass used the worker
-        assert set(threading.enumerate()) == threads
-        assert T.Worker.current() is None

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kphead import tensor as T
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.errors import ConfigError, ContractViolation
 from kphead.heatmaps import export_heatmaps, normalize01, read_pgm, write_pgm
@@ -117,3 +118,14 @@ class TestExport:
         with pytest.raises(ConfigError, match="condensed model"):
             export_heatmaps(baseline, data[0], tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+
+def test_split_products_write_the_same_files(tmp_path, forced_split, monkeypatch):
+    model, data = tiny_condensed()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_worker", lambda: None)
+        plain = export_heatmaps(model, data[0], tmp_path / "one")
+    assert not forced_split
+    split = export_heatmaps(model, data[0], tmp_path / "two")
+    assert forced_split
+    assert [Path(p).read_bytes() for p in split] == [Path(p).read_bytes() for p in plain]

@@ -31,3 +31,20 @@ def test_sections_are_checked_on_the_merged_values(tmp_path):
     with pytest.raises(ConfigError, match="parts_per_class"):
         load_config(path)
     assert load_config(path, {"data.parts_per_class": "1"}).data.height == 1
+
+
+@pytest.mark.parametrize("kw, problem", [
+    ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite and > 0, got nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be finite and > 0, got inf"),
+    ({"momentum": -1.0}, "momentum must be in [0, 1), got -1.0"),
+    ({"momentum": 1.0}, "momentum must be in [0, 1), got 1.0"),
+    ({"momentum": float("nan")}, "momentum must be in [0, 1), got nan"),
+    ({"okpd_loss_weight": -0.5}, "okpd_loss_weight must be finite and >= 0, got -0.5"),
+    ({"okpd_loss_weight": float("nan")}, "okpd_loss_weight must be finite and >= 0, got nan"),
+])
+def test_train_settings_outside_their_range_are_rejected(kw, problem):
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(**kw)
+    assert str(err.value) == problem
+    TrainConfig(momentum=0.0, okpd_loss_weight=0.0)

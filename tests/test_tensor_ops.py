@@ -1,7 +1,5 @@
 """Forward semantics of every tensor operation against naive loop oracles."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -237,21 +235,14 @@ class TestLinear:
 
 
 @pytest.fixture
-def split_linear(monkeypatch):
-    """A real one-thread executor, for a test to enter as a ``T.Worker``,
-    with every batched ``linear`` product large enough to split; returns
-    (executor, list of the arguments of each product handed to it)."""
-    monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 0)
-    handed = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        submit = pool.submit
+def split_linear(monkeypatch, worker_tasks):
+    """``run(split, *args)``: ``_linear_with_vjp(*args)``, plain or with every
+    batched product split on the process's worker thread."""
+    def run(split, *args):
+        monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 0 if split else 1 << 62)
+        return _linear_with_vjp(*args)
 
-        def counted(fn, *args):
-            handed.append(args)
-            return submit(fn, *args)
-
-        pool.submit = counted
-        yield pool, handed
+    return run
 
 
 def _linear_with_vjp(x, w, b, g):
@@ -264,62 +255,52 @@ def _linear_with_vjp(x, w, b, g):
 
 
 class TestSplitLinear:
-    """``linear`` under a ``Worker``: each product's output is cut in two
+    """``linear`` with the worker thread: each product's output is cut in two
     along its longer axis, one half computed on the worker's thread."""
 
     @pytest.mark.parametrize("n", [1, 3, 16])
     @pytest.mark.parametrize("d, o", [(7, 5), (33, 65), (1025, 1023)])
-    def test_forward_and_vjp_match_the_unsplit_op(self, split_linear, n, d, o):
-        pool, handed = split_linear
+    def test_forward_and_vjp_match_the_unsplit_op(self, split_linear, worker_tasks, n, d, o):
         rng = np.random.default_rng([n, d, o])
         args = (rng.standard_normal((n, d)), rng.standard_normal((o, d)),
                 rng.standard_normal(o), rng.standard_normal((n, o)))
-        plain = _linear_with_vjp(*args)
-        assert not handed
-        with T.Worker(pool):
-            split = _linear_with_vjp(*args)
-        assert len(handed) == 3  # x @ W.T, g @ W and g.T @ x
+        plain = split_linear(False, *args)
+        assert not worker_tasks
+        split = split_linear(True, *args)
+        assert len(worker_tasks) == 3  # x @ W.T, g @ W and g.T @ x
         for got, want in zip(split, plain):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_the_paper_hidden_layer_is_byte_identical(self, split_linear):
-        pool, handed = split_linear
+    def test_the_paper_hidden_layer_is_byte_identical(self, split_linear, worker_tasks):
         rng = np.random.default_rng(7)
         args = (rng.standard_normal((16, 1024)), rng.standard_normal((1024, 1024)),
                 rng.standard_normal(1024), rng.standard_normal((16, 1024)))
-        plain = _linear_with_vjp(*args)
-        with T.Worker(pool):
-            split = _linear_with_vjp(*args)
-        assert len(handed) == 3
+        plain = split_linear(False, *args)
+        split = split_linear(True, *args)
+        assert len(worker_tasks) == 3
         assert [a.tobytes() for a in split] == [a.tobytes() for a in plain]
 
-    def test_gradcheck_passes_on_the_split_path(self, split_linear):
-        pool, handed = split_linear
-        with T.Worker(pool):
-            err = gradcheck.CHECKS["linear"](np.random.default_rng([0, 0, 2]))
-        assert handed and err < gradcheck.GRAD_TOL
+    def test_gradcheck_passes_on_the_split_path(self, forced_split):
+        err = gradcheck.CHECKS["linear"](np.random.default_rng([0, 0, 2]))
+        assert forced_split and err < gradcheck.GRAD_TOL
 
-    def test_small_weights_and_vectors_do_not_split(self, split_linear, monkeypatch):
-        pool, handed = split_linear
+    def test_small_weights_and_vectors_do_not_split(self, worker_tasks, monkeypatch):
         monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 6)
         rng = np.random.default_rng(8)
-        with T.Worker(pool):
-            _linear_with_vjp(rng.standard_normal((4, 2)), rng.standard_normal((2, 2)),
-                             np.zeros(2), rng.standard_normal((4, 2)))
-            _linear_with_vjp(rng.standard_normal(3), rng.standard_normal((2, 3)),
-                             np.zeros(2), rng.standard_normal(2))
-        assert not handed
+        _linear_with_vjp(rng.standard_normal((4, 2)), rng.standard_normal((2, 2)),
+                         np.zeros(2), rng.standard_normal((4, 2)))
+        _linear_with_vjp(rng.standard_normal(3), rng.standard_normal((2, 3)),
+                         np.zeros(2), rng.standard_normal(2))
+        assert not worker_tasks
 
-    def test_workers_nest_and_leave_the_slot_empty(self, split_linear):
-        pool, _ = split_linear
-        with ThreadPoolExecutor(max_workers=1) as inner:
-            with T.Worker(pool):
-                with pytest.raises(RuntimeError), T.Worker(inner):
-                    assert T.Worker.current() is inner
-                    raise RuntimeError
-                assert T.Worker.current() is pool
-        assert T.Worker.current() is None
+    def test_one_usable_cpu_makes_no_worker(self, one_cpu, monkeypatch):
+        monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 0)
+        rng = np.random.default_rng(9)
+        args = (rng.standard_normal((4, 3)), rng.standard_normal((2, 3)), np.zeros(2),
+                rng.standard_normal((4, 2)))
+        _linear_with_vjp(*args)
+        assert T._pool is None
 
 
 class TestElementwiseAndConcat:

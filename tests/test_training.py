@@ -1,10 +1,8 @@
 """Training loop mechanics and parameter-file round trips (fast configs)."""
 
 import dataclasses
-import os
-import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +150,7 @@ class TestMomentumStep:
         want = [t.data.copy() for t in params]
         want_v = [np.zeros(n) for n in sizes]
         velocity = {}
-        scratch = np.empty(_STEP_BLOCK)
+        scratch = np.empty((2, _STEP_BLOCK))
         for has_grad in ((True, False), (False, True), (False, False), (True, True)):
             for t, w, v, flag in zip(params, want, want_v, has_grad):
                 g = rng.standard_normal(t.size) if flag else None
@@ -200,61 +198,49 @@ class TestMomentumStep:
 
 
 @pytest.fixture
-def split_step(monkeypatch):
-    """Make ``train`` split every step, on a tiny model and whatever CPUs the
-    process may use; returns the worker's share of each step, as handed to
-    the executor."""
-    shares = []
-    step_pool = training._step_pool
-
-    def recording_pool():
-        pool = step_pool()
-        submit = pool.submit
-
-        def record(fn, work, *args):
-            shares.append(work)
-            return submit(fn, work, *args)
-
-        pool.submit = record
-        return pool
-
+def split_step(monkeypatch, worker_tasks):
+    """Make ``train`` split every step with the process's worker thread;
+    returns the tasks handed to it (see ``worker_tasks``)."""
     monkeypatch.setattr(training, "_SPLIT_MIN", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(training, "_step_pool", recording_pool)
-    return shares
+    return worker_tasks
+
+
+def worker_shares(tasks):
+    """The worker's share of each split step among ``tasks``."""
+    return [args[0] for fn, args in tasks if fn is training._step_blocks]
 
 
 class TestSplitStep:
-    """The step split between the calling thread and one worker thread."""
+    """The step split between the calling thread and the worker thread."""
 
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
     def test_train_matches_the_textbook_loop(self, kind, split_step):
         TestMomentumStep()._check_against_the_textbook_loop(kind)
         # two calls of three epochs of three batches, each share non-empty
-        assert len(split_step) == 2 * 3 * 3 and all(split_step)
+        shares = worker_shares(split_step)
+        assert len(shares) == 2 * 3 * 3 and all(shares)
 
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
     def test_a_step_allocates_less_than_the_largest_parameter(self, kind, monkeypatch,
                                                               split_step):
         TestMomentumStep().test_a_step_allocates_less_than_the_largest_parameter(
             kind, monkeypatch)
-        assert split_step
+        assert worker_shares(split_step)
 
-    def test_one_usable_cpu_starts_no_thread(self, split_step, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(training, "_step_pool",
-                            lambda: pytest.fail("train started a thread pool"))
+    def test_one_usable_cpu_starts_no_thread(self, one_cpu, monkeypatch):
+        monkeypatch.setattr(training, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 0)
         cfg = tiny_run_config(epochs=1)
         model, _ = tiny_models(cfg)
         data, _ = generate_dataset(cfg.data)
         train(model, data, cfg.train)
+        assert T._pool is None
 
     @staticmethod
     def _train_with_nan_gradients(monkeypatch, picks):
         """Train the tiny condensed model with a NaN planted in the first
         gradient of the parameters at ``picks`` in ``named`` order; return
-        the divergence message and the parameter names.  The step raises,
-        and no thread is left behind."""
+        the divergence message and the parameter names."""
         cfg = tiny_run_config()
         model, _ = tiny_models(cfg)
         named = model.named_tensors()
@@ -266,26 +252,33 @@ class TestSplitStep:
 
         monkeypatch.setattr(training, "backward", nan_backward)
         data, _ = generate_dataset(cfg.data)
-        threads = set(threading.enumerate())
         with pytest.raises(TrainingDivergence) as err:
             train(model, data, cfg.train)
         assert (err.value.epoch, err.value.batch) == (1, 0)
-        assert set(threading.enumerate()) == threads
         return str(err.value), [name for name, _ in named]
 
     def test_a_nan_in_the_workers_share_is_named(self, monkeypatch, split_step):
         message, names = self._train_with_nan_gradients(monkeypatch, [-1])
-        assert names[-1] in {item[0] for item in split_step[0]}
+        assert names[-1] in {item[0] for item in worker_shares(split_step)[0]}
         assert f"parameter {names[-1]!r}" in message
 
     def test_nans_in_both_shares_name_the_earlier_parameter(self, monkeypatch, split_step):
         message, names = self._train_with_nan_gradients(monkeypatch, [-1, 0])
-        assert names[0] not in {item[0] for item in split_step[0]}
+        assert names[0] not in {item[0] for item in worker_shares(split_step)[0]}
         assert f"parameter {names[0]!r}" in message
 
-    def test_each_share_stops_at_its_own_first_non_finite_block(self):
+    def test_each_share_stops_at_its_own_first_non_finite_block(self, split_step,
+                                                                 monkeypatch):
         """Shares [p0 p0 p1 | p2 p2]: a NaN in p0's first block stops the
-        calling thread there, and the worker still updates all of p2."""
+        calling thread there, and the worker still updates all of p2 before
+        the step raises, even when it starts its share late."""
+        submit = T._pool.submit
+
+        def late(fn, *args):
+            submit(time.sleep, 0.2)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(T._pool, "submit", late)
         rng = np.random.default_rng(0)
         cfg = TrainConfig()
         params = [Tensor(rng.standard_normal(n), requires_grad=True)
@@ -296,10 +289,9 @@ class TestSplitStep:
             t.grad = rng.standard_normal(t.size)
         params[0].grad[0] = np.nan
         want = [w - cfg.learning_rate * t.grad for w, t in zip(before, params)]
-        with ThreadPoolExecutor(max_workers=1) as pool, pytest.raises(TrainingDivergence,
-                                                                      match="'p0'"):
-            _momentum_step(named, {}, cfg, np.empty(_STEP_BLOCK), 1, 0,
-                           (pool, np.empty(_STEP_BLOCK)))
+        with pytest.raises(TrainingDivergence, match="'p0'"):
+            _momentum_step(named, {}, cfg, np.empty((2, _STEP_BLOCK)), 1, 0)
+        assert [item[0] for item in worker_shares(split_step)[0]] == ["p2", "p2"]
         p0, p1, p2 = (t.data for t in params)
         assert np.isnan(p0[0]) and p0[1:_STEP_BLOCK].tobytes() == want[0][1:_STEP_BLOCK].tobytes()
         assert p0[_STEP_BLOCK:].tobytes() == before[0][_STEP_BLOCK:].tobytes()
@@ -310,19 +302,19 @@ class TestSplitStep:
     @pytest.mark.parametrize("lr", [0.02, 1e9])
     def test_train_leaves_no_thread_behind(self, lr, split_step):
         """It returns, or with a huge rate raises TrainingDivergence on a
-        non-finite loss after the worker has started, with no thread left
-        over from the split step."""
+        non-finite loss after the worker has taken a share; either way the
+        worker is the only other thread, idle (see ``one_idle_worker``), and
+        still the one the process started with."""
+        worker = T._pool
         cfg = tiny_run_config(learning_rate=lr, epochs=3)
         model, _ = tiny_models(cfg)
         data, _ = generate_dataset(cfg.data)
-        before = set(threading.enumerate())
         if lr > 1:
             with pytest.raises(TrainingDivergence):
                 train(model, data, cfg.train)
         else:
             train(model, data, cfg.train)
-        assert split_step
-        assert set(threading.enumerate()) == before
+        assert worker_shares(split_step) and T._pool is worker
 
 
 class TestAblationSwitches:
@@ -350,7 +342,7 @@ class TestAblationSwitches:
 
 class TestSplitProducts:
     """On two CPUs ``train`` also hands half of each large ``linear`` product
-    to its worker thread."""
+    to the worker thread."""
 
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
     def test_training_matches_training_on_one_thread(self, kind, forced_split, monkeypatch):
@@ -359,14 +351,12 @@ class TestSplitProducts:
         pick = {"condensed": 0, "baseline": 1}[kind]
         plain, split = tiny_models(cfg)[pick], tiny_models(cfg)[pick]
         with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            m.setattr(T, "_worker", lambda: None)
             plain_logs = train(plain, data, cfg.train)
         assert not forced_split
 
-        threads = set(threading.enumerate())
         split_logs = train(split, data, cfg.train)
-        assert set(threading.enumerate()) == threads
-        assert np.matmul in forced_split and training._step_blocks in forced_split
+        assert {np.matmul, training._step_blocks} == {fn for fn, _ in forced_split}
         for (name, a), (_, b) in zip(plain.named_tensors(), split.named_tensors()):
             assert np.max(np.abs(a.data - b.data)) <= 1e-12 * np.max(np.abs(a.data)), name
         for a, b in zip(plain_logs, split_logs):
@@ -399,6 +389,29 @@ class TestParameterFiles:
         restore_into(fresh, tensors)
         for (_, a), (_, b) in zip(model.named_tensors(), fresh.named_tensors()):
             np.testing.assert_allclose(a.data, b.data, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_restore_into_writes_into_the_models_own_arrays(self, dtype):
+        model, _ = tiny_models(tiny_run_config())
+        arrays = [t.data for _, t in model.named_tensors()]
+        rng = np.random.default_rng(5)
+        tensors = {name: rng.standard_normal(t.shape).astype(dtype)
+                   for name, t in model.named_tensors()}
+        restore_into(model, tensors)
+        for (name, t), arr in zip(model.named_tensors(), arrays):
+            assert t.data is arr and t.data.dtype == np.float64
+            assert t.data.tobytes() == tensors[name].astype(np.float64).tobytes()
+
+    def test_editing_the_restored_dict_leaves_the_model_unchanged(self):
+        model, _ = tiny_models(tiny_run_config())
+        rng = np.random.default_rng(6)
+        tensors = {name: rng.standard_normal(t.shape) for name, t in model.named_tensors()}
+        restore_into(model, tensors)
+        want = [t.data.tobytes() for _, t in model.named_tensors()]
+        for name, arr in tensors.items():
+            arr[...] = np.nan
+            tensors[name] = np.zeros(1)
+        assert [t.data.tobytes() for _, t in model.named_tensors()] == want
 
     def test_manifest_lists_offsets(self, tmp_path):
         cfg = tiny_run_config()
