@@ -1,10 +1,11 @@
 """Closed-form parameter and multiply-accumulate counting for detection heads.
 
-Counts are derived from architecture descriptions alone: conv layers cost
-k^2 * (C_in/groups) * C_out (+C_out with bias) parameters and that times
-H_out*W_out MACs per proposal; fully connected layers cost D_in*D_out (+D_out).
-Pooling, gathering, concatenation and activations carry no parameters and are
-counted as zero-MAC.
+Counts are derived from ``LayerSpec`` tables alone, the same tables the
+init functions of ``discovery`` and ``head`` build the models from: conv
+layers cost k^2 * (C_in/groups) * C_out (+C_out with bias) parameters and
+that times H_out*W_out MACs per proposal; fully connected layers cost
+D_in*D_out (+D_out).  Pooling, gathering, concatenation and activations
+carry no parameters and are counted as zero-MAC.
 
 Presets reconstruct the head definitions of common two-stage architectures;
 the FPN heads reconstruct exactly, the others to the precision their
@@ -16,59 +17,9 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field, replace
 
-from .discovery import DiscoveryConfig
+from .discovery import DiscoveryConfig, LayerSpec
 from .errors import ConfigError
-from .head import HeadConfig
-
-LAYER_KINDS = ("conv", "fc", "pool", "gather", "concat", "activation")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One counted layer.  conv uses c_in/c_out/kernel/groups and the output
-    extent; fc uses d_in/d_out; the remaining kinds carry no parameters."""
-
-    name: str
-    kind: str
-    c_in: int = 0
-    c_out: int = 0
-    kernel: int = 1
-    groups: int = 1
-    dilation: int = 1
-    h_out: int = 1
-    w_out: int = 1
-    d_in: int = 0
-    d_out: int = 0
-    bias: bool = True
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv":
-            if self.c_in <= 0 or self.c_out <= 0 or self.kernel <= 0:
-                raise ConfigError(f"conv layer {self.name!r} has non-positive extents")
-            if self.c_in % self.groups != 0:
-                raise ConfigError(
-                    f"conv layer {self.name!r}: groups={self.groups} does not divide "
-                    f"c_in={self.c_in}")
-        if self.kind == "fc" and (self.d_in <= 0 or self.d_out <= 0):
-            raise ConfigError(f"fc layer {self.name!r} has non-positive extents")
-
-    def params(self) -> int:
-        if self.kind == "conv":
-            n = self.kernel * self.kernel * (self.c_in // self.groups) * self.c_out
-            return n + (self.c_out if self.bias else 0)
-        if self.kind == "fc":
-            return self.d_in * self.d_out + (self.d_out if self.bias else 0)
-        return 0
-
-    def macs(self) -> int:
-        if self.kind == "conv":
-            per_pos = self.kernel * self.kernel * (self.c_in // self.groups) * self.c_out
-            return per_pos * self.h_out * self.w_out
-        if self.kind == "fc":
-            return self.d_in * self.d_out
-        return 0
+from .head import HeadConfig, baseline_head_layers, condensed_head_layers
 
 
 @dataclass
@@ -126,70 +77,10 @@ def count_params(layers: list[LayerSpec], title: str = "head",
     return report
 
 
-# -- layer builders -----------------------------------------------------------
-
-def discovery_layers(cfg: DiscoveryConfig, height: int = 7, width: int = 7) -> list[LayerSpec]:
-    mid = cfg.reduced_channels
-    layers: list[LayerSpec] = []
-    for i in range(cfg.num_blocks):
-        layers.append(LayerSpec(f"block{i}.reduce3x3", "conv", c_in=cfg.channels, c_out=mid,
-                                kernel=3, groups=cfg.groups, dilation=cfg.dilation,
-                                h_out=height, w_out=width))
-        layers.append(LayerSpec(f"block{i}.relu", "activation"))
-        layers.append(LayerSpec(f"block{i}.restore1x1", "conv", c_in=mid, c_out=cfg.channels,
-                                kernel=1, h_out=height, w_out=width))
-    layers.append(LayerSpec("predict1x1", "conv", c_in=cfg.channels, c_out=cfg.num_parts,
-                            kernel=1, h_out=height, w_out=width))
-    return layers
-
-
-def condensed_head_layers(head_cfg: HeadConfig, disc_cfg: DiscoveryConfig,
-                          with_fc: bool = True) -> list[LayerSpec]:
-    """The condensed head as counted layers; mirrors the instantiated model."""
-    if head_cfg.channels != disc_cfg.channels or head_cfg.num_parts != disc_cfg.num_parts:
-        raise ConfigError("head and discovery configs disagree on channels/num_parts")
-    h, w, L = head_cfg.height, head_cfg.width, head_cfg.pool_len
-    layers = discovery_layers(disc_cfg, h, w)
-    layers.append(LayerSpec("gather_fibers", "gather"))
-    layers.append(LayerSpec("global_pool", "pool"))
-    layers.append(LayerSpec("global1x1", "conv", c_in=head_cfg.channels,
-                            c_out=head_cfg.kept_channels, kernel=1, h_out=L, w_out=L))
-    layers.append(LayerSpec("descriptor_concat", "concat"))
-    out_in = head_cfg.descriptor_len
-    if with_fc:
-        layers.append(LayerSpec("fc", "fc", d_in=head_cfg.descriptor_len,
-                                d_out=head_cfg.hidden))
-        layers.append(LayerSpec("fc.relu", "activation"))
-        out_in = head_cfg.hidden
-    layers.append(LayerSpec("cls", "fc", d_in=out_in, d_out=head_cfg.cls_len))
-    layers.append(LayerSpec("reg", "fc", d_in=out_in, d_out=head_cfg.reg_len))
-    return layers
-
-
-def baseline_head_layers(num_classes: int, channels: int = 256, height: int = 7,
-                         width: int = 7, hidden: int = 1024,
-                         prefix: str = "") -> list[LayerSpec]:
-    """Two-FC head: flatten -> fc -> fc -> classifier/regressor.
-
-    Output widths follow the counted convention of the published totals:
-    classifier num_classes+1, regressor 4*(num_classes+1).
-    """
-    flat = channels * height * width
-    return [
-        LayerSpec(prefix + "fc1", "fc", d_in=flat, d_out=hidden),
-        LayerSpec(prefix + "fc1.relu", "activation"),
-        LayerSpec(prefix + "fc2", "fc", d_in=hidden, d_out=hidden),
-        LayerSpec(prefix + "fc2.relu", "activation"),
-        LayerSpec(prefix + "cls", "fc", d_in=hidden, d_out=num_classes + 1),
-        LayerSpec(prefix + "reg", "fc", d_in=hidden, d_out=4 * (num_classes + 1)),
-    ]
-
-
 def baseline_params(head: HeadConfig) -> int:
     """Parameters of the two-FC baseline on ``head``'s grid, classes and hidden width."""
-    return count_params(baseline_head_layers(
-        head.num_classes, channels=head.channels, height=head.height, width=head.width,
-        hidden=head.hidden)).total_params
+    return count_params(baseline_head_layers(head.num_classes, head.channels, head.height,
+                                             head.width, head.hidden)).total_params
 
 
 def count_params_condensed(head_cfg: HeadConfig, disc_cfg: DiscoveryConfig,

@@ -65,6 +65,73 @@ class DiscoveryConfig:
         return self.channels // self.reduction
 
 
+def discovery_layers(cfg: DiscoveryConfig, height: int = 7, width: int = 7) -> list[LayerSpec]:
+    """The discovery network on a ``height`` x ``width`` grid, as counted
+    layers; ``init_discovery_params`` builds the network from this list."""
+    c, mid, grid = cfg.channels, cfg.reduced_channels, {"h_out": height, "w_out": width}
+    layers = []
+    for i in range(cfg.num_blocks):
+        layers += [LayerSpec(f"block{i}.reduce3x3", "conv", c_in=c, c_out=mid, kernel=3,
+                             groups=cfg.groups, **grid),
+                   LayerSpec(f"block{i}.relu", "activation"),
+                   LayerSpec(f"block{i}.restore1x1", "conv", c_in=mid, c_out=c, **grid)]
+    return layers + [LayerSpec("predict1x1", "conv", c_in=c, c_out=cfg.num_parts, **grid)]
+
+
+LAYER_KINDS = ("conv", "fc", "pool", "gather", "concat", "activation")
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    """One counted layer.  conv uses c_in/c_out/kernel/groups and the output
+    extent; fc uses d_in/d_out; the remaining kinds carry no parameters."""
+
+    name: str
+    kind: str
+    c_in: int = 0
+    c_out: int = 0
+    kernel: int = 1
+    groups: int = 1
+    h_out: int = 1
+    w_out: int = 1
+    d_in: int = 0
+    d_out: int = 0
+    bias: bool = True
+
+    def __post_init__(self):
+        if self.kind not in LAYER_KINDS:
+            raise ConfigError(f"unknown layer kind {self.kind!r}")
+        if self.kind == "conv":
+            if self.c_in <= 0 or self.c_out <= 0 or self.kernel <= 0:
+                raise ConfigError(f"conv layer {self.name!r} has non-positive extents")
+            if self.c_in % self.groups != 0:
+                raise ConfigError(
+                    f"conv layer {self.name!r}: groups={self.groups} does not divide "
+                    f"c_in={self.c_in}")
+        if self.kind == "fc" and (self.d_in <= 0 or self.d_out <= 0):
+            raise ConfigError(f"fc layer {self.name!r} has non-positive extents")
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """(c_out, c_in/groups, k, k) for a conv, (d_out, d_in) for an fc, else ()."""
+        if self.kind == "conv":
+            return (self.c_out, self.c_in // self.groups, self.kernel, self.kernel)
+        if self.kind == "fc":
+            return (self.d_out, self.d_in)
+        return ()
+
+    def params(self) -> int:
+        shape = self.weight_shape
+        if not shape:
+            return 0
+        return math.prod(shape) + (shape[0] if self.bias else 0)
+
+    def macs(self) -> int:
+        """One per weight at each output position; an fc has one position."""
+        shape = self.weight_shape
+        return math.prod(shape) * self.h_out * self.w_out if shape else 0
+
+
 @dataclass
 class LayerParams:
     """Weight and bias of one convolution or fully connected layer."""
@@ -87,12 +154,17 @@ class DiscoveryParams:
     predict: LayerParams
 
 
-def _init_layer(rng: np.random.Generator, shape: tuple[int, ...]) -> LayerParams:
-    """Weight of ``shape`` uniform in +/-(1/sqrt(fan_in)), where fan_in is the
-    product of all but the output axis; zero bias, one per output."""
-    bound = 1.0 / np.sqrt(math.prod(shape[1:]))
-    return LayerParams(weight=Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True),
-                       bias=Tensor(np.zeros(shape[0]), requires_grad=True))
+def init_layers(layers: list[LayerSpec], rng: np.random.Generator) -> list[LayerParams]:
+    """One LayerParams per conv or fc layer of ``layers``, in list order: a
+    ``weight_shape`` weight uniform in +/-(1/sqrt(fan_in)), fan_in the product
+    of all but the output axis, and a zero bias, one per output."""
+    built = []
+    for shape in (spec.weight_shape for spec in layers if spec.weight_shape):
+        bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+        built.append(LayerParams(
+            weight=Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True),
+            bias=Tensor(np.zeros(shape[0]), requires_grad=True)))
+    return built
 
 
 def named_tensors(prefix: str, params) -> list[tuple[str, Tensor]]:
@@ -117,12 +189,9 @@ def named_tensors(prefix: str, params) -> list[tuple[str, Tensor]]:
 
 
 def init_discovery_params(cfg: DiscoveryConfig, rng: np.random.Generator) -> DiscoveryParams:
-    """Uniform +/-(1/sqrt(fan_in)) weights, zero biases."""
-    c, mid = cfg.channels, cfg.reduced_channels
-    blocks = [BlockParams(reduce=_init_layer(rng, (mid, c // cfg.groups, 3, 3)),
-                          restore=_init_layer(rng, (c, mid, 1, 1)))
-              for _ in range(cfg.num_blocks)]
-    return DiscoveryParams(blocks=blocks, predict=_init_layer(rng, (cfg.num_parts, c, 1, 1)))
+    *layers, predict = init_layers(discovery_layers(cfg), rng)
+    blocks = [BlockParams(reduce, restore) for reduce, restore in zip(layers[::2], layers[1::2])]
+    return DiscoveryParams(blocks=blocks, predict=predict)
 
 
 @dataclass

@@ -11,15 +11,15 @@ except discovery's grouped 3x3 convs, which run per grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet, LayerParams,
-                        _init_layer, concentration_forward, extract_key_parts,
-                        predict_confidence, tmr_squash)
+from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet, LayerParams, LayerSpec,
+                        concentration_forward, discovery_layers, extract_key_parts,
+                        init_layers, predict_confidence, tmr_squash)
 from .errors import ConfigError, ContractViolation
 from .tensor import Tensor
 
@@ -29,9 +29,9 @@ class HeadConfig:
     """Dimensions of the condensed head.
 
     ``num_parts`` (K) and ``pool_len`` (L) control how much of the proposal
-    grid survives condensation; ``channel_keep`` is the fraction of channels
-    the global branch keeps.  ``reg_per_class`` selects 4 box offsets per
-    foreground class versus a single class-agnostic set.
+    grid survives condensation; ``channel_keep``, in (0, 1], is the fraction
+    of channels the global branch keeps.  ``reg_per_class`` selects 4 box
+    offsets per foreground class versus a single class-agnostic set.
     """
 
     channels: int
@@ -45,6 +45,8 @@ class HeadConfig:
     reg_per_class: bool = True
 
     def __post_init__(self):
+        if not 0 < self.channel_keep <= 1:
+            raise ConfigError(f"channel_keep={self.channel_keep} outside (0, 1]")
         if not (1 <= self.pool_len <= min(self.height, self.width)):
             raise ConfigError(
                 f"pool_len={self.pool_len} outside [1, min({self.height}, {self.width})]")
@@ -90,6 +92,49 @@ class HeadConfig:
         return (class_id - 1) * 4 if self.reg_per_class else 0
 
 
+def head_layers(cfg: HeadConfig, with_fc: bool = True) -> list[LayerSpec]:
+    """The condensed head after discovery, as counted layers;
+    ``init_head_params`` builds the head from this list."""
+    fc = [LayerSpec("fc", "fc", d_in=cfg.descriptor_len, d_out=cfg.hidden),
+          LayerSpec("fc.relu", "activation")] if with_fc else []
+    out_in = cfg.hidden if with_fc else cfg.descriptor_len
+    return [LayerSpec("gather_fibers", "gather"), LayerSpec("global_pool", "pool"),
+            LayerSpec("global1x1", "conv", c_in=cfg.channels, c_out=cfg.kept_channels,
+                      h_out=cfg.pool_len, w_out=cfg.pool_len),
+            LayerSpec("descriptor_concat", "concat"), *fc,
+            LayerSpec("cls", "fc", d_in=out_in, d_out=cfg.cls_len),
+            LayerSpec("reg", "fc", d_in=out_in, d_out=cfg.reg_len)]
+
+
+def condensed_head_layers(head_cfg: HeadConfig, disc_cfg: DiscoveryConfig,
+                          with_fc: bool = True) -> list[LayerSpec]:
+    """The condensed head as counted layers: discovery's, then the head's."""
+    if head_cfg.channels != disc_cfg.channels or head_cfg.num_parts != disc_cfg.num_parts:
+        raise ConfigError("head and discovery configs disagree on channels/num_parts")
+    return (discovery_layers(disc_cfg, head_cfg.height, head_cfg.width)
+            + head_layers(head_cfg, with_fc))
+
+
+def baseline_head_layers(num_classes: int, channels: int = 256, height: int = 7,
+                         width: int = 7, hidden: int = 1024,
+                         prefix: str = "") -> list[LayerSpec]:
+    """Two-FC head: flatten -> fc -> fc -> classifier/regressor.
+
+    Output widths follow the counted convention of the published totals:
+    classifier num_classes+1, regressor 4*(num_classes+1).
+    ``init_baseline_params`` builds the baseline from this list.
+    """
+    flat = channels * height * width
+    return [
+        LayerSpec(prefix + "fc1", "fc", d_in=flat, d_out=hidden),
+        LayerSpec(prefix + "fc1.relu", "activation"),
+        LayerSpec(prefix + "fc2", "fc", d_in=hidden, d_out=hidden),
+        LayerSpec(prefix + "fc2.relu", "activation"),
+        LayerSpec(prefix + "cls", "fc", d_in=hidden, d_out=num_classes + 1),
+        LayerSpec(prefix + "reg", "fc", d_in=hidden, d_out=4 * (num_classes + 1)),
+    ]
+
+
 @dataclass
 class HeadParams:
     """Learnable tensors of the condensed head (global conv + FC + outputs)."""
@@ -101,10 +146,7 @@ class HeadParams:
 
 
 def init_head_params(cfg: HeadConfig, rng: np.random.Generator) -> HeadParams:
-    return HeadParams(global_conv=_init_layer(rng, (cfg.kept_channels, cfg.channels, 1, 1)),
-                      fc=_init_layer(rng, (cfg.hidden, cfg.descriptor_len)),
-                      cls=_init_layer(rng, (cfg.cls_len, cfg.hidden)),
-                      reg=_init_layer(rng, (cfg.reg_len, cfg.hidden)))
+    return HeadParams(*init_layers(head_layers(cfg), rng))
 
 
 @dataclass
@@ -219,11 +261,10 @@ class BaselineParams:
 
 
 def init_baseline_params(cfg: HeadConfig, rng: np.random.Generator) -> BaselineParams:
-    flat = cfg.channels * cfg.height * cfg.width
-    return BaselineParams(fc1=_init_layer(rng, (cfg.hidden, flat)),
-                          fc2=_init_layer(rng, (cfg.hidden, cfg.hidden)),
-                          cls=_init_layer(rng, (cfg.cls_len, cfg.hidden)),
-                          reg=_init_layer(rng, (cfg.reg_len, cfg.hidden)))
+    table = baseline_head_layers(cfg.num_classes, cfg.channels, cfg.height, cfg.width, cfg.hidden)
+    # the published totals count a 4*(C+1)-wide regressor; the built one is reg_len wide
+    table[-1] = replace(table[-1], d_out=cfg.reg_len)
+    return BaselineParams(*init_layers(table, rng))
 
 
 def baseline_forward(xs: Sequence[Tensor], params: BaselineParams,

@@ -3,6 +3,7 @@ binary portable graymaps, plus a text sidecar of extracted part coordinates."""
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -60,10 +61,13 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     (rectified, channel-summed, min-max normalized) and a sidecar listing
     extracted key-part coordinates/confidences.  The forward pass records
     no graph.  Returns the written paths.
-    Raises ConfigError for a model without confidence maps (the baseline).
+    Raises ConfigError, before any file is written, for a model without
+    confidence maps (the baseline) or a non-finite ``threshold``.
     """
     if model.kind != "condensed":
         raise ConfigError("heatmaps need a condensed model")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     os.makedirs(out_dir, exist_ok=True)
     with NoGrad():
         fwd = model.forward(example.x)

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kphead.accounting import (LayerSpec, count_params, count_params_condensed,
-                               fpn_configs, preset_report, render_sweep, sweep)
+from kphead.accounting import (LayerSpec, baseline_head_layers, condensed_head_layers,
+                               count_params, count_params_condensed, fpn_configs,
+                               preset_report, render_sweep, sweep)
 from kphead.discovery import DiscoveryConfig
 from kphead.errors import ConfigError
 from kphead.head import HeadConfig
@@ -157,6 +158,44 @@ class TestModelConsistency:
             report = count_params_condensed(head, disc)
             assert report.total_params == model.scalar_count()
             checked += 1
+
+    def test_table_shapes_are_the_built_shapes(self):
+        """Every conv and fc layer of a head's table, in order, is one weight
+        of its ``weight_shape`` and one bias per output in the built model's
+        ``named_tensors()``.  The baseline's table counts the published
+        4*(C+1)-wide regressor; with the built reg_len width it totals the
+        built baseline."""
+        def shapes(layers):
+            return [shape for s in layers if s.weight_shape
+                    for shape in (s.weight_shape, s.weight_shape[:1])]
+
+        def built(model):
+            return [t.shape for _, t in model.named_tensors()]
+
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            groups, reduction = int(rng.choice([1, 2])), int(rng.choice([2, 4]))
+            channels = 4 * groups * reduction * int(rng.integers(1, 3))
+            height, width = (int(v) for v in rng.integers(2, 8, size=2))
+            head = HeadConfig(channels=channels, num_classes=int(rng.integers(1, 21)),
+                              num_parts=int(rng.integers(1, min(16, height * width) + 1)),
+                              pool_len=int(rng.integers(1, min(height, width) + 1)),
+                              height=height, width=width,
+                              channel_keep=float(rng.choice([0.25, 0.5, 1.0])),
+                              hidden=int(rng.choice([8, 33, 256])),
+                              reg_per_class=bool(rng.integers(2)))
+            disc = DiscoveryConfig(channels=channels, num_parts=head.num_parts,
+                                   num_blocks=int(rng.integers(1, 4)),
+                                   reduction=reduction, groups=groups)
+            assert shapes(condensed_head_layers(head, disc)) == built(
+                build_condensed(disc, head, seed=0))
+            counted = baseline_head_layers(head.num_classes, channels, height, width,
+                                           head.hidden)
+            assert counted[-1].d_out == 4 * (head.num_classes + 1)
+            table = counted[:-1] + [replace(counted[-1], d_out=head.reg_len)]
+            baseline = build_baseline(head, seed=0)
+            assert shapes(table) == built(baseline)
+            assert count_params(table).total_params == baseline.scalar_count()
 
     def test_baseline_head_consistency(self):
         head = HeadConfig(channels=64, num_classes=4, num_parts=4, pool_len=3,

@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kphead import gradcheck
+from kphead.accounting import PRESETS
 from kphead.cli import main, sibling_test_path
 
 BASE_FLAGS = ["--data.channels", "16", "--data.num_classes", "2",
@@ -36,13 +38,13 @@ def trained(tmp_path_factory):
             for name in ("d.test.bin", "p.bin", "p.bin.manifest")}
 
 
-def run_on(workdir, files, command, **replaced):
+def run_on(workdir, files, command, *flags, **replaced):
     """Write ``files`` with ``replaced`` contents into ``workdir`` and run
-    ``kphead toy <command>`` on them; return (exit code, stderr)."""
+    ``kphead toy <command> ... <flags>`` on them; return (exit code, stderr)."""
     for name, blob in {**files, **replaced}.items():
         (workdir / name).write_bytes(blob)
     argv = ["toy", command, "--data", str(workdir / "d.test.bin"),
-            "--params", str(workdir / "p.bin")]
+            "--params", str(workdir / "p.bin"), *flags]
     if command == "heatmaps":
         argv += ["--out", str(workdir / "maps")]
     err = io.StringIO()
@@ -76,6 +78,24 @@ class TestParamsCommand:
         assert main(["params", "--preset", "bogus"]) == 2
         err = capsys.readouterr().err
         assert is_one_error_line(err) and "baseline-fpn-voc" in err
+
+    def test_every_report_matches_the_golden_file(self, capsys):
+        """``kphead params --sweep`` for every preset and at the defaults
+        prints the bytes of ``params_reports.golden``, each output after
+        its ``$ kphead params ...`` line."""
+        out = []
+        for argv in [["--preset", p, "--sweep"] for p in sorted(PRESETS)] + [["--sweep"]]:
+            assert main(["params"] + argv) == 0
+            out.append("$ kphead params " + " ".join(argv) + "\n" + capsys.readouterr().out)
+        golden = Path(__file__).with_name("params_reports.golden").read_bytes()
+        assert "".join(out).encode() == golden
+
+    @pytest.mark.parametrize("keep", ["4", "1.5"])
+    def test_channel_keep_outside_zero_to_one_exits_2(self, capsys, keep):
+        assert main(["params", "--head.channel_keep", keep]) == 2
+        captured = capsys.readouterr()
+        assert is_one_error_line(captured.err) and "channel_keep" in captured.err
+        assert captured.out == ""
 
     def test_csv_output(self, tmp_path, capsys):
         csv = tmp_path / "r.csv"
@@ -179,6 +199,12 @@ class TestToyTrainEvalHeatmaps:
                    "--params", str(params), "--out", str(tmp_path / "maps")])
         err = capsys.readouterr().err
         assert rc == 2 and is_one_error_line(err) and "condensed model" in err
+        assert not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_heatmap_threshold_exits_2(self, tmp_path, trained, threshold):
+        rc, err = run_on(tmp_path, trained, "heatmaps", f"--threshold={threshold}")
+        assert rc == 2 and is_one_error_line(err) and "threshold must be finite" in err
         assert not (tmp_path / "maps").exists()
 
     def test_train_determinism_byte_identical_params(self, tmp_path):

@@ -119,6 +119,14 @@ class TestExport:
             export_heatmaps(baseline, data[0], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_is_rejected_before_any_file_is_written(self, tmp_path,
+                                                                         threshold):
+        model, data = tiny_condensed()
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            export_heatmaps(model, data[0], tmp_path / "out", threshold=threshold)
+        assert not (tmp_path / "out").exists()
+
 
 def test_split_products_write_the_same_files(tmp_path, forced_split, monkeypatch):
     model, data = tiny_condensed()

@@ -48,3 +48,11 @@ def test_train_settings_outside_their_range_are_rejected(kw, problem):
         TrainConfig(**kw)
     assert str(err.value) == problem
     TrainConfig(momentum=0.0, okpd_loss_weight=0.0)
+
+
+@pytest.mark.parametrize("keep", [4.0, 1.5, 0.0, -0.5, float("nan")])
+def test_channel_keep_outside_zero_to_one_is_rejected(keep):
+    """``channel_keep`` is the fraction of channels the global branch keeps."""
+    cfg = RunConfig(head=HeadOptions(channel_keep=keep))
+    with pytest.raises(ConfigError, match=r"channel_keep=.* outside \(0, 1\]"):
+        cfg.head_config()
