@@ -11,6 +11,7 @@ grids and the on-disk format (which stores 32-bit floats) agree exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -56,8 +57,10 @@ class ToyDatasetSpec:
         if min(self.channels, self.height, self.width, self.num_classes,
                self.parts_per_class, self.n_train, self.n_test) < 1:
             raise ConfigError("all counts must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not math.isfinite(self.signature_norm):
+            raise ConfigError(f"signature_norm must be finite, got {self.signature_norm}")
         if not (0.0 <= self.background_fraction < 1.0):
             raise ConfigError(
                 f"background_fraction={self.background_fraction} outside [0, 1)")
@@ -219,6 +222,8 @@ def _check_records(path, records: np.ndarray, first: int, num_classes: int, h: i
         ("y_hat is not 0 or 1", records["y_hat"] > 1),
         (f"class_id exceeds the header's {num_classes} classes",
          records["class_id"] > num_classes),
+        ("y_hat is not 1 exactly when class_id is not 0",
+         (records["y_hat"] == 1) != (records["class_id"] != 0)),
         (f"planted point outside the {h}x{w} grid",
          ((rows != _SENTINEL) & ((rows >= h) | (cols >= w))).any(axis=1)),
         ("non-finite box target", ~np.isfinite(records["box"]).all(axis=1)),

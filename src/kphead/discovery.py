@@ -55,10 +55,10 @@ class DiscoveryConfig:
         if (c // self.reduction) % self.groups != 0:
             raise ConfigError(
                 f"reduced channels {c // self.reduction} not divisible by groups={self.groups}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     @property
     def reduced_channels(self) -> int:
@@ -206,49 +206,44 @@ class KeyPartSet:
 
 
 def concentration_forward(x: Tensor, params: DiscoveryParams, cfg: DiscoveryConfig) -> Tensor:
-    """Apply the residual concentration blocks to a C x H x W grid or to N x C
-    x H x W grids; the shape is preserved.
+    """Apply the residual concentration blocks to N x C x H x W grids; the
+    shape is preserved.
 
-    In each block the grouped dilated 3x3 conv runs once per example: on
-    ``pick(out, i)`` for each of N > 1 examples, whose N outputs one
-    ``stack`` joins, and on the whole input when it holds one example.  The
-    relu, the 1x1 restore conv and the residual add run once over the batch.
+    In each block the grouped dilated 3x3 conv runs once per example, on
+    ``pick(out, i)``, and one ``stack`` joins the N outputs.  The relu, the
+    1x1 restore conv and the residual add run once over the batch.
     """
-    if x.data.ndim not in (3, 4) or x.shape[-3] != cfg.channels:
-        raise ConfigError(f"concentration input must be {cfg.channels} x H x W or "
-                          f"N x {cfg.channels} x H x W, got shape {x.shape}")
+    if x.data.ndim != 4 or x.shape[1] != cfg.channels:
+        raise ConfigError(f"concentration input must be N x {cfg.channels} x H x W, "
+                          f"got shape {x.shape}")
     # the grouped 3x3 runs once per example: perfbench's tracing test pins
     # 2 x 16 discovery.block0.reduce3x3 calls for 2 epochs of 16 examples,
     # and the batched 3x3's form is still unchosen (ROADMAP item 2)
-    n = x.shape[0] if x.data.ndim == 4 else 1
     out = x
     for blk in params.blocks:
-        def reduce(t: Tensor) -> Tensor:
-            return T.conv2d(t, blk.reduce.weight, blk.reduce.bias,
-                            groups=cfg.groups, dilation=cfg.dilation)
-
-        mid = T.relu(reduce(out) if n == 1 else T.stack([reduce(T.pick(out, i))
-                                                          for i in range(n)]))
+        mid = T.relu(T.stack([T.conv2d(T.pick(out, i), blk.reduce.weight, blk.reduce.bias,
+                                       groups=cfg.groups, dilation=cfg.dilation)
+                              for i in range(x.shape[0])]))
         out = T.add(out, T.conv2d(mid, blk.restore.weight, blk.restore.bias))
     return out
 
 
 def predict_confidence(refined: Tensor, params: DiscoveryParams,
                        cfg: DiscoveryConfig) -> Tensor:
-    """Raw (unbounded) per-part confidence maps from a 1x1 convolution: K x H
-    x W for a C x H x W grid, N x K x H x W for N x C x H x W grids."""
-    if refined.data.ndim not in (3, 4):
-        raise ContractViolation(f"predict_confidence: expected a C x H x W or "
-                                f"N x C x H x W grid, got shape {refined.shape}")
-    if refined.shape[-3] != cfg.channels:
+    """Raw (unbounded) per-part confidence maps from a 1x1 convolution:
+    N x K x H x W for N x C x H x W grids."""
+    if refined.data.ndim != 4:
+        raise ContractViolation(f"predict_confidence: expected N x C x H x W grids, "
+                                f"got shape {refined.shape}")
+    if refined.shape[1] != cfg.channels:
         raise ContractViolation(f"predict_confidence: expected {cfg.channels} channels, "
-                                f"got {refined.shape[-3]}")
+                                f"got {refined.shape[1]}")
     return T.conv2d(refined, params.predict.weight, params.predict.bias)
 
 
 def tmr_squash(raw: Tensor, alpha: float = 0.5, epsilon: float = 0.1) -> Tensor:
-    """Squash raw confidence maps, K x H x W or N x K x H x W, into [0, 1) by
-    truncated maximum regularization.
+    """Squash N x K x H x W raw confidence maps into [0, 1) by truncated
+    maximum regularization.
 
     Per map with raw maximum c_m, every value c becomes
     ``max(0, (c + alpha) / (max(0, (c_m + alpha) - 1) + 1 + epsilon))``.
@@ -261,24 +256,20 @@ def tmr_squash(raw: Tensor, alpha: float = 0.5, epsilon: float = 0.1) -> Tensor:
     """
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    if raw.data.ndim not in (3, 4):
-        raise ContractViolation(
-            f"tmr_squash needs K x H x W or N x K x H x W maps, got shape {raw.shape}")
     return T.truncated_max_squash(raw, alpha, epsilon)
 
 
 def extract_key_parts(maps: Tensor) -> list[KeyPartSet]:
     """Read each map's peak location and value, one KeyPartSet per example of
-    N x K x H x W maps (K x H x W maps are one example); not differentiable
-    by design.  One argmax runs over all N*K maps.
+    N x K x H x W maps; not differentiable by design.  One argmax runs over
+    all N*K maps.
 
     Peaks may coincide across maps: spreading them apart is a training-time
     pressure, not a structural guarantee.
     """
     flat = T._maps_as_rows(maps, "extract_key_parts")
     peak_idx = T._first_peaks(flat)
-    per_example = (-1, maps.shape[-3])
-    rows, cols = np.divmod(peak_idx.reshape(per_example), maps.shape[-1])
-    peaks = flat[np.arange(flat.shape[0]), peak_idx].reshape(per_example)
+    rows, cols = np.divmod(peak_idx.reshape(maps.shape[:2]), maps.shape[3])
+    peaks = flat[np.arange(flat.shape[0]), peak_idx].reshape(maps.shape[:2])
     return [KeyPartSet(points=list(zip(r, c)), confidences=conf)
             for r, c, conf in zip(rows.tolist(), cols.tolist(), peaks.tolist())]

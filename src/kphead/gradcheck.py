@@ -142,8 +142,6 @@ def _condensed_head_case(rng):
     return build, checked
 
 
-# The grid and map ops run their batched N x C x H x W forms, whose per-example
-# C x H x W form is the N = 1 case of the same code.
 CHECKS = {
     "conv2d": _projected(lambda x, w, b: T.conv2d(x, w, b, groups=2, dilation=2),
                          (2, 4, 4, 3), (4, 2, 3, 3), (4,)),
@@ -155,7 +153,7 @@ CHECKS = {
     # the stacked pair joins examples of the third part row by row; picking
     # example 1 twice checks that picks accumulate
     "concat": _projected(lambda a, b, c: T.concat([T.stack([a, b]), T.pick(c, 1),
-                                                   T.pick(c, 0), T.pick(c, 1)], rows=2),
+                                                   T.pick(c, 0), T.pick(c, 1)]),
                          (2, 3), (2, 3), (2, 2, 1)),
     # the repeated points check that gradients accumulate
     "gather_at": _projected(lambda x: T.gather_at(x, [[(0, 0), (2, 2), (2, 2), (1, 1)],

@@ -190,7 +190,7 @@ def head_forward(z_k: Sequence[Tensor], z_g: Tensor, params: HeadParams,
     matrix.  The N rows go through the single FC -> relu -> parallel
     classifier and regressor as one batch."""
     pieces = [*z_k, z_g]
-    descriptor = T.concat(pieces, rows=z_g.shape[0])
+    descriptor = T.concat(pieces)
     if descriptor.shape[1] != cfg.descriptor_len:
         raise ContractViolation(
             f"head_forward: blocks {[p.shape for p in pieces]} give descriptors of "
@@ -272,7 +272,7 @@ def baseline_forward(xs: Sequence[Tensor], params: BaselineParams,
     """Run the two-FC head on a batch of proposal grids, one flattened grid
     per row."""
     _check_grids(xs, cfg)
-    rows = T.reshape(T.concat(xs), (len(xs), xs[0].size))
+    rows = T.reshape(T.stack(xs), (len(xs), xs[0].size))
     h1 = T.relu(T.linear(rows, params.fc1.weight, params.fc1.bias))
     h2 = T.relu(T.linear(h1, params.fc2.weight, params.fc2.bias))
     v_cls = T.linear(h2, params.cls.weight, params.cls.bias)

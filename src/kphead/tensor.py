@@ -21,13 +21,15 @@ call.  A process that may run on more than one CPU keeps one worker thread
 output's longer axis and the calling thread the other, into one array.
 The reduction axis is never split; the halves match the whole product's
 bytes at the FPN-VOC head shapes, but not at every shape (see ``linear``).
-The grid and map ops (``conv2d``, ``adaptive_avg_pool``, ``gather_at``,
-``truncated_max_squash``, ``map_peaks``, ``channel_sum``) take an optional
-leading example axis: an N x C x H x W input runs as one batch, and a C x H x W
-input is the N = 1 case of the same code, with the example axis dropped
-from the output.  A batched ``conv2d`` sums its examples' weight-gradient
-products.  ``stack`` joins N tensors into a batch and ``pick`` reads one
-example back out of it, as a view.
+Every op but ``conv2d`` takes one form, a batch led by its example axis N:
+the grid and map ops (``adaptive_avg_pool``, ``gather_at``,
+``truncated_max_squash``, ``map_peaks``, ``channel_sum``) take N x C x H x W,
+``linear`` and ``logsumexp`` take N x D rows, and ``concat`` joins parts that
+share their leading axis N, row by row.  ``conv2d`` takes N x C x H x W and
+also one C x H x W grid, the N = 1 case with the example axis dropped; a
+batched ``conv2d`` sums its examples' weight-gradient products.  ``stack``
+joins N tensors into a batch and ``pick`` reads one example back out of it,
+as a view.
 
 ``conv2d`` multiplies first and shifts after: one batched matmul takes every
 kernel tap of every output channel at every input position, and a sum over
@@ -66,7 +68,8 @@ Shape = tuple[int, ...]
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
-    Layout is row-major; feature maps use channels x height x width.
+    Layout is row-major; a batch of feature maps is N x channels x height x
+    width.
     Tensors created by operations carry the recorded node (op tag, parents,
     backward closure).  Leaf tensors have ``op == "leaf"``.
     """
@@ -390,10 +393,10 @@ def sum_all(t: Tensor) -> Tensor:
 
 
 def logsumexp(t: Tensor) -> Tensor:
-    """log(sum(exp(t))) over the last axis of a 1-D or N x C tensor (a scalar
-    or an N-vector), computed with each row's max shifted out."""
-    if t.data.ndim not in (1, 2):
-        raise ContractViolation(f"logsumexp needs a 1-D or 2-D tensor, got shape {t.shape}")
+    """log(sum(exp(row))) for each row of an N x C tensor, an N-vector,
+    computed with each row's max shifted out."""
+    if t.data.ndim != 2:
+        raise ContractViolation(f"logsumexp needs N x C rows, got shape {t.shape}")
     m = t.data.max(axis=-1, keepdims=True)
     shifted = np.exp(t.data - m)
     total = shifted.sum(axis=-1, keepdims=True)
@@ -417,31 +420,27 @@ def reshape(t: Tensor, shape: Shape) -> Tensor:
     return _record(t.data.reshape(shape), "reshape", (t,), bwd)
 
 
-def concat(parts: Sequence[Tensor], rows: int | None = None) -> Tensor:
-    """Join parts in caller order.
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join parts in caller order, row by row.
 
-    Without ``rows`` each part is flattened row-major and the result is one
-    vector.  With ``rows`` = N every part has a leading axis of N, read as N
-    rows, and row i of the N x D result is row i of every part, joined.  The
-    gradient is routed back to each part by its columns in the output.
+    Every part is N x ..., read row-major as N rows, and row i of the N x D
+    result is row i of every part, joined.  The gradient is routed back to
+    each part by its columns in the output.
     """
     parts = list(parts)
-    if not parts:
-        raise ContractViolation("concat needs at least one part")
-    n = 1 if rows is None else rows
-    if rows is not None and any(p.shape[:1] != (n,) for p in parts):
-        raise ContractViolation(
-            f"concat: parts {[p.shape for p in parts]} do not all have {n} rows")
+    lead = parts[0].shape[:1] if parts else ()
+    if not lead or any(p.shape[:1] != lead for p in parts):
+        raise ContractViolation(f"concat needs N x ... parts that share their leading "
+                                f"axis N, got shapes {[p.shape for p in parts]}")
+    n = lead[0]
     flats = [p.data.reshape(n, -1) for p in parts]
     offsets = list(itertools.accumulate((f.shape[1] for f in flats), initial=0))
-    out = np.concatenate(flats, axis=1)
 
     def bwd(g):
-        g = g.reshape(n, -1)
         for part, start, stop in zip(parts, offsets, offsets[1:]):
             _accumulate(part, g[:, start:stop].reshape(part.shape))
 
-    return _record(out.reshape(-1) if rows is None else out, "concat", parts, bwd)
+    return _record(np.concatenate(flats, axis=1), "concat", parts, bwd)
 
 
 def stack(parts: Sequence[Tensor]) -> Tensor:
@@ -475,10 +474,10 @@ def pick(batch: Tensor, i: int) -> Tensor:
 
 
 def channel_sum(t: Tensor) -> Tensor:
-    """Sum a C x H x W tensor over channels into a 1 x H x W map, or each
-    example of an N x C x H x W tensor into N x 1 x H x W."""
-    if t.data.ndim not in (3, 4):
-        raise ContractViolation(f"channel_sum needs a 3-D or 4-D tensor, got shape {t.shape}")
+    """Sum each example of an N x C x H x W tensor over its channels into
+    N x 1 x H x W."""
+    if t.data.ndim != 4:
+        raise ContractViolation(f"channel_sum needs an N x C x H x W tensor, got shape {t.shape}")
 
     def bwd(g):
         _accumulate(t, np.broadcast_to(g, t.shape).copy(), fresh=True)
@@ -498,17 +497,15 @@ def _first_peaks(flat: np.ndarray) -> np.ndarray:
 
 
 def _maps_as_rows(t: Tensor, op: str) -> np.ndarray:
-    """View non-empty K x H x W or N x K x H x W maps as (N*)K rows of H*W
-    values."""
-    if t.data.ndim not in (3, 4) or t.size == 0:
-        raise ContractViolation(
-            f"{op} needs non-empty K x H x W or N x K x H x W maps, got shape {t.shape}")
+    """View non-empty N x K x H x W maps as N*K rows of H*W values."""
+    if t.data.ndim != 4 or t.size == 0:
+        raise ContractViolation(f"{op} needs non-empty N x K x H x W maps, got shape {t.shape}")
     return t.data.reshape(-1, t.shape[-2] * t.shape[-1])
 
 
 def map_peaks(maps: Tensor) -> Tensor:
-    """Each map's value at its first row-major maximum: K values for K x H x W
-    maps, N x K for N x K x H x W.
+    """Each map's value at its first row-major maximum, N x K for N x K x H x W
+    maps.
 
     The argmax is frozen: a peak's gradient goes to that one position of its map.
     """
@@ -524,8 +521,7 @@ def map_peaks(maps: Tensor) -> Tensor:
 
 
 def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
-    """Squash K x H x W or N x K x H x W maps into [0, 1) by each map's
-    truncated maximum.
+    """Squash N x K x H x W maps into [0, 1) by each map's truncated maximum.
 
     Map k with peak value c_m (first row-major maximum) becomes
     ``relu((c + alpha) / (relu(c_m + alpha - 1) + 1 + epsilon))``.  The peak
@@ -558,39 +554,36 @@ def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
 
 
 def gather_at(t: Tensor, points) -> Tensor:
-    """Collect the channel fiber at each (row, col) point.
+    """Collect the channel fiber at each (row, col) point of each example.
 
-    For a C x H x W tensor ``points`` is P (row, col) pairs and the output is
-    P x C, row p being the C-vector at ``points[p]``.  For an N x C x H x W
-    tensor ``points`` is N x P pairs, one list per example, and the output is
-    N x P x C.  The gradient scatters back to exactly those positions,
-    accumulating on duplicates.
+    ``t`` is N x C x H x W and ``points`` is N x P (row, col) pairs, one list
+    per example; the output is N x P x C, row (i, p) being example i's
+    C-vector at ``points[i][p]``.  The gradient scatters back to exactly
+    those positions, accumulating on duplicates.
     """
     shape = t.data.shape
-    if len(shape) not in (3, 4):
-        raise ContractViolation(
-            f"gather_at needs a C x H x W or N x C x H x W tensor, got shape {shape}")
-    lead, (h, w) = shape[:-3], shape[-2:]
+    if len(shape) != 4:
+        raise ContractViolation(f"gather_at needs an N x C x H x W tensor, got shape {shape}")
+    n, h, w = shape[0], shape[2], shape[3]
     try:
         pts = np.array(points, dtype=np.intp)
-        if pts.size == 0:
-            pts = pts.reshape(lead + (0, 2))
-        pairs = pts.shape[:-2] == lead and pts.shape[-1:] == (2,)
+        if pts.size == 0 and pts.shape[:1] == (n,):  # N empty lists make an N x 0 array
+            pts = pts.reshape(n, 0, 2)
+        pairs = pts.ndim == 3 and pts.shape[0] == n and pts.shape[2] == 2
     except OverflowError:
         raise ContractViolation(f"gather_at: a point lies outside the {h}x{w} grid") from None
     except ValueError:  # ragged lists
         pairs = False
     if not pairs:
-        raise ContractViolation(f"gather_at: points must be {'N x ' * len(lead)}"
-                                f"P (row, col) pairs for a {shape} tensor")
-    data = t.data.reshape((-1,) + shape[-3:])
-    rows, cols = pts.reshape(data.shape[0], -1, 2).transpose(2, 0, 1)
-    examples = np.arange(data.shape[0])[:, None]
+        raise ContractViolation(
+            f"gather_at: points must be N x P (row, col) pairs for a {shape} tensor")
+    rows, cols = pts.transpose(2, 0, 1)
+    examples = np.arange(n)[:, None]
     try:  # an index past the grid raises; a negative one would wrap around
         if pts.size and pts.min() < 0:
             raise IndexError
         # the advanced indices around the channel slice put the N x P axes first
-        fibers = data[examples, :, rows, cols]
+        fibers = t.data[examples, :, rows, cols]
     except IndexError:
         i, p = divmod(int(np.flatnonzero((rows < 0) | (rows >= h) | (cols < 0)
                                          | (cols >= w))[0]), rows.shape[1])
@@ -598,11 +591,11 @@ def gather_at(t: Tensor, points) -> Tensor:
             f"gather_at: point {p} = ({rows[i, p]}, {cols[i, p]}) outside {h}x{w} grid") from None
 
     def bwd(g):
-        buf = np.zeros_like(data)
-        np.add.at(buf, (examples, slice(None), rows, cols), g.reshape(fibers.shape))
-        _accumulate(t, buf.reshape(shape), fresh=True)
+        buf = np.zeros_like(t.data)
+        np.add.at(buf, (examples, slice(None), rows, cols), g)
+        _accumulate(t, buf, fresh=True)
 
-    return _record(fibers.reshape(lead + fibers.shape[1:]), "gather_at", (t,), bwd)
+    return _record(fibers, "gather_at", (t,), bwd)
 
 
 # -- layers -----------------------------------------------------------------
@@ -641,8 +634,8 @@ def _split_matmul(a: np.ndarray, b: np.ndarray, pool) -> np.ndarray:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x @ weight.T + bias of a length-D vector or of each row of
-    an N x D batch; the output is O or N x O for an O x D weight.
+    """Affine map x @ weight.T + bias of each row of an N x D batch; the
+    output is N x O for an O x D weight.
 
     An N x D batch against a weight of at least ``_LINEAR_SPLIT_MIN`` values,
     on a process with a worker thread (``_worker``), computes each of its
@@ -658,27 +651,25 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     (16 x 4097 @ 4097 x 1023).  On one usable CPU the products are plain
     ``@``.
     """
-    if x.data.ndim not in (1, 2):
-        raise ContractViolation(f"linear needs a D or N x D input, got shape {x.shape}")
-    d = x.shape[-1]
+    if x.data.ndim != 2:
+        raise ContractViolation(f"linear needs an N x D input, got shape {x.shape}")
+    d = x.shape[1]
     if weight.data.ndim != 2 or weight.shape[1] != d:
         raise ContractViolation(
             f"linear: weight {weight.shape} does not accept input of length {d}")
     if bias.shape != (weight.shape[0],):
         raise ContractViolation(f"linear: bias {bias.shape} vs {weight.shape[0]} outputs")
     x_data, w_data = x.data, weight.data
-    split = w_data.size >= _LINEAR_SPLIT_MIN and x_data.ndim == 2
+    split = w_data.size >= _LINEAR_SPLIT_MIN
 
     def bwd(g):
         pool = _worker() if split else None
         if x.requires_grad:
             _accumulate(x, g @ w_data if pool is None else _split_matmul(g, w_data, pool),
                         fresh=True)
-        g_rows = g.reshape(-1, w_data.shape[0])
-        x_rows = x_data.reshape(-1, d)
-        _accumulate(weight, g_rows.T @ x_rows if pool is None
-                    else _split_matmul(g_rows.T, x_rows, pool), fresh=True)
-        _accumulate(bias, g_rows.sum(axis=0), fresh=True)
+        _accumulate(weight, g.T @ x_data if pool is None
+                    else _split_matmul(g.T, x_data, pool), fresh=True)
+        _accumulate(bias, g.sum(axis=0), fresh=True)
 
     pool = _worker() if split else None
     out = x_data @ w_data.T if pool is None else _split_matmul(x_data, w_data.T, pool)
@@ -801,17 +792,17 @@ def _pool_kernel(h: int, w: int, out_len: int) -> np.ndarray:
 
 
 def adaptive_avg_pool(x: Tensor, out_len: int) -> Tensor:
-    """Average-pool a C x H x W tensor down to C x L x L, or each example of
-    an N x C x H x W tensor down to N x C x L x L.
+    """Average-pool each example of an N x C x H x W tensor down to
+    N x C x L x L.
 
     Bin (i, j) averages rows [floor(i*H/L), ceil((i+1)*H/L)) and the
     analogous column range; adjacent bins may overlap when L does not
-    divide the extent.  The pooling is one matmul of the (N*)C x (H*W) grid
+    divide the extent.  The pooling is one matmul of the N*C x (H*W) grid
     against an averaging matrix built once per (H, W, L).
     """
-    if x.data.ndim not in (3, 4):
+    if x.data.ndim != 4:
         raise ContractViolation(
-            f"adaptive_avg_pool: input must be C x H x W or N x C x H x W, got {x.shape}")
+            f"adaptive_avg_pool: input must be N x C x H x W, got {x.shape}")
     h, w = x.shape[-2:]
     if not (1 <= out_len <= h and out_len <= w):
         raise ConfigError(f"adaptive_avg_pool: out_len={out_len} outside [1, min({h}, {w})]")

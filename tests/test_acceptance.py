@@ -96,22 +96,23 @@ def test_criterion_4_oracle_equivalence():
             T.conv2d(x, w, b, groups=groups, dilation=dilation).data,
             oracles.conv2d_loops(x.data, w.data, b.data, groups, dilation), atol=1e-12)
 
+        batch = Tensor(x.data[None])  # the grid as a batch of one
         out_len = int(rng.integers(1, min(h, w_) + 1))
         np.testing.assert_allclose(
-            T.adaptive_avg_pool(x, out_len).data,
+            T.adaptive_avg_pool(batch, out_len).data[0],
             oracles.adaptive_avg_pool_loops(x.data, out_len), atol=1e-12)
 
         d, m = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-        xv, wv, bv = (Tensor(rng.standard_normal(d)),
+        xv, wv, bv = (Tensor(rng.standard_normal(d)[None]),
                       Tensor(rng.standard_normal((m, d))),
                       Tensor(rng.standard_normal(m)))
-        np.testing.assert_allclose(T.linear(xv, wv, bv).data,
-                                   oracles.linear_loops(xv.data, wv.data, bv.data),
+        np.testing.assert_allclose(T.linear(xv, wv, bv).data[0],
+                                   oracles.linear_loops(xv.data[0], wv.data, bv.data),
                                    atol=1e-12)
 
         points = [(int(r), int(c))
                   for r, c in zip(rng.integers(0, h, 3), rng.integers(0, w_, 3))]
-        np.testing.assert_allclose(T.gather_at(x, points).data,
+        np.testing.assert_allclose(T.gather_at(batch, [points]).data[0],
                                    oracles.gather_loops(x.data, points), atol=1e-12)
 
         pair = rng.standard_normal((2, 5))
@@ -131,9 +132,9 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_tmr_properties():
     start = time.perf_counter()
     # the two closed-form worked examples, reproduced exactly
-    flat = tmr_squash(Tensor(np.zeros((1, 3, 3))), 0.5, 0.1).data
+    flat = tmr_squash(Tensor(np.zeros((1, 1, 3, 3))), 0.5, 0.1).data
     assert np.all(flat == 0.5 / 1.1)
-    worked = tmr_squash(Tensor(np.array([-1.0, 0.3, 1.5]).reshape(1, 1, 3)), 0.5, 0.1)
+    worked = tmr_squash(Tensor(np.array([-1.0, 0.3, 1.5]).reshape(1, 1, 1, 3)), 0.5, 0.1)
     np.testing.assert_array_equal(worked.data.reshape(-1),
                                   [0.0, 0.8 / 2.1, 2.0 / 2.1])
 
@@ -141,7 +142,7 @@ def test_criterion_5_tmr_properties():
     maps_checked = 0
     while maps_checked < 10_000:
         batch = rng.uniform(-3.0, 3.0, size=(5, 6, 6)) * rng.uniform(0.2, 2.0)
-        out = tmr_squash(Tensor(batch), 0.5, 0.1).data
+        out = tmr_squash(Tensor(batch[None]), 0.5, 0.1).data[0]
         assert np.all(out >= 0.0) and np.all(out < 1.0)
         for k in range(batch.shape[0]):
             raw_map, squashed = batch[k], out[k]

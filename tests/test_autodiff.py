@@ -20,11 +20,11 @@ class TestBackwardBasics:
 
     def test_scalars_have_shape_empty(self):
         """0-d data stays 0-d, so a scalar node's closure gets a () gradient."""
-        x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        x = Tensor(np.array([[0.5, -1.0, 2.0]]), requires_grad=True)
         assert Tensor(3.0).shape == ()
         assert T.sum_all(x).shape == ()
         assert T.reshape(T.sum_all(x), ()).shape == ()
-        lse = T.logsumexp(x)
+        lse = T.reshape(T.logsumexp(x), ())
         assert lse.shape == ()
         backward(T.mul(lse, Tensor(2.0)))
         assert lse.grad.shape == ()
@@ -82,27 +82,27 @@ class TestGradientRouting:
     def test_concat_routing_is_lossless(self):
         """Splitting the output gradient recovers each part's gradient exactly."""
         rng = np.random.default_rng(0)
-        parts = [Tensor(rng.standard_normal((2, 3)), requires_grad=True),
-                 Tensor(rng.standard_normal(4), requires_grad=True)]
+        parts = [Tensor(rng.standard_normal((1, 2, 3)), requires_grad=True),
+                 Tensor(rng.standard_normal((1, 4)), requires_grad=True)]
         out = T.concat(parts)
-        g = rng.standard_normal(out.size)
+        g = rng.standard_normal(out.shape)
         backward(T.sum_all(T.mul(out, Tensor(g))))
-        np.testing.assert_array_equal(parts[0].grad, g[:6].reshape(2, 3))
-        np.testing.assert_array_equal(parts[1].grad, g[6:])
+        np.testing.assert_array_equal(parts[0].grad, g[:, :6].reshape(1, 2, 3))
+        np.testing.assert_array_equal(parts[1].grad, g[:, 6:])
 
     def test_concat_element_flows_to_one_part(self):
-        a = Tensor(np.array([1.0]), requires_grad=True)
-        bc = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        a = Tensor(np.array([[1.0]]), requires_grad=True)
+        bc = Tensor(np.array([[2.0, 3.0]]), requires_grad=True)
         out = T.concat([a, bc])
-        backward(T.sum_all(T.gather_at(T.reshape(out, (1, 1, 3)), [(0, 1)])))
-        np.testing.assert_array_equal(a.grad, [0.0])
-        np.testing.assert_array_equal(bc.grad, [1.0, 0.0])
+        backward(T.sum_all(T.gather_at(T.reshape(out, (1, 1, 1, 3)), [[(0, 1)]])))
+        np.testing.assert_array_equal(a.grad, [[0.0]])
+        np.testing.assert_array_equal(bc.grad, [[1.0, 0.0]])
 
     def test_gather_duplicates_accumulate(self):
-        x = Tensor(np.zeros((2, 3, 3)), requires_grad=True)
-        out = T.gather_at(x, [(1, 1), (1, 1)])
+        x = Tensor(np.zeros((1, 2, 3, 3)), requires_grad=True)
+        out = T.gather_at(x, [[(1, 1), (1, 1)]])
         backward(T.sum_all(out))
-        assert x.grad[0, 1, 1] == 2.0
+        assert x.grad[0, 0, 1, 1] == 2.0
         assert x.grad.sum() == 4.0
 
 
@@ -120,13 +120,13 @@ class TestWeightGradientSums:
     def test_shared_leaf_weights_match_finite_differences(self):
         rng = np.random.default_rng(3)
         w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
-        grids = [Tensor(rng.standard_normal((2, 5, 6))) for _ in range(2)]
-        data_vec = Tensor(rng.standard_normal(4))
-        coeffs = Tensor(rng.standard_normal(9))
+        grids = [Tensor(rng.standard_normal((1, 2, 5, 6))) for _ in range(2)]
+        data_vec = Tensor(rng.standard_normal((1, 4)))
+        coeffs = Tensor(rng.standard_normal((1, 9)))
 
         def loss(_=None):
             fibers = [T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2, dilation=2),
-                                            [(1, 4)]), (4,))
+                                            [[(1, 4)]]), (1, 4))
                       for x in grids]
             outs = [T.linear(v, w_lin, b_lin) for v in fibers + [data_vec]]
             return T.sum_all(T.mul(T.concat(outs), coeffs))
@@ -139,11 +139,12 @@ class TestWeightGradientSums:
     def test_second_backward_adds_onto_existing_grad(self):
         rng = np.random.default_rng(4)
         w_lin, b_lin, w_conv, b_conv = self.shared_weights(rng)
-        x = Tensor(rng.standard_normal((2, 4, 4)))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         w_conv.grad = np.full(w_conv.shape, 0.5)
 
         def run():
-            fiber = T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2), [(2, 1)]), (4,))
+            fiber = T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2), [[(2, 1)]]),
+                              (1, 4))
             backward(T.sum_all(T.linear(fiber, w_lin, b_lin)))
 
         run()
@@ -156,8 +157,8 @@ class TestWeightGradientSums:
         rng = np.random.default_rng(5)
         base = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         bias = Tensor(np.zeros(3))
-        xs = [Tensor(rng.standard_normal(4)) for _ in range(2)]
-        coeffs = Tensor(rng.standard_normal(6))
+        xs = [Tensor(rng.standard_normal((1, 4))) for _ in range(2)]
+        coeffs = Tensor(rng.standard_normal((1, 6)))
 
         def loss(_=None):
             w = base * 2.0
@@ -166,7 +167,7 @@ class TestWeightGradientSums:
         backward(loss())
         np.testing.assert_allclose(base.grad, finite_diff_grad(loss, base),
                                    rtol=1e-6, atol=1e-8)
-        want = 2.0 * sum(np.outer(coeffs.data[3 * i:3 * i + 3], x.data)
+        want = 2.0 * sum(np.outer(coeffs.data[0, 3 * i:3 * i + 3], x.data)
                          for i, x in enumerate(xs))
         np.testing.assert_allclose(base.grad, want, rtol=1e-12)
 
@@ -199,9 +200,9 @@ class TestWeightGradientSums:
         a = Tensor(rng.standard_normal(3), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
         c = Tensor(rng.standard_normal(3), requires_grad=True)
-        maps = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
-        targets = Tensor(2.0 * rng.standard_normal((3, 2)), requires_grad=True)
-        grid = Tensor(rng.standard_normal((2, 5, 6)))
+        maps = Tensor(rng.standard_normal((1, 2, 5, 6)), requires_grad=True)
+        targets = Tensor(2.0 * rng.standard_normal((1, 3, 2)), requires_grad=True)
+        grid = Tensor(rng.standard_normal((1, 2, 5, 6)))
         rows = Tensor(rng.standard_normal((2, 4)))
         coeffs = Tensor(rng.standard_normal((3, 3)))
         # two input channels per group, so that a transposed weight gradient is not contiguous
@@ -210,11 +211,10 @@ class TestWeightGradientSums:
         def loss(_=None):
             conv = T.add(T.conv2d(grid, w_conv, b_conv, groups=2),
                          T.conv2d(grid, w_dense, b_conv, dilation=2))
-            fiber = T.gather_at(conv, [(1, 4)])
-            batch = T.reshape(T.concat([fiber, rows]), (3, 4))
-            out = T.add(T.linear(batch, w_lin, b_lin), T.reshape(T.concat([T.add(a, b)] * 3),
-                                                                 (3, 3)))
-            picked = T.gather_at(maps, [(1, 4), (1, 4), (0, 2)])
+            fiber = T.gather_at(conv, [[(1, 4)]])
+            batch = T.reshape(T.concat([fiber, T.reshape(rows, (1, 8))]), (3, 4))
+            out = T.add(T.linear(batch, w_lin, b_lin), T.stack([T.add(a, b)] * 3))
+            picked = T.gather_at(maps, [[(1, 4), (1, 4), (0, 2)]])
             extra = T.add(T.sum_all(T.mul(c, c)), T.sum_all(T.smooth_l1(picked, targets)))
             return T.add(T.sum_all(T.mul(out, coeffs)), extra)
 
@@ -353,6 +353,29 @@ class TestGradcheckSuite:
         gradcheck.run_suite(trials=1, seed=0)
         assert "conv2d" in calls and "map_peaks" in calls
         assert [name for name, n in calls.items() if n == 0] == []
+
+    def test_suite_runs_a_backward_closure_of_every_public_op(self, monkeypatch):
+        """Each public op of ``kphead.tensor`` has a single-op or loss check
+        that runs its backward closure, not only a forward probe.  Ops record
+        their function's name as their tag, except ``sum_all``'s ``"sum"``;
+        the whole-head check does not count."""
+        ran = set()
+        record = T._record
+
+        def noting(data, op, parents, backward_fn):
+            def noted(g):
+                ran.add(op)
+                backward_fn(g)
+            return record(data, op, parents, backward_fn and noted)
+
+        monkeypatch.setattr(T, "_record", noting)
+        monkeypatch.delitem(gradcheck.CHECKS, "condensed_head_loss")
+        gradcheck.run_suite(trials=1, seed=0)
+        ops = {"sum" if name == "sum_all" else name for name, fn in vars(T).items()
+               if inspect.isfunction(fn) and fn.__module__ == T.__name__
+               and not name.startswith("_") and name not in ("backward", "finite_diff_grad")}
+        assert {"concat", "gather_at", "linear", "logsumexp", "sum"} <= ops
+        assert sorted(ops - ran) == []
 
     def test_full_head_parameter_gradients(self):
         """Every parameter of the condensed head matches finite differences."""

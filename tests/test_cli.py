@@ -299,6 +299,21 @@ class TestToyTrainEvalHeatmaps:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite grid value" in err
 
+    def test_y_hat_disagreeing_with_class_id_exits_2(self, tmp_path, capsys):
+        """A record marked background (y_hat 0) with a foreground class is refused."""
+        data = gen(tmp_path)
+        blob = bytearray(data.read_bytes())
+        blob[32:34] = b"\x00\x02"  # the first example's y_hat and class_id
+        data.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main(["toy", "train", "--data", str(data), "--out", str(tmp_path / "p.bin")]
+                  + BASE_FLAGS)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert is_one_error_line(err)
+        assert "example 0: y_hat is not 1 exactly when class_id is not 0" in err
+        assert not (tmp_path / "p.bin").exists()
+
     def test_divergent_training_exits_3(self, tmp_path, capsys):
         data = gen(tmp_path)
         capsys.readouterr()

@@ -159,10 +159,13 @@ class TestFileFormat:
     @pytest.mark.parametrize("offset, patch, problem", [
         (32, b"\x02", "y_hat is not 0 or 1"),
         (33, b"\x04", "class_id exceeds the header's 3"),
+        (32, b"\x00\x02", "y_hat is not 1 exactly when class_id is not 0"),
+        (32, b"\x01\x00", "y_hat is not 1 exactly when class_id is not 0"),
         (34, NAN, "non-finite box"),
         (POINTS_AT, b"\x07\x00", "planted point"),
         (POINTS_AT + 2 * SMALL.parts_per_class + 4 * 17, NAN, "non-finite grid"),
-    ], ids=["y_hat", "class_id", "box", "point", "grid"])
+    ], ids=["y_hat", "class_id", "background_y_hat_with_a_class",
+            "foreground_y_hat_without_a_class", "box", "point", "grid"])
     def test_bad_example_values_rejected(self, tmp_path, offset, patch, problem):
         train, _ = generate_dataset(SMALL)
         path = tmp_path / "d.bin"

@@ -42,14 +42,14 @@ class TestConcentration:
             blk.reduce.weight.data[:] = 0.0
             blk.restore.weight.data[:] = 0.0
             blk.restore.bias.data[:] = 0.0
-        x = Tensor(np.random.default_rng(1).standard_normal((8, 5, 5)))
+        x = Tensor(np.random.default_rng(1).standard_normal((1, 8, 5, 5)))
         out = concentration_forward(x, params, TOY_CFG)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_matches_block_loop_oracle(self):
         rng = np.random.default_rng(2)
         params = toy_params()
-        x = Tensor(rng.standard_normal((8, 5, 5)))
+        x = Tensor(rng.standard_normal((1, 8, 5, 5)))
         out = concentration_forward(x, params, TOY_CFG)
         blk = params.blocks[0]
         want = oracles.residual_block_loops(
@@ -73,7 +73,7 @@ class TestConcentration:
 
     def test_batch_matches_each_grid_on_its_own(self):
         """Concentration then prediction over N stacked grids gives each grid's
-        raw maps of a pass over that grid alone, and the same vector-Jacobian
+        raw maps of a pass over a batch of that grid alone, and the same vector-Jacobian
         product: each grid's input gradient, and parameter gradients summed
         over the grids (a sum over the examples may round in another order)."""
         cfg = DiscoveryConfig(channels=8, num_parts=3, num_blocks=2, reduction=2,
@@ -93,8 +93,9 @@ class TestConcentration:
             return [raw.data, x.grad] + [t.grad for _, t in named]
 
         batched = run(grids, g)
-        per_grid = [run(x, gi) for x, gi in zip(grids, g)]
-        want = ([np.stack([one[0] for one in per_grid]), np.stack([one[1] for one in per_grid])]
+        per_grid = [run(grids[i:i + 1], g[i:i + 1]) for i in range(len(grids))]
+        want = ([np.concatenate([one[0] for one in per_grid]),
+                 np.concatenate([one[1] for one in per_grid])]
                 + [sum(one[j] for one in per_grid) for j in range(2, len(batched))])
         for got, expected in zip(batched, want):
             assert got.shape == expected.shape
@@ -103,8 +104,12 @@ class TestConcentration:
     def test_shape_preserved_at_full_scale(self):
         cfg = DiscoveryConfig(channels=256, num_parts=16)
         params = init_discovery_params(cfg, np.random.default_rng(0))
-        x = Tensor(np.random.default_rng(3).standard_normal((256, 7, 7)))
-        assert concentration_forward(x, params, cfg).shape == (256, 7, 7)
+        x = Tensor(np.random.default_rng(3).standard_normal((1, 256, 7, 7)))
+        assert concentration_forward(x, params, cfg).shape == (1, 256, 7, 7)
+
+    def test_grid_without_example_axis_rejected(self):
+        with pytest.raises(ConfigError, match=r"N x 8 x H x W, got shape \(8, 5, 5\)"):
+            concentration_forward(Tensor(np.zeros((8, 5, 5))), toy_params(), TOY_CFG)
 
 
 class TestPredictConfidence:
@@ -112,32 +117,32 @@ class TestPredictConfidence:
         params = toy_params()
         params.predict.weight.data[:] = 0.0
         params.predict.bias.data[:] = [0.3, -0.2]
-        x = Tensor(np.random.default_rng(4).standard_normal((8, 5, 5)))
+        x = Tensor(np.random.default_rng(4).standard_normal((1, 8, 5, 5)))
         out = predict_confidence(x, params, TOY_CFG)
-        np.testing.assert_allclose(out.data[0], 0.3)
-        np.testing.assert_allclose(out.data[1], -0.2)
+        np.testing.assert_allclose(out.data[0, 0], 0.3)
+        np.testing.assert_allclose(out.data[0, 1], -0.2)
 
     def test_mean_filter_weight_gives_channel_mean(self):
         cfg = DiscoveryConfig(channels=8, num_parts=1, num_blocks=1, reduction=2, groups=2)
         params = init_discovery_params(cfg, np.random.default_rng(0))
         params.predict.weight.data[:] = 1.0 / 8.0
         params.predict.bias.data[:] = 0.0
-        x = Tensor(np.random.default_rng(5).standard_normal((8, 4, 4)))
+        x = Tensor(np.random.default_rng(5).standard_normal((1, 8, 4, 4)))
         out = predict_confidence(x, params, cfg)
-        np.testing.assert_allclose(out.data[0], x.data.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 0], x.data[0].mean(axis=0), atol=1e-12)
 
     def test_random_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         params = toy_params()
-        x = Tensor(rng.standard_normal((8, 5, 5)))
+        x = Tensor(rng.standard_normal((1, 8, 5, 5)))
         out = predict_confidence(x, params, TOY_CFG)
-        want = oracles.conv2d_loops(x.data, params.predict.weight.data,
+        want = oracles.conv2d_loops(x.data[0], params.predict.weight.data,
                                     params.predict.bias.data)
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
     def test_wrong_channel_count_names_the_channel_axis(self):
         params = toy_params()
-        for shape in ((6, 5, 5), (8, 6, 5, 5)):
+        for shape in ((1, 6, 5, 5), (8, 6, 5, 5)):
             with pytest.raises(ContractViolation, match="expected 8 channels, got 6$"):
                 predict_confidence(Tensor(np.zeros(shape)), params, TOY_CFG)
         with pytest.raises(ContractViolation, match=r"got shape \(8, 5\)"):
@@ -147,12 +152,12 @@ class TestPredictConfidence:
 class TestTruncatedMaxSquash:
     def test_all_zero_map_closed_form(self):
         """Zero raw values squash to 0.5/1.1 everywhere."""
-        out = tmr_squash(Tensor(np.zeros((1, 3, 3))), alpha=0.5, epsilon=0.1)
+        out = tmr_squash(Tensor(np.zeros((1, 1, 3, 3))), alpha=0.5, epsilon=0.1)
         np.testing.assert_allclose(out.data, 0.5 / 1.1)
 
     def test_worked_three_value_map(self):
         """Raw [-1, 0.3, 1.5]: maximum pushes the denominator to 2.1."""
-        raw = Tensor(np.array([-1.0, 0.3, 1.5]).reshape(1, 1, 3))
+        raw = Tensor(np.array([-1.0, 0.3, 1.5]).reshape(1, 1, 1, 3))
         out = tmr_squash(raw, alpha=0.5, epsilon=0.1)
         np.testing.assert_allclose(out.data.reshape(-1),
                                    [0.0, 0.8 / 2.1, 2.0 / 2.1], atol=1e-15)
@@ -160,15 +165,15 @@ class TestTruncatedMaxSquash:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         raw = rng.standard_normal((4, 6, 6)) * 2.0
-        out = tmr_squash(Tensor(raw))
-        np.testing.assert_allclose(out.data, oracles.tmr_loops(raw, 0.5, 0.1), atol=1e-12)
+        out = tmr_squash(Tensor(raw[None]))
+        np.testing.assert_allclose(out.data[0], oracles.tmr_loops(raw, 0.5, 0.1), atol=1e-12)
 
     def test_range_and_max_properties(self):
         """Outputs stay in [0,1); the per-map max hits the closed form."""
         rng = np.random.default_rng(8)
         for _ in range(200):
             raw = rng.uniform(-3, 3, size=(3, 5, 5)) * rng.uniform(0.1, 3)
-            out = tmr_squash(Tensor(raw)).data
+            out = tmr_squash(Tensor(raw[None])).data[0]
             assert np.all(out >= 0.0) and np.all(out < 1.0)
             for k in range(3):
                 c_m = raw[k].max()
@@ -180,7 +185,7 @@ class TestTruncatedMaxSquash:
         rng = np.random.default_rng(9)
         for _ in range(50):
             raw = rng.uniform(-2, 4, size=(1, 4, 4))
-            out = tmr_squash(Tensor(raw)).data[0]
+            out = tmr_squash(Tensor(raw[None])).data[0, 0]
             flat_raw = raw[0].reshape(-1)
             flat_out = out.reshape(-1)
             order = np.argsort(flat_raw, kind="stable")
@@ -190,56 +195,56 @@ class TestTruncatedMaxSquash:
         """With the map max at or below 0.5 the squash is max(0, (c+0.5)/1.1)."""
         rng = np.random.default_rng(10)
         raw = np.minimum(rng.uniform(-2, 0.5, size=(2, 4, 4)), 0.5)
-        out = tmr_squash(Tensor(raw)).data
+        out = tmr_squash(Tensor(raw[None])).data[0]
         np.testing.assert_allclose(out, np.maximum(0.0, (raw + 0.5) / 1.1), atol=1e-15)
 
     def test_gradient_reaches_peak_through_both_paths(self):
         """With a saturated maximum, the winning cell's gradient includes the
         denominator path (it differs from a non-winning cell's)."""
-        raw = Tensor(np.array([[[2.0, 0.0], [0.0, 0.0]]]), requires_grad=True)
+        raw = Tensor(np.array([[[[2.0, 0.0], [0.0, 0.0]]]]), requires_grad=True)
         out = tmr_squash(raw)
         backward(T.sum_all(out))
-        assert raw.grad[0, 0, 0] != raw.grad[0, 0, 1]
-        assert raw.grad[0, 0, 0] < raw.grad[0, 0, 1]  # peak growth hurts the others
+        assert raw.grad[0, 0, 0, 0] != raw.grad[0, 0, 0, 1]
+        assert raw.grad[0, 0, 0, 0] < raw.grad[0, 0, 0, 1]  # peak growth hurts the others
 
     def test_tied_raw_maximum_is_a_kink(self):
         raw = np.random.default_rng(16).uniform(-1, 1, size=(2, 4, 4))
         raw[1, 0, 3] = raw[1, 2, 1] = 2.0
         with T.KinkWatch() as watch:
-            tmr_squash(Tensor(raw))
+            tmr_squash(Tensor(raw[None]))
         assert watch.min_margin == 0.0
 
 
 class TestExtractKeyParts:
     def test_planted_peaks(self):
-        maps = np.zeros((2, 7, 7))
-        maps[0, 1, 1] = 1.0
-        maps[1, 6, 3] = 1.0
+        maps = np.zeros((1, 2, 7, 7))
+        maps[0, 0, 1, 1] = 1.0
+        maps[0, 1, 6, 3] = 1.0
         (parts,) = extract_key_parts(Tensor(maps))
         assert parts.points == [(1, 1), (6, 3)]
         assert parts.confidences == [1.0, 1.0]
 
     def test_constant_maps_duplicate_origin(self):
-        (parts,) = extract_key_parts(Tensor(np.zeros((3, 4, 4))))
+        (parts,) = extract_key_parts(Tensor(np.zeros((1, 3, 4, 4))))
         assert parts.points == [(0, 0)] * 3
 
     def test_permuting_maps_permutes_points(self):
         rng = np.random.default_rng(11)
         maps = rng.standard_normal((4, 5, 5))
         perm = [2, 0, 3, 1]
-        (base,) = extract_key_parts(Tensor(maps))
-        (shuffled,) = extract_key_parts(Tensor(maps[perm]))
+        (base,) = extract_key_parts(Tensor(maps[None]))
+        (shuffled,) = extract_key_parts(Tensor(maps[perm][None]))
         assert shuffled.points == [base.points[i] for i in perm]
 
     def test_batch_gives_each_examples_parts(self):
         """One search over N x K x H x W maps returns, per example, what a
-        search over that example's K x H x W maps returns."""
+        search over a batch of that example's maps alone returns."""
         rng = np.random.default_rng(12)
         maps = rng.integers(0, 3, size=(3, 2, 4, 5)).astype(float)  # many ties
         batched = extract_key_parts(Tensor(maps))
         assert len(batched) == 3
         for parts, example in zip(batched, maps):
-            assert parts == extract_key_parts(Tensor(example))[0]
+            assert parts == extract_key_parts(Tensor(example[None]))[0]
 
 
 class TestTranslationEquivariance:
@@ -250,7 +255,8 @@ class TestTranslationEquivariance:
                           groups=2, dilation=2)
 
     def _raw_maps(self, params, x):
-        refined = concentration_forward(Tensor(x), params, self.CFG)
+        """Raw maps of the batch of one grid ``x``, 1 x K x H x W."""
+        refined = concentration_forward(Tensor(x[None]), params, self.CFG)
         return predict_confidence(refined, params, self.CFG).data
 
     def test_interior_values_follow_cyclic_shift(self):
@@ -259,8 +265,8 @@ class TestTranslationEquivariance:
         x = rng.standard_normal((8, 12, 12))
         dr, dc = 1, 1
         shifted = np.roll(x, shift=(dr, dc), axis=(1, 2))
-        base = self._raw_maps(params, x)
-        moved = self._raw_maps(params, shifted)
+        base = self._raw_maps(params, x)[0]
+        moved = self._raw_maps(params, shifted)[0]
         margin = self.CFG.dilation * self.CFG.num_blocks + 1  # receptive radius + 1
         for r in range(margin, 12 - margin - dr):
             for c in range(margin, 12 - margin - dc):

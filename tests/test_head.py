@@ -29,7 +29,7 @@ def toy_models(seed=0):
 def key_part_blocks(x, maps, parts):
     """The N x (K*C + K*H*W) key-part blocks: ``key_part_modeling``'s pieces
     joined row-wise, as ``head_forward`` joins them."""
-    return T.concat(key_part_modeling(x, maps, parts), rows=x.shape[0])
+    return T.concat(key_part_modeling(x, maps, parts))
 
 
 class TestDescriptorArithmetic:
@@ -95,15 +95,15 @@ class TestGlobalModeling:
         params = init_head_params(cfg, np.random.default_rng(0))
         params.global_conv.weight.data[:] = np.eye(4).reshape(4, 4, 1, 1)
         params.global_conv.bias.data[:] = 0.0
-        x = Tensor(np.random.default_rng(1).standard_normal((4, 3, 3)))
+        x = Tensor(np.random.default_rng(1).standard_normal((1, 4, 3, 3)))
         np.testing.assert_allclose(global_activation(x, params, cfg).data, x.data,
                                    atol=1e-12)
 
     def test_constant_grid_passes_through_pooling(self):
         params = init_head_params(TOY_HEAD, np.random.default_rng(2))
         params.global_conv.bias.data[:] = 0.0
-        x = Tensor(np.full((8, 5, 5), 3.0))
-        z_g = global_activation(x, params, TOY_HEAD).data
+        x = Tensor(np.full((1, 8, 5, 5), 3.0))
+        z_g = global_activation(x, params, TOY_HEAD).data[0]
         row_sums = params.global_conv.weight.data.reshape(2, 8).sum(axis=1)
         for ch in range(2):
             np.testing.assert_allclose(z_g[ch], 3.0 * row_sums[ch], atol=1e-12)
@@ -113,8 +113,8 @@ class TestGlobalModeling:
         cfg = HeadConfig(channels=8, num_classes=3, num_parts=2, pool_len=5,
                          height=7, width=7, channel_keep=0.25, hidden=16)
         params = init_head_params(cfg, rng)
-        x = Tensor(rng.standard_normal((8, 7, 7)))
-        pooled = oracles.adaptive_avg_pool_loops(x.data, 5)
+        x = Tensor(rng.standard_normal((1, 8, 7, 7)))
+        pooled = oracles.adaptive_avg_pool_loops(x.data[0], 5)
         want = oracles.conv2d_loops(pooled, params.global_conv.weight.data,
                                     params.global_conv.bias.data).reshape(-1)
         np.testing.assert_allclose(global_activation(x, params, cfg).data.reshape(-1), want,

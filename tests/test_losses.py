@@ -165,7 +165,8 @@ class TestDiscoveryObjective:
 
 def per_example_terms(maps_batch, labels):
     """The discriminative and uniqueness terms built one example at a time
-    from its K x H x W maps, the per-example sums chained with ``+``."""
+    from its 1 x K x H x W batch of one, the per-example sums chained with
+    ``+``."""
     disc = uniq = None
     for maps, y in zip(maps_batch, labels):
         d = T.sum_all(T.smooth_l1(T.map_peaks(maps), Tensor(float(y))))
@@ -206,7 +207,7 @@ class TestBatchedDiscoveryTerms:
         maps = Tensor(np.stack(arrays), requires_grad=True)
         terms = (discriminative_loss(maps, labels), uniqueness_loss(maps, labels))
         grads = [g for (g,) in self.term_grads(terms, [maps])]
-        examples = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        examples = [Tensor(a[None].copy(), requires_grad=True) for a in arrays]
         want_terms = per_example_terms(examples, labels)
         want_grads = self.term_grads(want_terms, examples)
         assert [t.item() for t in terms] == pytest.approx(
@@ -214,8 +215,9 @@ class TestBatchedDiscoveryTerms:
         for got, want in zip(grads, want_grads):
             assert (got is None) == all(w is None for w in want)
             if got is not None:
-                assert np.array_equal(got, np.stack(
-                    [w if w is not None else np.zeros_like(a) for w, a in zip(want, arrays)]))
+                assert np.array_equal(got, np.concatenate(
+                    [w if w is not None else np.zeros((1,) + a.shape)
+                     for w, a in zip(want, arrays)]))
         assert grads[0][1, 2, 0, 1] != 0.0 and grads[0][1, 2, 3, 4] == 0.0
 
 

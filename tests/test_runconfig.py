@@ -1,8 +1,11 @@
 """Run configuration text: parsing, printing and validation."""
 
+from functools import partial
+
 import pytest
 
 from kphead.dataset import ToyDatasetSpec
+from kphead.discovery import DiscoveryConfig
 from kphead.errors import ConfigError
 from kphead.runconfig import DEFAULTS, HeadOptions, RunConfig, dump_defaults, load_config
 from kphead.training import TrainConfig
@@ -48,6 +51,22 @@ def test_train_settings_outside_their_range_are_rejected(kw, problem):
         TrainConfig(**kw)
     assert str(err.value) == problem
     TrainConfig(momentum=0.0, okpd_loss_weight=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("make, key, rule", [
+    (partial(DiscoveryConfig, channels=8, num_parts=1, reduction=2, groups=2), "alpha",
+     "finite and >= 0"),
+    (partial(DiscoveryConfig, channels=8, num_parts=1, reduction=2, groups=2), "epsilon",
+     "finite and > 0"),
+    (ToyDatasetSpec, "noise_sigma", "finite and >= 0"),
+    (ToyDatasetSpec, "signature_norm", "finite"),
+], ids=["alpha", "epsilon", "noise_sigma", "signature_norm"])
+def test_non_finite_discovery_and_data_floats_are_rejected(make, key, rule, value):
+    """The API refuses what the CLI's float parser already refuses."""
+    with pytest.raises(ConfigError) as err:
+        make(**{key: value})
+    assert str(err.value) == f"{key} must be {rule}, got {value}"
 
 
 @pytest.mark.parametrize("keep", [4.0, 1.5, 0.0, -0.5, float("nan")])

@@ -1,12 +1,15 @@
 """Forward semantics of every tensor operation against naive loop oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
 from kphead import gradcheck
 from kphead import tensor as T
-from kphead.discovery import extract_key_parts
+from kphead.discovery import (DiscoveryConfig, extract_key_parts, init_discovery_params,
+                              predict_confidence, tmr_squash)
 from kphead.errors import ConfigError, ContractViolation
 from kphead.tensor import Tensor
 
@@ -145,22 +148,22 @@ class TestConv2d:
 class TestAdaptiveAvgPool:
     def test_identity_when_out_len_matches(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 4, 4)))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         np.testing.assert_array_equal(T.adaptive_avg_pool(x, 4).data, x.data)
 
     def test_global_average(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((3, 5, 5)))
+        x = Tensor(rng.standard_normal((1, 3, 5, 5)))
         out = T.adaptive_avg_pool(x, 1)
-        np.testing.assert_allclose(out.data[:, 0, 0], x.data.mean(axis=(1, 2)))
+        np.testing.assert_allclose(out.data[0, :, 0, 0], x.data[0].mean(axis=(1, 2)))
 
     def test_seven_to_five_bin_boundaries(self):
         """7 -> 5 bins are [0,2), [1,3), [2,5), [4,6), [5,7)."""
         assert oracles.pool_bin_ranges(7, 5) == [(0, 2), (1, 3), (2, 5), (4, 6), (5, 7)]
         rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((3, 7, 7)))
+        x = Tensor(rng.standard_normal((1, 3, 7, 7)))
         out = T.adaptive_avg_pool(x, 5)
-        np.testing.assert_allclose(out.data, oracles.adaptive_avg_pool_loops(x.data, 5),
+        np.testing.assert_allclose(out.data[0], oracles.adaptive_avg_pool_loops(x.data[0], 5),
                                    atol=1e-12)
 
     @staticmethod
@@ -169,15 +172,15 @@ class TestAdaptiveAvgPool:
         h = int(rng.integers(2, 10))
         w = int(rng.integers(2, 10))
         out_len = int(rng.integers(1, min(h, w) + 1))
-        x = Tensor(rng.standard_normal((int(rng.integers(1, 5)), h, w)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, int(rng.integers(1, 5)), h, w)), requires_grad=True)
         return x, out_len
 
     @pytest.mark.parametrize("case", range(10))
     def test_random_cases_match_oracle(self, case):
         x, out_len = self.random_case(case)
         out = T.adaptive_avg_pool(x, out_len)
-        np.testing.assert_allclose(out.data,
-                                   oracles.adaptive_avg_pool_loops(x.data, out_len),
+        np.testing.assert_allclose(out.data[0],
+                                   oracles.adaptive_avg_pool_loops(x.data[0], out_len),
                                    atol=1e-12)
 
         g = np.random.default_rng([12, case]).standard_normal(out.shape)
@@ -188,39 +191,39 @@ class TestAdaptiveAvgPool:
 
     def test_random_cases_cover_non_dividing_bins(self):
         cases = [self.random_case(case) for case in range(10)]
-        assert any(x.shape[1] != x.shape[2] for x, _ in cases)
-        assert any(x.shape[1] % out_len or x.shape[2] % out_len for x, out_len in cases)
+        assert any(x.shape[2] != x.shape[3] for x, _ in cases)
+        assert any(x.shape[2] % out_len or x.shape[3] % out_len for x, out_len in cases)
 
     def test_out_of_range_rejected(self):
-        x = Tensor(np.zeros((1, 4, 4)))
+        x = Tensor(np.zeros((1, 1, 4, 4)))
         with pytest.raises(ConfigError):
             T.adaptive_avg_pool(x, 5)
 
 
 class TestLinear:
     def test_identity_weight(self):
-        x = Tensor(np.arange(4.0))
+        x = Tensor(np.arange(4.0)[None])
         out = T.linear(x, Tensor(np.eye(4)), Tensor(np.zeros(4)))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_weight_gives_bias(self):
-        x = Tensor(np.arange(5.0))
+        x = Tensor(np.arange(5.0)[None])
         b = np.array([1.5, -2.0])
         out = T.linear(x, Tensor(np.zeros((2, 5))), Tensor(b))
-        np.testing.assert_array_equal(out.data, b)
+        np.testing.assert_array_equal(out.data, [b])
 
     def test_random_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal(8))
+        x = Tensor(rng.standard_normal((1, 8)))
         w = Tensor(rng.standard_normal((3, 8)))
         b = Tensor(rng.standard_normal(3))
-        np.testing.assert_allclose(T.linear(x, w, b).data,
-                                   oracles.linear_loops(x.data, w.data, b.data),
+        np.testing.assert_allclose(T.linear(x, w, b).data[0],
+                                   oracles.linear_loops(x.data[0], w.data, b.data),
                                    atol=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            T.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
+            T.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
     def test_batch_rows_match_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -285,13 +288,11 @@ class TestSplitLinear:
         err = gradcheck.CHECKS["linear"](np.random.default_rng([0, 0, 2]))
         assert forced_split and err < gradcheck.GRAD_TOL
 
-    def test_small_weights_and_vectors_do_not_split(self, worker_tasks, monkeypatch):
+    def test_small_weights_do_not_split(self, worker_tasks, monkeypatch):
         monkeypatch.setattr(T, "_LINEAR_SPLIT_MIN", 6)
         rng = np.random.default_rng(8)
         _linear_with_vjp(rng.standard_normal((4, 2)), rng.standard_normal((2, 2)),
                          np.zeros(2), rng.standard_normal((4, 2)))
-        _linear_with_vjp(rng.standard_normal(3), rng.standard_normal((2, 3)),
-                         np.zeros(2), rng.standard_normal(2))
         assert not worker_tasks
 
     def test_one_usable_cpu_makes_no_worker(self, one_cpu, monkeypatch):
@@ -318,21 +319,21 @@ class TestElementwiseAndConcat:
             T.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
     def test_concat_order_preserved(self):
-        out = T.concat([Tensor(np.array([1.0])), Tensor(np.array([2.0, 3.0]))])
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+        out = T.concat([Tensor(np.array([[1.0]])), Tensor(np.array([[2.0, 3.0]]))])
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_concat_flattens_row_major(self):
-        part = Tensor(np.arange(6.0).reshape(2, 3))
-        out = T.concat([part, Tensor(np.array([9.0]))])
-        np.testing.assert_array_equal(out.data, [0, 1, 2, 3, 4, 5, 9])
+        part = Tensor(np.arange(6.0).reshape(1, 2, 3))
+        out = T.concat([part, Tensor(np.array([[9.0]]))])
+        np.testing.assert_array_equal(out.data, [[0, 1, 2, 3, 4, 5, 9]])
 
     def test_logsumexp_runs_over_each_row(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 6))
         want = [oracles.cross_entropy_ref(list(row), 0) + row[0] for row in x]
         np.testing.assert_allclose(T.logsumexp(Tensor(x)).data, want, rtol=1e-14)
-        assert T.logsumexp(Tensor(x[0])).item() == pytest.approx(want[0], rel=1e-14)
-        for leaf in (Tensor(x, requires_grad=True), Tensor(x[0], requires_grad=True)):
+        assert T.logsumexp(Tensor(x[:1])).item() == pytest.approx(want[0], rel=1e-14)
+        for leaf in (Tensor(x, requires_grad=True), Tensor(x[:1], requires_grad=True)):
             T.backward(T.sum_all(T.logsumexp(leaf)))
             fd = T.finite_diff_grad(lambda t: T.sum_all(T.logsumexp(t)), leaf)
             np.testing.assert_allclose(leaf.grad, fd, atol=1e-8)
@@ -344,7 +345,7 @@ class TestArgmax2d:
 
     @staticmethod
     def argmax2d(m):
-        (parts,) = extract_key_parts(Tensor(m[None]))
+        (parts,) = extract_key_parts(Tensor(m[None, None]))
         return parts.points[0] + (parts.confidences[0],)
 
     def test_all_equal_breaks_to_origin(self):
@@ -382,12 +383,12 @@ class TestFusedPeakOps:
         rng = np.random.default_rng([14, case])
         raw_data = self.maps_with_hard_cases(rng)
         g = rng.standard_normal(raw_data.shape)
-        raw = Tensor(raw_data, requires_grad=True)
+        raw = Tensor(raw_data[None], requires_grad=True)
         out = T.truncated_max_squash(raw, 0.5, 0.1)
-        np.testing.assert_allclose(out.data, oracles.tmr_loops(raw_data, 0.5, 0.1),
+        np.testing.assert_allclose(out.data[0], oracles.tmr_loops(raw_data, 0.5, 0.1),
                                    atol=1e-12)
-        T.backward(T.sum_all(T.mul(out, Tensor(g))))
-        np.testing.assert_allclose(raw.grad, oracles.tmr_vjp_loops(raw_data, 0.5, 0.1, g),
+        T.backward(T.sum_all(T.mul(out, Tensor(g[None]))))
+        np.testing.assert_allclose(raw.grad[0], oracles.tmr_vjp_loops(raw_data, 0.5, 0.1, g),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("case", range(5))
@@ -431,7 +432,7 @@ class TestFusedPeakOps:
         grad.reshape(flat.shape)[rows, peak_idx] += g_peak
         return grad
 
-    @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (2, 16, 7, 7), (5, 9, 13), (2, 3, 20, 20),
+    @pytest.mark.parametrize("shape", [(3, 4, 7, 7), (2, 16, 7, 7), (1, 5, 9, 13), (2, 3, 20, 20),
                                        (1, 1, 1, 300), (2, 2, 300, 1)])
     def test_tmr_denominator_gradient_rounds_as_a_per_map_np_sum(self, shape):
         """One row sum over all N*K maps gives, bit for bit, the gradient that
@@ -448,41 +449,41 @@ class TestFusedPeakOps:
 
 class TestGatherAt:
     def test_origin_fiber(self):
-        x = Tensor(np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3))
-        out = T.gather_at(x, [(0, 0)])
-        np.testing.assert_array_equal(out.data, [[0.0, 9.0]])
+        x = Tensor(np.arange(2 * 3 * 3, dtype=float).reshape(1, 2, 3, 3))
+        out = T.gather_at(x, [[(0, 0)]])
+        np.testing.assert_array_equal(out.data, [[[0.0, 9.0]]])
 
     def test_duplicate_points_give_identical_rows(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((3, 4, 4)))
-        out = T.gather_at(x, [(1, 2), (1, 2)])
-        np.testing.assert_array_equal(out.data[0], out.data[1])
+        x = Tensor(rng.standard_normal((1, 3, 4, 4)))
+        out = T.gather_at(x, [[(1, 2), (1, 2)]])
+        np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
 
     def test_random_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.standard_normal((8, 7, 7)))
+        x = Tensor(rng.standard_normal((1, 8, 7, 7)))
         points = [(int(r), int(c)) for r, c in rng.integers(0, 7, size=(4, 2))]
-        np.testing.assert_allclose(T.gather_at(x, points).data,
-                                   oracles.gather_loops(x.data, points), atol=1e-12)
+        np.testing.assert_allclose(T.gather_at(x, [points]).data[0],
+                                   oracles.gather_loops(x.data[0], points), atol=1e-12)
 
     def test_no_points_give_empty_rows(self):
-        assert T.gather_at(Tensor(np.zeros((5, 3, 4))), []).shape == (0, 5)
+        assert T.gather_at(Tensor(np.zeros((1, 5, 3, 4))), [[]]).shape == (1, 0, 5)
 
     def test_duplicate_points_accumulate_gradient(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
-        g = rng.standard_normal((3, 3))
-        T.backward(T.sum_all(T.mul(T.gather_at(x, [(1, 2), (3, 4), (1, 2)]), Tensor(g))))
-        want = np.zeros((3, 4, 5))
-        want[:, 1, 2] = g[0] + g[2]
-        want[:, 3, 4] = g[1]
+        x = Tensor(rng.standard_normal((1, 3, 4, 5)), requires_grad=True)
+        g = rng.standard_normal((1, 3, 3))
+        T.backward(T.sum_all(T.mul(T.gather_at(x, [[(1, 2), (3, 4), (1, 2)]]), Tensor(g))))
+        want = np.zeros((1, 3, 4, 5))
+        want[0, :, 1, 2] = g[0, 0] + g[0, 2]
+        want[0, :, 3, 4] = g[0, 1]
         np.testing.assert_array_equal(x.grad, want)
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(ContractViolation):
-            T.gather_at(Tensor(np.zeros((1, 3, 3))), [(3, 0)])
-        with pytest.raises(ContractViolation):
-            T.gather_at(Tensor(np.zeros((1, 3, 3))), [(0, 0), (2**70, 0)])
+        with pytest.raises(ContractViolation, match="outside"):
+            T.gather_at(Tensor(np.zeros((1, 1, 3, 3))), [[(3, 0)]])
+        with pytest.raises(ContractViolation, match="outside"):
+            T.gather_at(Tensor(np.zeros((1, 1, 3, 3))), [[(0, 0), (2**70, 0)]])
 
 
 class TestDeterminism:
@@ -490,7 +491,7 @@ class TestDeterminism:
         """Identical inputs produce bit-identical outputs across runs."""
         def compute():
             rng = np.random.default_rng(99)
-            x = Tensor(rng.standard_normal((4, 6, 6)))
+            x = Tensor(rng.standard_normal((1, 4, 6, 6)))
             w = Tensor(rng.standard_normal((4, 2, 3, 3)))
             b = Tensor(rng.standard_normal(4))
             out = T.adaptive_avg_pool(T.relu(T.conv2d(x, w, b, groups=2, dilation=2)), 3)
@@ -524,32 +525,33 @@ class TestForwardOracleSweep:
             rng = np.random.default_rng([103, case])
             c = int(rng.integers(1, 9))
             h, w_ = int(rng.integers(2, 10)), int(rng.integers(2, 10))
-            x = Tensor(rng.standard_normal((c, h, w_)))
+            x = Tensor(rng.standard_normal((1, c, h, w_)))
             out_len = int(rng.integers(1, min(h, w_) + 1))
             np.testing.assert_allclose(
-                T.adaptive_avg_pool(x, out_len).data,
-                oracles.adaptive_avg_pool_loops(x.data, out_len), atol=1e-12)
+                T.adaptive_avg_pool(x, out_len).data[0],
+                oracles.adaptive_avg_pool_loops(x.data[0], out_len), atol=1e-12)
 
             d, m = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-            xv = Tensor(rng.standard_normal(d))
+            xv = Tensor(rng.standard_normal((1, d)))
             wv = Tensor(rng.standard_normal((m, d)))
             bv = Tensor(rng.standard_normal(m))
             np.testing.assert_allclose(
-                T.linear(xv, wv, bv).data,
-                oracles.linear_loops(xv.data, wv.data, bv.data), atol=1e-12)
+                T.linear(xv, wv, bv).data[0],
+                oracles.linear_loops(xv.data[0], wv.data, bv.data), atol=1e-12)
 
             points = [(int(r), int(cc))
                       for r, cc in zip(rng.integers(0, h, 4), rng.integers(0, w_, 4))]
-            np.testing.assert_allclose(T.gather_at(x, points).data,
-                                       oracles.gather_loops(x.data, points), atol=1e-12)
+            np.testing.assert_allclose(T.gather_at(x, [points]).data[0],
+                                       oracles.gather_loops(x.data[0], points), atol=1e-12)
 
 
 def batched_and_per_example(op, batch, params=(), seed=0):
     """Run ``op(x, i, *params)`` once on the N x ... ``batch`` (``i`` None)
-    and once per example ``i`` on its slice, backward from one random output
-    gradient.  Returns the batched [output, input gradient, parameter
-    gradients...] and the per-example ones, outputs and input gradients
-    stacked and parameter gradients summed over the examples."""
+    and once per example ``i`` on a batch of one holding it, backward from
+    one random output gradient.  Returns the batched [output, input
+    gradient, parameter gradients...] and the per-example ones, outputs and
+    input gradients joined along the example axis and parameter gradients
+    summed over the examples."""
     rng = np.random.default_rng(seed)
     x = Tensor(batch.copy(), requires_grad=True)
     ps = [Tensor(p.copy(), requires_grad=True) for p in params]
@@ -558,23 +560,23 @@ def batched_and_per_example(op, batch, params=(), seed=0):
     T.backward(T.sum_all(T.mul(out, Tensor(g))))
     batched = [out.data, x.grad] + [p.grad for p in ps]
     outs, x_grads, p_grads = [], [], [np.zeros_like(p) for p in params]
-    for i, example in enumerate(batch):
-        xi = Tensor(example.copy(), requires_grad=True)
+    for i in range(len(batch)):
+        xi = Tensor(batch[i:i + 1].copy(), requires_grad=True)
         psi = [Tensor(p.copy(), requires_grad=True) for p in params]
         oi = op(xi, i, *psi)
-        T.backward(T.sum_all(T.mul(oi, Tensor(g[i]))))
+        T.backward(T.sum_all(T.mul(oi, Tensor(g[i:i + 1]))))
         outs.append(oi.data)
         x_grads.append(xi.grad)
         for total, p in zip(p_grads, psi):
             total += p.grad
-    return batched, [np.stack(outs), np.stack(x_grads)] + p_grads, g
+    return batched, [np.concatenate(outs), np.concatenate(x_grads)] + p_grads, g
 
 
 class TestExampleAxis:
-    """Every op that takes a leading example axis: over N stacked inputs it
-    equals the stack of its per-example results, forward and vector-Jacobian
-    product, within ``TOL`` (a product or a sum over the examples may round
-    in another order); the loop oracles check the batched forms at 1e-12."""
+    """Every op that takes a leading example axis: a batch of N equals N
+    batches of one, forward and vector-Jacobian product, within ``TOL`` (a
+    product or a sum over the examples may round in another order); the
+    loop oracles check the batched forms at 1e-12."""
 
     TOL = 1e-13
 
@@ -630,7 +632,8 @@ class TestExampleAxis:
                                                         rng.integers(0, 3, 6))]
                   for _ in range(n)]  # 6 points among 3h cells: duplicates
         batched, per_example, _ = batched_and_per_example(
-            lambda x, i: T.gather_at(x, points if i is None else points[i]), xs, seed=case)
+            lambda x, i: T.gather_at(x, points if i is None else points[i:i + 1]), xs,
+            seed=case)
         self.assert_equivalent(batched, per_example)
         for got, x, pts in zip(batched[0], xs, points):
             np.testing.assert_allclose(got, oracles.gather_loops(x, pts), atol=1e-12)
@@ -671,20 +674,21 @@ class TestExampleAxis:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_concat(self):
-        """``concat(parts, rows=N)`` stacks each example's flat
-        ``concat(parts_i)``; its gradient is each part's columns."""
+        """``concat`` of N-row parts stacks the N rows that ``concat`` gives
+        each example's batch of one; its gradient is each part's columns."""
         rng = np.random.default_rng(27)
         a, b = rng.standard_normal((3, 2, 2)), rng.standard_normal((3, 5))
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        out = T.concat([ta, tb], rows=3)
-        want = np.stack([T.concat([Tensor(a[i]), Tensor(b[i])]).data for i in range(3)])
+        out = T.concat([ta, tb])
+        want = np.concatenate([T.concat([Tensor(a[i:i + 1]), Tensor(b[i:i + 1])]).data
+                               for i in range(3)])
         np.testing.assert_array_equal(out.data, want)
         g = rng.standard_normal(out.shape)
         T.backward(T.sum_all(T.mul(out, Tensor(g))))
         np.testing.assert_array_equal(ta.grad, g[:, :4].reshape(a.shape))
         np.testing.assert_array_equal(tb.grad, g[:, 4:])
         with pytest.raises(ContractViolation):
-            T.concat([Tensor(a), Tensor(b[:2])], rows=3)
+            T.concat([Tensor(a), Tensor(b[:2])])
 
     def test_stack(self):
         """``stack`` puts part i at example i and routes example i's gradient
@@ -723,18 +727,15 @@ class TestExampleAxis:
             T.pick(Tensor(np.zeros(3)), 0)
 
     def test_three_axis_input_is_the_one_example_case(self):
-        """A C x H x W input gives the N = 1 batch's output without its
-        example axis."""
+        """A C x H x W ``conv2d`` input, the one op that takes it, gives the
+        N = 1 batch's output without its example axis."""
         rng = np.random.default_rng(28)
         x = rng.standard_normal((4, 5, 6))
         w, b = Tensor(rng.standard_normal((2, 2, 3, 3))), Tensor(rng.standard_normal(2))
-        for op in (lambda t: T.conv2d(t, w, b, groups=2, dilation=2),
-                   lambda t: T.adaptive_avg_pool(t, 3), lambda t: T.gather_at(
-                       t, [(1, 2), (4, 0)] if t.data.ndim == 3 else [[(1, 2), (4, 0)]]),
-                   lambda t: T.truncated_max_squash(t, 0.5, 0.1), T.map_peaks, T.channel_sum):
-            one, batch = op(Tensor(x)).data, op(Tensor(x[None])).data
-            assert batch.shape == (1,) + one.shape
-            np.testing.assert_array_equal(batch[0], one)
+        one = T.conv2d(Tensor(x), w, b, groups=2, dilation=2).data
+        batch = T.conv2d(Tensor(x[None]), w, b, groups=2, dilation=2).data
+        assert batch.shape == (1,) + one.shape
+        np.testing.assert_array_equal(batch[0], one)
 
     def test_gather_points_must_match_the_examples(self):
         x = Tensor(np.zeros((2, 3, 4, 4)))
@@ -744,3 +745,40 @@ class TestExampleAxis:
         with pytest.raises(ContractViolation, match="outside"):
             T.gather_at(x, [[(0, 0)], [(4, 0)]])
         assert T.gather_at(x, [[], []]).shape == (2, 0, 3)
+
+
+_GRID = Tensor(np.zeros((2, 3, 4)))
+
+
+def _predict_confidence(grid):
+    """``predict_confidence`` of a discovery network over 2 channels."""
+    cfg = DiscoveryConfig(channels=2, num_parts=1, reduction=1, groups=1)
+    return predict_confidence(grid, init_discovery_params(cfg, np.random.default_rng(0)), cfg)
+
+
+@pytest.mark.parametrize("op, shape", [
+    (lambda: T.adaptive_avg_pool(_GRID, 2), "N x C x H x W"),
+    (lambda: T.channel_sum(_GRID), "N x C x H x W"),
+    (lambda: T.map_peaks(_GRID), "N x K x H x W"),
+    (lambda: T.truncated_max_squash(_GRID, 0.5, 0.1), "N x K x H x W"),
+    (lambda: extract_key_parts(_GRID), "N x K x H x W"),
+    (lambda: tmr_squash(_GRID), "N x K x H x W"),
+    (lambda: _predict_confidence(_GRID), "N x C x H x W"),
+    (lambda: T.gather_at(_GRID, [(0, 0), (1, 2)]), "N x C x H x W"),
+    (lambda: T.gather_at(Tensor(np.zeros((1, 2, 3, 4))), [(0, 0), (1, 2)]), "N x P"),
+    (lambda: T.gather_at(Tensor(np.zeros((2, 2, 3, 4))), []), "N x P"),
+    (lambda: T.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+     "N x D"),
+    (lambda: T.logsumexp(Tensor(np.zeros(3))), "N x C"),
+    (lambda: T.concat([Tensor(np.zeros((2, 3))), Tensor(1.0)]), "N x ..."),
+    (lambda: T.concat([Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))]), "N x ..."),
+], ids=["adaptive_avg_pool", "channel_sum", "map_peaks", "truncated_max_squash",
+        "extract_key_parts", "tmr_squash", "predict_confidence", "gather_at_grid",
+        "gather_at_pairs", "gather_at_no_pairs", "linear", "logsumexp", "concat_scalar",
+        "concat_vector"])
+def test_per_example_forms_are_rejected(op, shape):
+    """Every op but ``conv2d`` takes N-leading batches only: a C x H x W grid,
+    a K x H x W map, a 1-D row, P pairs for one grid or a part without the
+    shared leading axis raises, naming the form it needs."""
+    with pytest.raises(ContractViolation, match=re.escape(shape)):
+        op()
