@@ -10,9 +10,9 @@ and the synthetic benchmark (``dataset``/``training``/``evaluate``/
 from .accounting import (LayerSpec, ParamReport, count_params, count_params_condensed,
                          preset_report, sweep)
 from .dataset import ToyDatasetSpec, ToyExample, generate_dataset, read_dataset, write_dataset
-from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet,
-                        concentration_forward, extract_key_parts, init_discovery_params,
-                        predict_confidence, tmr_squash)
+from .discovery import (DiscoveryConfig, DiscoveryParams, concentration_forward,
+                        extract_key_parts, init_discovery_params, predict_confidence,
+                        tmr_squash)
 from .errors import (ConfigError, ContractViolation, GraphStateError, NonFiniteError,
                      TrainingDivergence)
 from .evaluate import Metrics, chance_recall_estimate, evaluate

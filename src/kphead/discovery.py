@@ -55,14 +55,20 @@ class DiscoveryConfig:
         if (c // self.reduction) % self.groups != 0:
             raise ConfigError(
                 f"reduced channels {c // self.reduction} not divisible by groups={self.groups}")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0 <= self.alpha < math.inf:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        _check_squash_bounds(self.alpha, self.epsilon)
 
     @property
     def reduced_channels(self) -> int:
         return self.channels // self.reduction
+
+
+def _check_squash_bounds(alpha: float, epsilon: float) -> None:
+    """TMR's bounds, ``0 <= alpha < inf`` and ``0 < epsilon < inf``, which a
+    NaN fails."""
+    if not 0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not 0 <= alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 def discovery_layers(cfg: DiscoveryConfig, height: int = 7, width: int = 7) -> list[LayerSpec]:
@@ -194,17 +200,6 @@ def init_discovery_params(cfg: DiscoveryConfig, rng: np.random.Generator) -> Dis
     return DiscoveryParams(blocks=blocks, predict=predict)
 
 
-@dataclass
-class KeyPartSet:
-    """Discovered part locations: points[k] is the peak of map k."""
-
-    points: list[tuple[int, int]]
-    confidences: list[float]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def concentration_forward(x: Tensor, params: DiscoveryParams, cfg: DiscoveryConfig) -> Tensor:
     """Apply the residual concentration blocks to N x C x H x W grids; the
     shape is preserved.
@@ -214,8 +209,8 @@ def concentration_forward(x: Tensor, params: DiscoveryParams, cfg: DiscoveryConf
     1x1 restore conv and the residual add run once over the batch.
     """
     if x.data.ndim != 4 or x.shape[1] != cfg.channels:
-        raise ConfigError(f"concentration input must be N x {cfg.channels} x H x W, "
-                          f"got shape {x.shape}")
+        raise ContractViolation(f"concentration input must be N x {cfg.channels} x H x W, "
+                                f"got shape {x.shape}")
     # the grouped 3x3 runs once per example: perfbench's tracing test pins
     # 2 x 16 discovery.block0.reduce3x3 calls for 2 epochs of 16 examples,
     # and the batched 3x3's form is still unchosen (ROADMAP item 2)
@@ -252,24 +247,23 @@ def tmr_squash(raw: Tensor, alpha: float = 0.5, epsilon: float = 0.1) -> Tensor:
 
     c_m is the tensor value at the winning position (row-major tie-break), so
     gradients reach that position through both the numerator and the
-    denominator.
+    denominator.  Raises ConfigError unless 0 <= alpha < inf and
+    0 < epsilon < inf.
     """
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    _check_squash_bounds(alpha, epsilon)
     return T.truncated_max_squash(raw, alpha, epsilon)
 
 
-def extract_key_parts(maps: Tensor) -> list[KeyPartSet]:
-    """Read each map's peak location and value, one KeyPartSet per example of
-    N x K x H x W maps; not differentiable by design.  One argmax runs over
-    all N*K maps.
+def extract_key_parts(maps: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Each map's peak of N x K x H x W maps: the N x K x 2 integer (row, col)
+    points and the N x K peak values; not differentiable by design.  One
+    argmax runs over all N*K maps.
 
     Peaks may coincide across maps: spreading them apart is a training-time
     pressure, not a structural guarantee.
     """
     flat = T._maps_as_rows(maps, "extract_key_parts")
     peak_idx = T._first_peaks(flat)
-    rows, cols = np.divmod(peak_idx.reshape(maps.shape[:2]), maps.shape[3])
-    peaks = flat[np.arange(flat.shape[0]), peak_idx].reshape(maps.shape[:2])
-    return [KeyPartSet(points=list(zip(r, c)), confidences=conf)
-            for r, c, conf in zip(rows.tolist(), cols.tolist(), peaks.tolist())]
+    points = np.stack(np.divmod(peak_idx, maps.shape[3]), axis=-1)
+    confidences = flat[np.arange(flat.shape[0]), peak_idx]
+    return points.reshape(maps.shape[:2] + (2,)), confidences.reshape(maps.shape[:2])

@@ -55,19 +55,21 @@ def chance_recall_estimate(parts_per_class: int, num_parts: int, height: int,
     return parts_per_class * num_parts / (height * width)
 
 
-def key_part_recall(points: list[tuple[int, int]],
-                    planted: list[tuple[int, int]]) -> tuple[int, int]:
-    """(hits, total): planted cells matched by some point within Chebyshev 1."""
-    hits = 0
-    for pr, pc in planted:
-        if any(max(abs(pr - r), abs(pc - c)) <= 1 for r, c in points):
-            hits += 1
-    return hits, len(planted)
+def key_part_hits(points: np.ndarray, planted: np.ndarray) -> np.ndarray:
+    """For M planted (row, col) cells (M x 2) and each cell's example's K
+    key-part points (M x K x 2): M booleans, true where some point lies
+    within Chebyshev distance 1 of the cell."""
+    return (np.abs(points - planted[:, None, :]).max(axis=2) <= 1).any(axis=1)
+
+
+def _mean_or_zero(values: np.ndarray) -> float:
+    return float(np.mean(values)) if values.size else 0.0
 
 
 def evaluate(model, examples: list[ToyExample]) -> Metrics:
     """Metrics of ``model`` over ``examples``, in forward passes of
-    ``EVAL_CHUNK`` examples that record no graph.
+    ``EVAL_CHUNK`` examples that record no graph; the metrics are then read
+    off the passes' joined outputs and key parts.
 
     On a process that may run on more than one CPU, the worker thread
     (``tensor._worker``) computes half of each ``linear`` product whose
@@ -77,54 +79,48 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
     either way (see ``tensor.linear``)."""
     if not examples:
         raise ContractViolation("evaluate: empty dataset")
-    correct = 0
-    box_err_sum = 0.0
-    box_count = 0
-    hit_sum = 0
-    planted_sum = 0
-    fg_peaks: list[float] = []
-    bg_peaks: list[float] = []
-    distinct: list[int] = []
-
+    cfg = model.head_cfg
+    class_ids = np.array([ex.class_id for ex in examples])
+    bad = (class_ids < 0) | (class_ids > cfg.num_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractViolation(f"evaluate: example {i}: class_id {class_ids[i]} outside "
+                                f"[0, {cfg.num_classes}]")
+    passes = []
     with NoGrad():
         for first in range(0, len(examples), EVAL_CHUNK):
-            chunk = examples[first:first + EVAL_CHUNK]
-            fwd = model.forward(*(ex.x for ex in chunk))
-            preds = np.argmax(fwd.output.v_cls.data, axis=1)
-            for i, ex in enumerate(chunk):
-                if preds[i] == ex.class_id:
-                    correct += 1
-                if ex.class_id != BACKGROUND:
-                    start = model.head_cfg.reg_start(ex.class_id)
-                    pred_box = fwd.output.v_reg.data[i, start:start + 4]
-                    box_err_sum += float(np.mean(np.abs(pred_box - ex.box_target)))
-                    box_count += 1
-                if fwd.parts is not None:
-                    parts = fwd.parts[i]
-                    peaks = parts.confidences
-                    if ex.y_hat == 1:
-                        fg_peaks.append(float(np.mean(peaks)))
-                        hits, total = key_part_recall(parts.points, ex.planted_points)
-                        hit_sum += hits
-                        planted_sum += total
-                        distinct.append(len(set(parts.points)))
-                    else:
-                        bg_peaks.append(float(np.mean(peaks)))
+            fwd = model.forward(*(ex.x for ex in examples[first:first + EVAL_CHUNK]))
+            passes.append((fwd.output.v_cls.data, fwd.output.v_reg.data,
+                           fwd.points, fwd.confidences))
+    v_cls, v_reg, points, confidences = (
+        None if arrays[0] is None else np.concatenate(arrays) for arrays in zip(*passes))
 
-    cfg = model.head_cfg
-    if fwd.parts is None:  # a head without key parts has no discovery metrics
-        return Metrics(accuracy=correct / len(examples),
-                       box_mae=box_err_sum / box_count if box_count else 0.0,
-                       part_recall=None, chance_level=None, fg_peak_mean=None,
-                       bg_peak_mean=None, mean_distinct_parts=None)
-    parts_per_class = max((len(ex.planted_points) for ex in examples), default=0)
+    accuracy = float(np.mean(np.argmax(v_cls, axis=1) == class_ids))
+    boxed = np.flatnonzero(class_ids != BACKGROUND)
+    cols = np.add.outer(cfg.reg_start(class_ids[boxed]), np.arange(4))
+    targets = np.array([ex.box_target for ex in examples])[boxed]
+    box_mae = _mean_or_zero(np.abs(v_reg[boxed[:, None], cols] - targets).mean(axis=1))
+    if points is None:  # a head without key parts has no discovery metrics
+        return Metrics(accuracy=accuracy, box_mae=box_mae, part_recall=None,
+                       chance_level=None, fg_peak_mean=None, bg_peak_mean=None,
+                       mean_distinct_parts=None)
+
+    fg = np.array([ex.y_hat == 1 for ex in examples])
+    counts = np.array([len(ex.planted_points) for ex in examples])
+    planted = np.array([cell for ex in examples for cell in ex.planted_points],
+                       dtype=np.intp).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(examples)), counts)
+    hits = key_part_hits(points[owner], planted)[fg[owner]]
+    peak_means = confidences.mean(axis=1)
+    cells = np.sort(points[..., 0] * cfg.width + points[..., 1], axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(cells, axis=1), axis=1)
     return Metrics(
-        accuracy=correct / len(examples),
-        box_mae=box_err_sum / box_count if box_count else 0.0,
-        part_recall=hit_sum / planted_sum if planted_sum else 0.0,
-        chance_level=chance_recall_estimate(parts_per_class, cfg.num_parts,
+        accuracy=accuracy,
+        box_mae=box_mae,
+        part_recall=_mean_or_zero(hits),
+        chance_level=chance_recall_estimate(int(counts.max()), cfg.num_parts,
                                             cfg.height, cfg.width),
-        fg_peak_mean=float(np.mean(fg_peaks)) if fg_peaks else 0.0,
-        bg_peak_mean=float(np.mean(bg_peaks)) if bg_peaks else 0.0,
-        mean_distinct_parts=float(np.mean(distinct)) if distinct else 0.0,
+        fg_peak_mean=_mean_or_zero(peak_means[fg]),
+        bg_peak_mean=_mean_or_zero(peak_means[~fg]),
+        mean_distinct_parts=_mean_or_zero(distinct[fg]),
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .discovery import (DiscoveryConfig, DiscoveryParams, KeyPartSet, LayerParams, LayerSpec,
+from .discovery import (DiscoveryConfig, DiscoveryParams, LayerParams, LayerSpec,
                         concentration_forward, discovery_layers, extract_key_parts,
                         init_layers, predict_confidence, tmr_squash)
 from .errors import ConfigError, ContractViolation
@@ -155,24 +155,21 @@ class HeadOutput:
     v_reg: Tensor  # N x (4*num_classes or 4) box offsets
 
 
-def key_part_modeling(x: Tensor, maps: Tensor,
-                      parts: Sequence[KeyPartSet]) -> tuple[Tensor, Tensor]:
+def key_part_modeling(x: Tensor, maps: Tensor, points: np.ndarray) -> tuple[Tensor, Tensor]:
     """Each example's key-part block, as its two pieces: the channel fiber at
     each part's peak, in part order, then the K full confidence maps.  Read
     row-major, example i's pieces are its K*C + K*H*W block.
 
     ``x`` is the N x C x H x W grid, ``maps`` the N x K x H x W squashed maps
-    and ``parts`` one KeyPartSet per example; the pieces are the N x K x C
-    fibers and ``maps`` itself.  Gather indices are constants of the forward
-    pass; gradients flow into ``x`` at the gathered positions and into
-    ``maps`` everywhere.
+    and ``points`` their N x K x 2 (row, col) peaks; the pieces are the
+    N x K x C fibers and ``maps`` itself.  Gather indices are constants of
+    the forward pass; gradients flow into ``x`` at the gathered positions
+    and into ``maps`` everywhere.
     """
-    if (x.data.ndim != 4 or maps.data.ndim != 4 or x.shape[0] != maps.shape[0]
-            or len(parts) != maps.shape[0] or any(len(p) != maps.shape[1] for p in parts)):
+    if maps.data.ndim != 4 or np.shape(points) != maps.shape[:2] + (2,):
         raise ContractViolation(
-            f"key_part_modeling: grids {x.shape}, maps {maps.shape} and "
-            f"{[len(p) for p in parts]} parts per example disagree")
-    return T.gather_at(x, [p.points for p in parts]), maps
+            f"key_part_modeling: maps {maps.shape} and points {np.shape(points)} disagree")
+    return T.gather_at(x, points), maps
 
 
 def global_activation(x: Tensor, params: HeadParams, cfg: HeadConfig) -> Tensor:
@@ -210,7 +207,8 @@ class Forward:
 
     output: HeadOutput
     maps: Tensor | None = None              # N x K x H x W, squashed
-    parts: list[KeyPartSet] | None = None   # one per example
+    points: np.ndarray | None = None        # N x K x 2, each map's (row, col) peak
+    confidences: np.ndarray | None = None   # N x K, each map's peak value
     global_map: Tensor | None = None        # N x kept_channels x L x L
 
 
@@ -241,11 +239,12 @@ def full_condensed_forward(xs: Sequence[Tensor], disc_params: DiscoveryParams,
     refined = concentration_forward(grids, disc_params, disc_cfg)
     maps = tmr_squash(predict_confidence(refined, disc_params, disc_cfg),
                       disc_cfg.alpha, disc_cfg.epsilon)
-    parts = extract_key_parts(maps)
-    z_k = key_part_modeling(refined if disc_cfg.gather_from_refined else grids, maps, parts)
+    points, confidences = extract_key_parts(maps)
+    z_k = key_part_modeling(refined if disc_cfg.gather_from_refined else grids, maps, points)
     global_map = global_activation(grids, head_params, head_cfg)
     output = head_forward(z_k, global_map, head_params, head_cfg)
-    return Forward(output=output, maps=maps, parts=parts, global_map=global_map)
+    return Forward(output=output, maps=maps, points=points, confidences=confidences,
+                   global_map=global_map)
 
 
 # -- baseline two-FC head -----------------------------------------------------

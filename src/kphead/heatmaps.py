@@ -71,7 +71,7 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     with NoGrad():
         fwd = model.forward(example.x)
-    maps, parts = fwd.maps.data[0], fwd.parts[0]
+    maps = fwd.maps.data[0]
     paths = []
     for k in range(maps.shape[0]):
         path = os.path.join(out_dir, f"part_{k:02d}.pgm")
@@ -86,7 +86,8 @@ def export_heatmaps(model, example: ToyExample, out_dir,
     with open(sidecar, "w") as fh:
         fh.write(f"# extracted key parts (flagging confidences > {threshold})\n")
         fh.write("# part row col confidence above_threshold\n")
-        for k, ((row, col), conf) in enumerate(zip(parts.points, parts.confidences)):
+        for k, ((row, col), conf) in enumerate(zip(fwd.points[0].tolist(),
+                                                   fwd.confidences[0].tolist())):
             flag = "yes" if conf > threshold else "no"
             fh.write(f"{k} {row} {col} {conf:.6f} {flag}\n")
     paths.append(sidecar)

@@ -9,7 +9,9 @@ import math
 import numpy as np
 
 from kphead.dataset import class_signatures
-from kphead.tensor import backward
+from kphead.evaluate import EVAL_CHUNK, Metrics, chance_recall_estimate
+from kphead.losses import BACKGROUND
+from kphead.tensor import NoGrad, backward
 from kphead.training import EpochLog, _batch_loss
 
 
@@ -242,3 +244,56 @@ def sgd_momentum_train(model, examples, cfg):
         logs.append(EpochLog(epoch=epoch, det_loss=det / n, l_d=l_d / n, l_u=l_u / n,
                              acc=hits / n))
     return logs
+
+
+def evaluate_loops(model, examples):
+    """``evaluate``'s metrics by a Python pass over each example of each
+    ``EVAL_CHUNK``-example forward pass: a running sum per metric, and
+    recall as an ``any`` over the points for each planted cell."""
+    correct = 0
+    box_err_sum = 0.0
+    box_count = 0
+    hit_sum = 0
+    planted_sum = 0
+    fg_peaks, bg_peaks, distinct = [], [], []
+    with NoGrad():
+        for first in range(0, len(examples), EVAL_CHUNK):
+            chunk = examples[first:first + EVAL_CHUNK]
+            fwd = model.forward(*(ex.x for ex in chunk))
+            preds = np.argmax(fwd.output.v_cls.data, axis=1)
+            for i, ex in enumerate(chunk):
+                if preds[i] == ex.class_id:
+                    correct += 1
+                if ex.class_id != BACKGROUND:
+                    start = model.head_cfg.reg_start(ex.class_id)
+                    pred_box = fwd.output.v_reg.data[i, start:start + 4]
+                    box_err_sum += float(np.mean(np.abs(pred_box - ex.box_target)))
+                    box_count += 1
+                if fwd.points is None:
+                    continue
+                points = [tuple(p) for p in fwd.points[i].tolist()]
+                peaks = fwd.confidences[i].tolist()
+                if ex.y_hat == 1:
+                    fg_peaks.append(float(np.mean(peaks)))
+                    for pr, pc in ex.planted_points:
+                        if any(max(abs(pr - r), abs(pc - c)) <= 1 for r, c in points):
+                            hit_sum += 1
+                    planted_sum += len(ex.planted_points)
+                    distinct.append(len(set(points)))
+                else:
+                    bg_peaks.append(float(np.mean(peaks)))
+
+    box_mae = box_err_sum / box_count if box_count else 0.0
+    if fwd.points is None:
+        return Metrics(correct / len(examples), box_mae, None, None, None, None, None)
+    cfg = model.head_cfg
+    return Metrics(
+        accuracy=correct / len(examples),
+        box_mae=box_mae,
+        part_recall=hit_sum / planted_sum if planted_sum else 0.0,
+        chance_level=chance_recall_estimate(max(len(ex.planted_points) for ex in examples),
+                                            cfg.num_parts, cfg.height, cfg.width),
+        fg_peak_mean=float(np.mean(fg_peaks)) if fg_peaks else 0.0,
+        bg_peak_mean=float(np.mean(bg_peaks)) if bg_peaks else 0.0,
+        mean_distinct_parts=float(np.mean(distinct)) if distinct else 0.0,
+    )

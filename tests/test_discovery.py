@@ -107,10 +107,6 @@ class TestConcentration:
         x = Tensor(np.random.default_rng(3).standard_normal((1, 256, 7, 7)))
         assert concentration_forward(x, params, cfg).shape == (1, 256, 7, 7)
 
-    def test_grid_without_example_axis_rejected(self):
-        with pytest.raises(ConfigError, match=r"N x 8 x H x W, got shape \(8, 5, 5\)"):
-            concentration_forward(Tensor(np.zeros((8, 5, 5))), toy_params(), TOY_CFG)
-
 
 class TestPredictConfidence:
     def test_zero_weights_give_per_map_bias(self):
@@ -154,6 +150,18 @@ class TestTruncatedMaxSquash:
         """Zero raw values squash to 0.5/1.1 everywhere."""
         out = tmr_squash(Tensor(np.zeros((1, 1, 3, 3))), alpha=0.5, epsilon=0.1)
         np.testing.assert_allclose(out.data, 0.5 / 1.1)
+
+    @pytest.mark.parametrize("alpha, epsilon", [
+        (float("nan"), 0.1), (-5.0, 0.1), (float("inf"), 0.1),
+        (0.5, float("nan")), (0.5, 0.0), (0.5, -1.0), (0.5, float("inf"))])
+    def test_bounds_checked_once_for_squash_and_config(self, alpha, epsilon):
+        """``tmr_squash`` and ``DiscoveryConfig`` both need 0 <= alpha < inf
+        and 0 < epsilon < inf; outside them every map would squash to 0."""
+        with pytest.raises(ConfigError, match="alpha" if 0 < epsilon < np.inf else "epsilon"):
+            tmr_squash(Tensor(np.ones((1, 2, 3, 3))), alpha=alpha, epsilon=epsilon)
+        with pytest.raises(ConfigError, match="alpha" if 0 < epsilon < np.inf else "epsilon"):
+            DiscoveryConfig(channels=8, num_parts=1, reduction=2, groups=2,
+                            alpha=alpha, epsilon=epsilon)
 
     def test_worked_three_value_map(self):
         """Raw [-1, 0.3, 1.5]: maximum pushes the denominator to 2.1."""
@@ -220,31 +228,33 @@ class TestExtractKeyParts:
         maps = np.zeros((1, 2, 7, 7))
         maps[0, 0, 1, 1] = 1.0
         maps[0, 1, 6, 3] = 1.0
-        (parts,) = extract_key_parts(Tensor(maps))
-        assert parts.points == [(1, 1), (6, 3)]
-        assert parts.confidences == [1.0, 1.0]
+        points, confidences = extract_key_parts(Tensor(maps))
+        assert points.tolist() == [[[1, 1], [6, 3]]]
+        assert confidences.tolist() == [[1.0, 1.0]]
 
     def test_constant_maps_duplicate_origin(self):
-        (parts,) = extract_key_parts(Tensor(np.zeros((1, 3, 4, 4))))
-        assert parts.points == [(0, 0)] * 3
+        points, _ = extract_key_parts(Tensor(np.zeros((1, 3, 4, 4))))
+        assert points.tolist() == [[[0, 0]] * 3]
 
     def test_permuting_maps_permutes_points(self):
         rng = np.random.default_rng(11)
         maps = rng.standard_normal((4, 5, 5))
         perm = [2, 0, 3, 1]
-        (base,) = extract_key_parts(Tensor(maps[None]))
-        (shuffled,) = extract_key_parts(Tensor(maps[perm][None]))
-        assert shuffled.points == [base.points[i] for i in perm]
+        base, _ = extract_key_parts(Tensor(maps[None]))
+        shuffled, _ = extract_key_parts(Tensor(maps[perm][None]))
+        np.testing.assert_array_equal(shuffled[0], base[0, perm])
 
     def test_batch_gives_each_examples_parts(self):
         """One search over N x K x H x W maps returns, per example, what a
         search over a batch of that example's maps alone returns."""
         rng = np.random.default_rng(12)
         maps = rng.integers(0, 3, size=(3, 2, 4, 5)).astype(float)  # many ties
-        batched = extract_key_parts(Tensor(maps))
-        assert len(batched) == 3
-        for parts, example in zip(batched, maps):
-            assert parts == extract_key_parts(Tensor(example[None]))[0]
+        points, confidences = extract_key_parts(Tensor(maps))
+        assert points.shape == (3, 2, 2) and confidences.shape == (3, 2)
+        for i, example in enumerate(maps):
+            one_points, one_confidences = extract_key_parts(Tensor(example[None]))
+            np.testing.assert_array_equal(points[i], one_points[0])
+            np.testing.assert_array_equal(confidences[i], one_confidences[0])
 
 
 class TestTranslationEquivariance:
@@ -283,7 +293,7 @@ class TestTranslationEquivariance:
         x = 0.01 * rng.standard_normal((8, 12, 12))
         x[ch, 5, 6] = 50.0  # dominant interior spike
         shifted = np.roll(x, shift=(1, 1), axis=(1, 2))
-        (base,) = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, x))))
-        (moved,) = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, shifted))))
-        assert base.points == [(5, 6)] * 2
-        assert moved.points == [(6, 7)] * 2
+        base, _ = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, x))))
+        moved, _ = extract_key_parts(tmr_squash(Tensor(self._raw_maps(params, shifted))))
+        assert base.tolist() == [[[5, 6]] * 2]
+        assert moved.tolist() == [[[6, 7]] * 2]

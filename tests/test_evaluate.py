@@ -8,21 +8,29 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from kphead import tensor as T
 from kphead.dataset import ToyDatasetSpec, generate_dataset
 from kphead.errors import ContractViolation
-from kphead.evaluate import chance_recall_estimate, evaluate, key_part_recall
+from kphead.evaluate import chance_recall_estimate, evaluate, key_part_hits
 from kphead.runconfig import RunConfig
 from kphead.training import build_baseline, build_condensed
 
 
+def recall(points, planted):
+    """(hits, total) of one example's points against its planted cells."""
+    planted = np.array(planted).reshape(-1, 2)
+    each = np.broadcast_to(np.array(points), (len(planted), len(points), 2))
+    return int(np.count_nonzero(key_part_hits(each, planted))), len(planted)
+
+
 class TestKeyPartRecall:
     def test_exact_hits(self):
-        hits, total = key_part_recall([(1, 1), (5, 5)], [(1, 1), (5, 5)])
+        hits, total = recall([(1, 1), (5, 5)], [(1, 1), (5, 5)])
         assert (hits, total) == (2, 2)
 
     def test_chebyshev_one_counts(self):
-        hits, total = key_part_recall([(2, 2)], [(3, 3), (0, 0)])
+        hits, total = recall([(2, 2)], [(3, 3), (0, 0)])
         assert (hits, total) == (1, 2)
 
     def test_perfect_predictor_fixture_gives_recall_one(self):
@@ -32,12 +40,11 @@ class TestKeyPartRecall:
         train, _ = generate_dataset(spec)
         for ex in train:
             if ex.y_hat:
-                hits, total = key_part_recall(list(ex.planted_points),
-                                              ex.planted_points)
+                hits, total = recall(list(ex.planted_points), ex.planted_points)
                 assert hits == total
 
     def test_far_points_missed(self):
-        hits, total = key_part_recall([(0, 0)], [(6, 6)])
+        hits, total = recall([(0, 0)], [(6, 6)])
         assert (hits, total) == (0, 1)
 
 
@@ -61,13 +68,14 @@ class TestChanceLevel:
         assert abs(estimate - chance_recall_estimate(d, k, h, w)) < 0.02
 
 
-def _small_models_and_test_set():
+def _small_models_and_test_set(n_test=20, reg_per_class=True):
     cfg = RunConfig()
     cfg.data = ToyDatasetSpec(channels=16, num_classes=2, parts_per_class=2,
-                              n_train=8, n_test=20, seed=5)
+                              n_train=8, n_test=n_test, seed=5)
     cfg.head.num_parts = 2
     cfg.head.pool_len = 2
     cfg.head.hidden = 8
+    cfg.head.reg_per_class = reg_per_class
     cfg.okpd.groups = 2
     models = {"condensed": build_condensed(cfg.discovery_config(), cfg.head_config(), seed=0),
               "baseline": build_baseline(cfg.head_config(), seed=0)}
@@ -119,6 +127,65 @@ class TestEvaluate:
         assert np.isfinite(m.box_mae)
         row = m.csv_row()
         assert len(row.split(",")) == len(m.CSV_HEADER.split(","))
+
+
+class TestEvaluateMatchesTheLoopOracle:
+    """``evaluate``'s array reading of each pass gives the rows of the
+    per-example loop in ``oracles.evaluate_loops``, byte for byte."""
+
+    CASES = {
+        "short_last_chunk": lambda test_set: test_set[:20],  # one example with a duplicate peak
+        "single_example": lambda test_set: test_set[:1],
+        "all_background": lambda test_set: [ex for ex in test_set if ex.y_hat == 0][:16],
+        "planted_counts_differ": lambda test_set: [
+            dataclasses.replace(ex, planted_points=ex.planted_points[:i % 3])
+            for i, ex in enumerate(test_set[:35])],
+        "background_cells_not_counted": lambda test_set: [
+            ex if ex.y_hat else dataclasses.replace(ex, planted_points=[(3, 3)])
+            for ex in test_set[:20]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_rows_equal_the_oracle(self, kind, case):
+        models, test_set = _small_models_and_test_set(n_test=48)
+        examples = self.CASES[case](test_set)
+        if case == "all_background":
+            assert len(examples) == 16
+        model = models[kind]
+        assert evaluate(model, examples).csv_row() == \
+            oracles.evaluate_loops(model, examples).csv_row()
+
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_class_agnostic_boxes(self, kind):
+        models, test_set = _small_models_and_test_set(reg_per_class=False)
+        assert evaluate(models[kind], test_set).csv_row() == \
+            oracles.evaluate_loops(models[kind], test_set).csv_row()
+
+    def test_duplicate_peaks(self):
+        """Map 1 copies map 0's prediction weights, so each example's two
+        peaks coincide and it has one distinct part."""
+        models, test_set = _small_models_and_test_set(n_test=48)
+        model = models["condensed"]
+        predict = model.disc_params.predict
+        predict.weight.data[1] = predict.weight.data[0]
+        predict.bias.data[1] = predict.bias.data[0]
+        m = evaluate(model, test_set)
+        assert m.mean_distinct_parts == 1.0
+        assert m.csv_row() == oracles.evaluate_loops(model, test_set).csv_row()
+
+
+class TestEvaluateRefusesBadClasses:
+    @pytest.mark.parametrize("class_id", [-1, 3, 7])
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_class_outside_the_model_is_refused(self, kind, class_id):
+        """A 2-class model reads classes 0..2; any other is refused by name
+        before a forward pass, not broadcast or read off the wrong offsets."""
+        models, test_set = _small_models_and_test_set()
+        test_set[5] = dataclasses.replace(test_set[5], class_id=class_id)
+        with pytest.raises(ContractViolation,
+                           match=rf"example 5: class_id {class_id} outside \[0, 2\]"):
+            evaluate(models[kind], test_set)
 
 
 class TestEvaluateThreads:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from kphead import tensor as T
-from kphead.discovery import DiscoveryConfig, KeyPartSet, init_discovery_params
+from kphead.discovery import DiscoveryConfig, init_discovery_params
 from kphead.errors import ContractViolation
 from kphead.head import (HeadConfig, baseline_forward, full_condensed_forward,
                          global_activation, head_forward, init_baseline_params,
@@ -26,10 +26,10 @@ def toy_models(seed=0):
     return init_discovery_params(TOY_DISC, rng), init_head_params(TOY_HEAD, rng)
 
 
-def key_part_blocks(x, maps, parts):
+def key_part_blocks(x, maps, points):
     """The N x (K*C + K*H*W) key-part blocks: ``key_part_modeling``'s pieces
     joined row-wise, as ``head_forward`` joins them."""
-    return T.concat(key_part_modeling(x, maps, parts))
+    return T.concat(key_part_modeling(x, maps, np.asarray(points)))
 
 
 class TestDescriptorArithmetic:
@@ -50,18 +50,15 @@ class TestKeyPartModeling:
         x = Tensor(np.zeros((1, 4, 2, 2)))
         x.data[0, :, 0, 0] = [1.0, 2.0, 3.0, 4.0]
         maps = Tensor(np.array([[[[0.9, 0.1], [0.2, 0.3]]]]))
-        parts = KeyPartSet(points=[(0, 0)], confidences=[0.9])
-        z_k = key_part_blocks(x, maps, [parts])
+        z_k = key_part_blocks(x, maps, [[(0, 0)]])
         np.testing.assert_array_equal(z_k.data, [[1, 2, 3, 4, 0.9, 0.1, 0.2, 0.3]])
 
     def test_swapping_parts_swaps_blocks(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 3, 4, 4)))
         maps = rng.uniform(0, 0.9, size=(2, 4, 4))
-        parts = KeyPartSet(points=[(1, 1), (2, 3)], confidences=[0.5, 0.6])
-        swapped = KeyPartSet(points=[(2, 3), (1, 1)], confidences=[0.6, 0.5])
-        z = key_part_blocks(x, Tensor(maps[None]), [parts]).data[0]
-        z_sw = key_part_blocks(x, Tensor(maps[None, [1, 0]]), [swapped]).data[0]
+        z = key_part_blocks(x, Tensor(maps[None]), [[(1, 1), (2, 3)]]).data[0]
+        z_sw = key_part_blocks(x, Tensor(maps[None, [1, 0]]), [[(2, 3), (1, 1)]]).data[0]
         c, hw = 3, 16
         np.testing.assert_array_equal(z_sw[:c], z[c:2 * c])
         np.testing.assert_array_equal(z_sw[c:2 * c], z[:c])
@@ -71,20 +68,20 @@ class TestKeyPartModeling:
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((3, 8, 7, 7)))
         maps = Tensor(rng.uniform(0, 0.9, size=(3, 4, 7, 7)))
-        parts = [KeyPartSet(points=[(int(r), int(c)) for r, c in rng.integers(0, 7, size=(4, 2))],
-                            confidences=[0.0] * 4) for _ in range(3)]
-        z_k = key_part_blocks(x, maps, parts).data
+        points = rng.integers(0, 7, size=(3, 4, 2))
+        z_k = key_part_blocks(x, maps, points).data
         for i in range(3):  # one row per example
-            want = np.concatenate([oracles.gather_loops(x.data[i], parts[i].points).reshape(-1),
+            want = np.concatenate([oracles.gather_loops(x.data[i], points[i].tolist()).reshape(-1),
                                    maps.data[i].reshape(-1)])
             np.testing.assert_array_equal(z_k[i], want)
 
     def test_parts_must_match_the_maps(self):
         x, maps = Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros((2, 2, 4, 4)))
-        two = KeyPartSet(points=[(0, 0), (1, 1)], confidences=[0.0, 0.0])
-        for parts in ([two], [two, KeyPartSet(points=[(0, 0)], confidences=[0.0])]):
-            with pytest.raises(ContractViolation):
-                key_part_modeling(x, maps, parts)
+        for shape in ((1, 2, 2), (2, 1, 2), (2, 2, 3), (2, 2)):
+            with pytest.raises(ContractViolation, match="disagree"):
+                key_part_modeling(x, maps, np.zeros(shape, dtype=int))
+        with pytest.raises(ContractViolation):  # maps for 2 grids, 3 grids
+            key_part_modeling(Tensor(np.zeros((3, 3, 4, 4))), maps, np.zeros((2, 2, 2), int))
 
 
 class TestGlobalModeling:
@@ -193,10 +190,10 @@ class TestFullForward:
         assert fwd.output.v_cls.shape == (1, 21)
         assert fwd.output.v_reg.shape == (1, 80)
         grids = Tensor(x.data[None])
-        assert key_part_blocks(grids, fwd.maps, fwd.parts).shape == (1, 4096 + 784)
+        assert key_part_blocks(grids, fwd.maps, fwd.points).shape == (1, 4096 + 784)
         assert fwd.global_map.shape == (1, 64, 5, 5) and fwd.global_map.size == 1600
         assert fwd.maps.shape == (1, 16, 7, 7)
-        assert len(fwd.parts) == 1 and len(fwd.parts[0]) == 16
+        assert fwd.points.shape == (1, 16, 2) and fwd.confidences.shape == (1, 16)
 
     def test_deterministic_reruns(self):
         disc_params, head_params = toy_models()
@@ -218,7 +215,7 @@ class TestFullForward:
         backward(T.sum_all(fwd.output.v_cls) + T.sum_all(fwd.output.v_reg))
         assert x.grad is not None
         assert np.all(np.isfinite(x.grad))
-        gathered = {p for p in fwd.parts[0].points}
+        gathered = {tuple(p) for p in fwd.points[0].tolist()}
         assert any(abs(x.grad[:, r, c]).sum() > 0 for r, c in gathered)
 
     @pytest.mark.parametrize("from_refined", [False, True])
@@ -240,7 +237,8 @@ class TestFullForward:
         assert fwd.maps.shape == (3, 2, 5, 5) and fwd.global_map.shape == (3, 2, 3, 3)
         for i in range(3):
             one, one_grad = run(grids[i:i + 1], g[i:i + 1])
-            assert fwd.parts[i] == one.parts[0]
+            np.testing.assert_array_equal(fwd.points[i], one.points[0])
+            np.testing.assert_array_equal(fwd.confidences[i], one.confidences[0])
             for got, want in ((fwd.output.v_cls, one.output.v_cls),
                               (fwd.output.v_reg, one.output.v_reg),
                               (fwd.maps, one.maps), (fwd.global_map, one.global_map)):

@@ -8,8 +8,8 @@ import pytest
 import oracles
 from kphead import gradcheck
 from kphead import tensor as T
-from kphead.discovery import (DiscoveryConfig, extract_key_parts, init_discovery_params,
-                              predict_confidence, tmr_squash)
+from kphead.discovery import (DiscoveryConfig, concentration_forward, extract_key_parts,
+                              init_discovery_params, predict_confidence, tmr_squash)
 from kphead.errors import ConfigError, ContractViolation
 from kphead.tensor import Tensor
 
@@ -345,8 +345,8 @@ class TestArgmax2d:
 
     @staticmethod
     def argmax2d(m):
-        (parts,) = extract_key_parts(Tensor(m[None, None]))
-        return parts.points[0] + (parts.confidences[0],)
+        points, confidences = extract_key_parts(Tensor(m[None, None]))
+        return (*points[0, 0].tolist(), confidences[0, 0])
 
     def test_all_equal_breaks_to_origin(self):
         assert self.argmax2d(np.zeros((3, 3)))[:2] == (0, 0)
@@ -750,10 +750,13 @@ class TestExampleAxis:
 _GRID = Tensor(np.zeros((2, 3, 4)))
 
 
-def _predict_confidence(grid):
-    """``predict_confidence`` of a discovery network over 2 channels."""
-    cfg = DiscoveryConfig(channels=2, num_parts=1, reduction=1, groups=1)
-    return predict_confidence(grid, init_discovery_params(cfg, np.random.default_rng(0)), cfg)
+_DISC_CFG = DiscoveryConfig(channels=2, num_parts=1, reduction=1, groups=1)
+
+
+def _discovery(step, grid):
+    """``step`` (``predict_confidence`` or ``concentration_forward``) of a
+    discovery network over 2 channels."""
+    return step(grid, init_discovery_params(_DISC_CFG, np.random.default_rng(0)), _DISC_CFG)
 
 
 @pytest.mark.parametrize("op, shape", [
@@ -763,7 +766,8 @@ def _predict_confidence(grid):
     (lambda: T.truncated_max_squash(_GRID, 0.5, 0.1), "N x K x H x W"),
     (lambda: extract_key_parts(_GRID), "N x K x H x W"),
     (lambda: tmr_squash(_GRID), "N x K x H x W"),
-    (lambda: _predict_confidence(_GRID), "N x C x H x W"),
+    (lambda: _discovery(predict_confidence, _GRID), "N x C x H x W"),
+    (lambda: _discovery(concentration_forward, _GRID), "N x 2 x H x W"),
     (lambda: T.gather_at(_GRID, [(0, 0), (1, 2)]), "N x C x H x W"),
     (lambda: T.gather_at(Tensor(np.zeros((1, 2, 3, 4))), [(0, 0), (1, 2)]), "N x P"),
     (lambda: T.gather_at(Tensor(np.zeros((2, 2, 3, 4))), []), "N x P"),
@@ -773,7 +777,8 @@ def _predict_confidence(grid):
     (lambda: T.concat([Tensor(np.zeros((2, 3))), Tensor(1.0)]), "N x ..."),
     (lambda: T.concat([Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))]), "N x ..."),
 ], ids=["adaptive_avg_pool", "channel_sum", "map_peaks", "truncated_max_squash",
-        "extract_key_parts", "tmr_squash", "predict_confidence", "gather_at_grid",
+        "extract_key_parts", "tmr_squash", "predict_confidence", "concentration_forward",
+        "gather_at_grid",
         "gather_at_pairs", "gather_at_no_pairs", "linear", "logsumexp", "concat_scalar",
         "concat_vector"])
 def test_per_example_forms_are_rejected(op, shape):

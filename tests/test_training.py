@@ -463,7 +463,7 @@ class TestModelInterface:
         want = baseline_forward([x], baseline.params, baseline.head_cfg)
         np.testing.assert_array_equal(fwd.output.v_cls.data, want.v_cls.data)
         np.testing.assert_array_equal(fwd.output.v_reg.data, want.v_reg.data)
-        assert fwd.maps is fwd.parts is fwd.global_map is None
+        assert fwd.maps is fwd.points is fwd.confidences is fwd.global_map is None
 
     def test_baseline_batch_loss_has_no_discovery_terms(self):
         cfg = tiny_run_config()
