@@ -13,8 +13,7 @@ from .dataset import ToyDatasetSpec, ToyExample, generate_dataset, read_dataset,
 from .discovery import (DiscoveryConfig, DiscoveryParams, concentration_forward,
                         extract_key_parts, init_discovery_params, predict_confidence,
                         tmr_squash)
-from .errors import (ConfigError, ContractViolation, GraphStateError, NonFiniteError,
-                     TrainingDivergence)
+from .errors import ConfigError, ContractViolation, GraphStateError, TrainingDivergence
 from .evaluate import Metrics, chance_recall_estimate, evaluate
 from .head import (BaselineParams, Forward, HeadConfig, HeadOutput, HeadParams,
                    baseline_forward, full_condensed_forward, head_forward,

@@ -213,8 +213,11 @@ def sweep(parts_grid=DEFAULT_SWEEP_PARTS, pool_grid=DEFAULT_SWEEP_POOL,
 
     Returns (K, L, params, params/baseline) rows; totals increase strictly
     in K for fixed L and in L for fixed K.  Cells too large for the head's
-    grid are left out.
+    grid are left out.  Raises ConfigError when only one of ``head`` and
+    ``disc`` is given.
     """
+    if (head is None) != (disc is None):
+        raise ConfigError("sweep needs both head and disc, or neither")
     if head is None:
         head, disc = fpn_configs(20)
     baseline = baseline_params(head)

@@ -15,16 +15,11 @@ class GraphStateError(RuntimeError):
     backward pass without a new forward pass."""
 
 
-class NonFiniteError(ArithmeticError):
-    """A forward operation produced NaN or Inf.  Ops check their outputs only
-    under ``tensor.FiniteWatch``, that is while training replays a batch whose
-    loss came out non-finite."""
-
-
 class TrainingDivergence(RuntimeError):
     """Training produced a non-finite loss, or a momentum step wrote NaN or
     Inf into a parameter; carries the epoch/batch where.  ``what`` names the
-    non-finite quantity: ``"loss"`` or ``"parameter 'name'"``."""
+    non-finite quantity: ``"loss"`` or ``"parameter 'name'"``.  For a loss,
+    the message names the op where the bad value started."""
 
     def __init__(self, epoch: int, batch: int, message: str = "", what: str = "loss"):
         self.epoch = epoch

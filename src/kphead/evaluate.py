@@ -86,6 +86,11 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
         i = int(np.argmax(bad))
         raise ContractViolation(f"evaluate: example {i}: class_id {class_ids[i]} outside "
                                 f"[0, {cfg.num_classes}]")
+    for i, ex in enumerate(examples):
+        if ex.y_hat != (ex.class_id != BACKGROUND):
+            raise ContractViolation(f"evaluate: example {i}: y_hat {ex.y_hat} disagrees with "
+                                    f"class_id {ex.class_id} (y_hat is 1 exactly when "
+                                    f"class_id is not 0)")
     passes = []
     with NoGrad():
         for first in range(0, len(examples), EVAL_CHUNK):
@@ -105,7 +110,7 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
                        chance_level=None, fg_peak_mean=None, bg_peak_mean=None,
                        mean_distinct_parts=None)
 
-    fg = np.array([ex.y_hat == 1 for ex in examples])
+    fg = class_ids != BACKGROUND  # where y_hat is 1, as checked above
     counts = np.array([len(ex.planted_points) for ex in examples])
     planted = np.array([cell for ex in examples for cell in ex.planted_points],
                        dtype=np.intp).reshape(-1, 2)

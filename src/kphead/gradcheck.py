@@ -142,6 +142,10 @@ def _condensed_head_case(rng):
     return build, checked
 
 
+# the repeated points check that gradients accumulate
+_GATHER_POINTS = np.array([[(0, 0), (2, 2), (2, 2), (1, 1)],
+                           [(3, 0), (1, 2), (3, 0), (0, 1)]])
+
 CHECKS = {
     "conv2d": _projected(lambda x, w, b: T.conv2d(x, w, b, groups=2, dilation=2),
                          (2, 4, 4, 3), (4, 2, 3, 3), (4,)),
@@ -155,10 +159,7 @@ CHECKS = {
     "concat": _projected(lambda a, b, c: T.concat([T.stack([a, b]), T.pick(c, 1),
                                                    T.pick(c, 0), T.pick(c, 1)]),
                          (2, 3), (2, 3), (2, 2, 1)),
-    # the repeated points check that gradients accumulate
-    "gather_at": _projected(lambda x: T.gather_at(x, [[(0, 0), (2, 2), (2, 2), (1, 1)],
-                                                      [(3, 0), (1, 2), (3, 0), (0, 1)]]),
-                            (2, 2, 4, 3)),
+    "gather_at": _projected(lambda x: T.gather_at(x, _GATHER_POINTS), (2, 2, 4, 3)),
     "smooth_l1": _projected(lambda a, b: T.smooth_l1(a, b), (6,), (6,), kinks=True),
     "logsumexp": _projected(lambda x: T.logsumexp(x), (2, 7)),
     "tmr_squash": _projected(lambda raw: tmr_squash(raw, 0.5, 0.1), (2, 3, 4, 3), kinks=True),

@@ -82,13 +82,14 @@ def detection_loss(out: HeadOutput, classes: Sequence[int],
             raise ContractViolation(f"target_class={c} outside [0, {cfg.num_classes}]")
     # the 1 x 1 x N x C views let gather_at pick one entry per (row, column) point
     picked = T.gather_at(T.reshape(out.v_cls, (1, 1, n, cfg.cls_len)),
-                         [list(enumerate(classes))])
+                         np.array(list(enumerate(classes)), dtype=np.intp).reshape(1, n, 2))
     ce = T.sum_all(T.logsumexp(out.v_cls) - T.reshape(picked, (n,)))
     fg = [i for i, c in enumerate(classes) if c != BACKGROUND]
     if not fg:
         return ce
     points = [(i, cfg.reg_start(classes[i]) + j) for i in fg for j in range(4)]
-    pred = T.gather_at(T.reshape(out.v_reg, (1, 1, n, cfg.reg_len)), [points])
+    pred = T.gather_at(T.reshape(out.v_reg, (1, 1, n, cfg.reg_len)),
+                       np.array(points, dtype=np.intp).reshape(1, -1, 2))
     target = Tensor(np.concatenate([boxes[i] for i in fg]).reshape(1, -1, 1))
     reg = T.sum_all(T.smooth_l1(pred, target))
     return T.add(ce, reg)

@@ -38,15 +38,14 @@ Its backward reads the output gradient's taps through the same kind of view,
 so nothing C_in*k*k*H*W wide is built.  A 1x1 kernel is the matmul alone.
 
 Ops do not check their outputs for NaN or Inf: training checks its loss and
-its updated weights once per step.  Under a ``FiniteWatch``, which training
-enters only to replay a diverged batch's forward pass, every op checks its
-output and raises NonFiniteError naming the first op that went non-finite.
+its updated weights once per step, and names a diverged batch's op by walking
+the graph its loss recorded (``_first_non_finite_op``).
 
 Under ``NoGrad`` ops record no graph: outputs keep no parents and no backward
 closure, so the saved intermediates are freed with the output.  Every forward
 pass that is never differentiated runs under it: ``evaluate``, the heatmap
-export, each evaluation inside ``finite_diff_grad``, gradcheck's kink and
-shape probes and training's replay of a diverged batch.
+export, each evaluation inside ``finite_diff_grad`` and gradcheck's kink and
+shape probes.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, GraphStateError, NonFiniteError
+from .errors import ConfigError, ContractViolation, GraphStateError
 
 Shape = tuple[int, ...]
 
@@ -160,25 +159,6 @@ def _note_kink_margin(margin: float) -> None:
         watch.note(margin)
 
 
-class FiniteWatch:
-    """Context manager under which every op checks its output and raises
-    NonFiniteError naming the first op whose output holds NaN or Inf.
-
-    Outside a watch no op scans its output; ``train`` replays a batch under
-    one only when that batch's loss came out non-finite.
-    """
-
-    def __enter__(self) -> "FiniteWatch":
-        _finite_watches.append(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _finite_watches.remove(self)
-
-
-_finite_watches: list[FiniteWatch] = []
-
-
 class NoGrad:
     """Context manager under which ops record no graph: every output has
     ``requires_grad = False``, no parents and no backward closure.  It nests,
@@ -230,10 +210,7 @@ if hasattr(os, "register_at_fork"):
 
 def _record(data: np.ndarray, op: str, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], None] | None) -> Tensor:
-    """Wrap an op result, noting the graph node unless under ``NoGrad``.
-    The output is checked for NaN and Inf only under a ``FiniteWatch``."""
-    if _finite_watches and not np.isfinite(data).all():
-        raise NonFiniteError(f"operation {op!r} produced non-finite values")
+    """Wrap an op result, noting the graph node unless under ``NoGrad``."""
     out = Tensor(data)
     out.op = op
     if _no_grad:
@@ -306,6 +283,17 @@ def _topological_order(root: Tensor) -> list[Tensor]:
             if id(parent) not in seen:
                 stack.append((parent, False))
     return order
+
+
+def _first_non_finite_op(root: Tensor) -> str | None:
+    """The tag of the first op in ``root``'s recorded graph, in post-order,
+    whose output holds NaN or Inf, or None.  Every input of a node comes
+    before it, so the named op read no non-finite output of another op: the
+    bad value started there, or in a leaf that it read."""
+    for node in _topological_order(root):
+        if node.op != "leaf" and not np.isfinite(node.data).all():
+            return node.op
+    return None
 
 
 # -- elementwise arithmetic ----------------------------------------------
@@ -553,40 +541,32 @@ def truncated_max_squash(raw: Tensor, alpha: float, epsilon: float) -> Tensor:
     return _record(np.where(positive, squashed, 0.0), "truncated_max_squash", (raw,), bwd)
 
 
-def gather_at(t: Tensor, points) -> Tensor:
+def gather_at(t: Tensor, points: np.ndarray) -> Tensor:
     """Collect the channel fiber at each (row, col) point of each example.
 
-    ``t`` is N x C x H x W and ``points`` is N x P (row, col) pairs, one list
-    per example; the output is N x P x C, row (i, p) being example i's
-    C-vector at ``points[i][p]``.  The gradient scatters back to exactly
+    ``t`` is N x C x H x W and ``points`` a signed integer N x P x 2 array
+    of (row, col) pairs; the output is N x P x C, row (i, p) being example i's
+    C-vector at ``points[i, p]``.  The gradient scatters back to exactly
     those positions, accumulating on duplicates.
     """
     shape = t.data.shape
     if len(shape) != 4:
         raise ContractViolation(f"gather_at needs an N x C x H x W tensor, got shape {shape}")
     n, h, w = shape[0], shape[2], shape[3]
-    try:
-        pts = np.array(points, dtype=np.intp)
-        if pts.size == 0 and pts.shape[:1] == (n,):  # N empty lists make an N x 0 array
-            pts = pts.reshape(n, 0, 2)
-        pairs = pts.ndim == 3 and pts.shape[0] == n and pts.shape[2] == 2
-    except OverflowError:
-        raise ContractViolation(f"gather_at: a point lies outside the {h}x{w} grid") from None
-    except ValueError:  # ragged lists
-        pairs = False
-    if not pairs:
+    if not (isinstance(points, np.ndarray) and points.dtype.kind == "i"
+            and points.ndim == 3 and points.shape[0] == n and points.shape[2] == 2):
         raise ContractViolation(
-            f"gather_at: points must be N x P (row, col) pairs for a {shape} tensor")
-    rows, cols = pts.transpose(2, 0, 1)
+            f"gather_at: points must be a signed integer N x P x 2 array of (row, col) pairs "
+            f"for a {shape} tensor")
+    rows, cols = points.transpose(2, 0, 1)
     examples = np.arange(n)[:, None]
     try:  # an index past the grid raises; a negative one would wrap around
-        if pts.size and pts.min() < 0:
+        if points.size and points.min() < 0:
             raise IndexError
         # the advanced indices around the channel slice put the N x P axes first
         fibers = t.data[examples, :, rows, cols]
     except IndexError:
-        i, p = divmod(int(np.flatnonzero((rows < 0) | (rows >= h) | (cols < 0)
-                                         | (cols >= w))[0]), rows.shape[1])
+        i, p = np.argwhere((rows < 0) | (rows >= h) | (cols < 0) | (cols >= w))[0]
         raise ContractViolation(
             f"gather_at: point {p} = ({rows[i, p]}, {cols[i, p]}) outside {h}x{w} grid") from None
 

@@ -17,10 +17,10 @@ import numpy as np
 from . import losses, tensor
 from .dataset import ToyExample
 from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, named_tensors
-from .errors import ConfigError, ContractViolation, NonFiniteError, TrainingDivergence
+from .errors import ConfigError, ContractViolation, TrainingDivergence
 from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
                    full_condensed_forward, init_baseline_params, init_head_params)
-from .tensor import FiniteWatch, NoGrad, Tensor, backward
+from .tensor import Tensor, backward
 
 
 @dataclass
@@ -136,11 +136,14 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     no gradient attached to any parameter.
 
     Finiteness is checked twice per step, not per op.  A non-finite batch
-    loss stops training before ``backward``: the batch's forward pass is
-    replayed under a ``FiniteWatch`` and ``NoGrad``, and TrainingDivergence
-    names the first op whose output went non-finite.  The loss alone misses
-    a NaN that relu or TMR maps to 0, so ``_momentum_step`` also checks each
-    updated weight and raises TrainingDivergence naming the parameter.
+    loss stops training before ``backward``: TrainingDivergence names the
+    first op, in post-order of the graph the loss recorded, whose output
+    holds NaN or Inf (``tensor._first_non_finite_op``).  That op read no
+    non-finite output of another op, so it is where the bad value started.
+    Where one batch has two such ops, this may name a different one than
+    the first of them to run.  The loss alone misses a NaN that relu or TMR
+    maps to 0, so ``_momentum_step`` also checks each updated weight and
+    raises TrainingDivergence naming the parameter.
 
     On a process that may run on more than one CPU, the worker thread
     (``tensor._worker``) computes half of each ``linear`` product whose
@@ -165,16 +168,13 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
         correct = 0
         for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = [examples[i] for i in order[start:start + cfg.batch_size]]
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
-                    if not math.isfinite(total.item()):
-                        # no parameter has moved: the replay sees the same state
-                        with FiniteWatch(), NoGrad():
-                            _batch_loss(model, batch, cfg)
-                    backward(total)
-            except NonFiniteError as exc:
-                raise TrainingDivergence(epoch, batch_idx, str(exc)) from exc
+            with np.errstate(over="ignore", invalid="ignore"):
+                total, det_v, ld_v, lu_v, hits = _batch_loss(model, batch, cfg)
+                if not math.isfinite(total.item()):
+                    op = tensor._first_non_finite_op(total)
+                    raise TrainingDivergence(epoch, batch_idx,
+                                             f"operation {op!r} produced non-finite values")
+                backward(total)
             _momentum_step(named, velocity, cfg, scratch, epoch, batch_idx)
             det_sum += det_v
             ld_sum += ld_v

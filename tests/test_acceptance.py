@@ -112,7 +112,7 @@ def test_criterion_4_oracle_equivalence():
 
         points = [(int(r), int(c))
                   for r, c in zip(rng.integers(0, h, 3), rng.integers(0, w_, 3))]
-        np.testing.assert_allclose(T.gather_at(batch, [points]).data[0],
+        np.testing.assert_allclose(T.gather_at(batch, np.array([points])).data[0],
                                    oracles.gather_loops(x.data, points), atol=1e-12)
 
         pair = rng.standard_normal((2, 5))

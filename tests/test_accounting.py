@@ -121,6 +121,12 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(parts_grid=(0,), pool_grid=(1,))
 
+    def test_head_without_disc_or_disc_without_head_rejected(self):
+        head, disc = fpn_configs(20)
+        for one in ({"head": head}, {"disc": disc}):
+            with pytest.raises(ConfigError, match="both head and disc"):
+                sweep(**one)
+
     def test_cells_larger_than_the_grid_are_left_out(self):
         head, disc = fpn_configs(20, num_parts=4, pool_len=3)
         rows = sweep(parts_grid=(4, 16), pool_grid=(3, 4),

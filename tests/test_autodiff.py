@@ -8,7 +8,7 @@ import pytest
 
 from kphead import gradcheck
 from kphead import tensor as T
-from kphead.errors import GraphStateError, NonFiniteError
+from kphead.errors import GraphStateError
 from kphead.tensor import Tensor, backward, finite_diff_grad
 
 
@@ -94,13 +94,13 @@ class TestGradientRouting:
         a = Tensor(np.array([[1.0]]), requires_grad=True)
         bc = Tensor(np.array([[2.0, 3.0]]), requires_grad=True)
         out = T.concat([a, bc])
-        backward(T.sum_all(T.gather_at(T.reshape(out, (1, 1, 1, 3)), [[(0, 1)]])))
+        backward(T.sum_all(T.gather_at(T.reshape(out, (1, 1, 1, 3)), np.array([[(0, 1)]]))))
         np.testing.assert_array_equal(a.grad, [[0.0]])
         np.testing.assert_array_equal(bc.grad, [[1.0, 0.0]])
 
     def test_gather_duplicates_accumulate(self):
         x = Tensor(np.zeros((1, 2, 3, 3)), requires_grad=True)
-        out = T.gather_at(x, [[(1, 1), (1, 1)]])
+        out = T.gather_at(x, np.array([[(1, 1), (1, 1)]]))
         backward(T.sum_all(out))
         assert x.grad[0, 0, 1, 1] == 2.0
         assert x.grad.sum() == 4.0
@@ -126,7 +126,7 @@ class TestWeightGradientSums:
 
         def loss(_=None):
             fibers = [T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2, dilation=2),
-                                            [[(1, 4)]]), (1, 4))
+                                            np.array([[(1, 4)]])), (1, 4))
                       for x in grids]
             outs = [T.linear(v, w_lin, b_lin) for v in fibers + [data_vec]]
             return T.sum_all(T.mul(T.concat(outs), coeffs))
@@ -143,8 +143,8 @@ class TestWeightGradientSums:
         w_conv.grad = np.full(w_conv.shape, 0.5)
 
         def run():
-            fiber = T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2), [[(2, 1)]]),
-                              (1, 4))
+            fiber = T.reshape(T.gather_at(T.conv2d(x, w_conv, b_conv, groups=2),
+                                          np.array([[(2, 1)]])), (1, 4))
             backward(T.sum_all(T.linear(fiber, w_lin, b_lin)))
 
         run()
@@ -211,10 +211,10 @@ class TestWeightGradientSums:
         def loss(_=None):
             conv = T.add(T.conv2d(grid, w_conv, b_conv, groups=2),
                          T.conv2d(grid, w_dense, b_conv, dilation=2))
-            fiber = T.gather_at(conv, [[(1, 4)]])
+            fiber = T.gather_at(conv, np.array([[(1, 4)]]))
             batch = T.reshape(T.concat([fiber, T.reshape(rows, (1, 8))]), (3, 4))
             out = T.add(T.linear(batch, w_lin, b_lin), T.stack([T.add(a, b)] * 3))
-            picked = T.gather_at(maps, [[(1, 4), (1, 4), (0, 2)]])
+            picked = T.gather_at(maps, np.array([[(1, 4), (1, 4), (0, 2)]]))
             extra = T.add(T.sum_all(T.mul(c, c)), T.sum_all(T.smooth_l1(picked, targets)))
             return T.add(T.sum_all(T.mul(out, coeffs)), extra)
 
@@ -230,14 +230,26 @@ class TestWeightGradientSums:
             np.testing.assert_allclose(t.grad, finite_diff_grad(loss, t), rtol=1e-6, atol=1e-8)
 
 
-class TestFiniteWatch:
-    def test_ops_check_their_outputs_only_under_a_watch(self):
-        x, zeros = Tensor(np.array([1.0, np.inf])), Tensor(np.zeros(2))
+class TestFirstNonFiniteOp:
+    """``_first_non_finite_op`` names the op in a recorded graph where a NaN
+    or Inf started, not an op that only carried it on."""
+
+    def test_names_the_op_where_the_bad_value_starts(self):
+        x = Tensor(np.array([1.0, np.inf]), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
         with np.errstate(invalid="ignore"):
-            assert np.isnan(T.mul(x, zeros).data[1])  # inf * 0
-            with pytest.raises(NonFiniteError, match="operation 'mul'"), T.FiniteWatch():
-                T.mul(x, zeros)
-        assert not T._finite_watches
+            loss = T.sum_all(T.add(T.mul(x, Tensor(0.0)), y))  # inf * 0 is NaN
+        assert np.isnan(loss.item())
+        assert T._first_non_finite_op(loss) == "mul"
+
+    def test_names_the_op_that_reads_a_nan_leaf(self):
+        x = Tensor(np.array([np.nan, 1.0]), requires_grad=True)
+        loss = T.sum_all(T.relu(T.add(x, Tensor(np.ones(2)))))
+        assert T._first_non_finite_op(loss) == "add"
+
+    def test_a_finite_graph_names_none(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        assert T._first_non_finite_op(T.sum_all(T.relu(T.mul(x, x)))) is None
 
 
 class TestNoGrad:
@@ -267,13 +279,6 @@ class TestNoGrad:
         assert loss._parents == (x,)
         backward(loss)
         np.testing.assert_array_equal(x.grad, [1.0])
-
-    def test_a_finite_watch_inside_still_names_the_op(self):
-        x = Tensor(np.array([1.0, np.inf]), requires_grad=True)
-        with np.errstate(invalid="ignore"), T.NoGrad():
-            with pytest.raises(NonFiniteError, match="operation 'mul'"), T.FiniteWatch():
-                T.mul(x, Tensor(np.zeros(2)))
-        assert not T._finite_watches and not T._no_grad
 
 
 class TestFiniteDifferenceOracle:

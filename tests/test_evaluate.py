@@ -187,6 +187,20 @@ class TestEvaluateRefusesBadClasses:
                            match=rf"example 5: class_id {class_id} outside \[0, 2\]"):
             evaluate(models[kind], test_set)
 
+    @pytest.mark.parametrize("y_hat, class_id", [(1, 0), (0, 2), (7, 1)])
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_a_label_that_disagrees_with_the_class_is_refused(self, kind, y_hat, class_id,
+                                                              monkeypatch):
+        """``y_hat`` is 1 exactly when ``class_id`` is not 0, as in a dataset
+        file; a mismatch is refused by name before a forward pass."""
+        models, test_set = _small_models_and_test_set()
+        test_set[5] = dataclasses.replace(test_set[5], y_hat=y_hat, class_id=class_id)
+        model = models[kind]
+        monkeypatch.setattr(model, "forward", None)
+        with pytest.raises(ContractViolation,
+                           match=rf"example 5: y_hat {y_hat} disagrees with class_id {class_id}"):
+            evaluate(model, test_set)
+
 
 class TestEvaluateThreads:
     """``evaluate`` hands half of each large ``linear`` product to the

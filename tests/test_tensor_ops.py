@@ -450,40 +450,47 @@ class TestFusedPeakOps:
 class TestGatherAt:
     def test_origin_fiber(self):
         x = Tensor(np.arange(2 * 3 * 3, dtype=float).reshape(1, 2, 3, 3))
-        out = T.gather_at(x, [[(0, 0)]])
+        out = T.gather_at(x, np.array([[(0, 0)]]))
         np.testing.assert_array_equal(out.data, [[[0.0, 9.0]]])
 
     def test_duplicate_points_give_identical_rows(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((1, 3, 4, 4)))
-        out = T.gather_at(x, [[(1, 2), (1, 2)]])
+        out = T.gather_at(x, np.array([[(1, 2), (1, 2)]]))
         np.testing.assert_array_equal(out.data[0, 0], out.data[0, 1])
 
     def test_random_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((1, 8, 7, 7)))
         points = [(int(r), int(c)) for r, c in rng.integers(0, 7, size=(4, 2))]
-        np.testing.assert_allclose(T.gather_at(x, [points]).data[0],
+        np.testing.assert_allclose(T.gather_at(x, np.array([points])).data[0],
                                    oracles.gather_loops(x.data[0], points), atol=1e-12)
 
     def test_no_points_give_empty_rows(self):
-        assert T.gather_at(Tensor(np.zeros((1, 5, 3, 4))), [[]]).shape == (1, 0, 5)
+        points = np.zeros((1, 0, 2), dtype=int)
+        assert T.gather_at(Tensor(np.zeros((1, 5, 3, 4))), points).shape == (1, 0, 5)
 
     def test_duplicate_points_accumulate_gradient(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.standard_normal((1, 3, 4, 5)), requires_grad=True)
         g = rng.standard_normal((1, 3, 3))
-        T.backward(T.sum_all(T.mul(T.gather_at(x, [[(1, 2), (3, 4), (1, 2)]]), Tensor(g))))
+        picked = T.gather_at(x, np.array([[(1, 2), (3, 4), (1, 2)]]))
+        T.backward(T.sum_all(T.mul(picked, Tensor(g))))
         want = np.zeros((1, 3, 4, 5))
         want[0, :, 1, 2] = g[0, 0] + g[0, 2]
         want[0, :, 3, 4] = g[0, 1]
         np.testing.assert_array_equal(x.grad, want)
 
     def test_out_of_bounds_rejected(self):
+        """The first point outside the grid is named, a negative one too."""
+        x = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ContractViolation, match=re.escape("point 0 = (3, 0) outside 3x3")):
+            T.gather_at(x, np.array([[(3, 0)]]))
+        for bad in ((-1, 2), (0, -1)):
+            with pytest.raises(ContractViolation, match=re.escape(f"point 1 = {bad} outside")):
+                T.gather_at(x, np.array([[(0, 0), bad, (5, 5)]]))
         with pytest.raises(ContractViolation, match="outside"):
-            T.gather_at(Tensor(np.zeros((1, 1, 3, 3))), [[(3, 0)]])
-        with pytest.raises(ContractViolation, match="outside"):
-            T.gather_at(Tensor(np.zeros((1, 1, 3, 3))), [[(0, 0), (2**70, 0)]])
+            T.gather_at(x, np.array([[(0, 0), (2**62, 0)]]))
 
 
 class TestDeterminism:
@@ -541,7 +548,7 @@ class TestForwardOracleSweep:
 
             points = [(int(r), int(cc))
                       for r, cc in zip(rng.integers(0, h, 4), rng.integers(0, w_, 4))]
-            np.testing.assert_allclose(T.gather_at(x, [points]).data[0],
+            np.testing.assert_allclose(T.gather_at(x, np.array([points])).data[0],
                                        oracles.gather_loops(x.data[0], points), atol=1e-12)
 
 
@@ -628,9 +635,9 @@ class TestExampleAxis:
         rng = np.random.default_rng([23, case])
         n, c, h, w = 1 + case % 4, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 5
         xs = rng.standard_normal((n, c, h, w))
-        points = [[(int(r), int(col)) for r, col in zip(rng.integers(0, h, 6),
-                                                        rng.integers(0, 3, 6))]
-                  for _ in range(n)]  # 6 points among 3h cells: duplicates
+        points = np.array([[(int(r), int(col)) for r, col in zip(rng.integers(0, h, 6),
+                                                                 rng.integers(0, 3, 6))]
+                           for _ in range(n)])  # 6 points among 3h cells: duplicates
         batched, per_example, _ = batched_and_per_example(
             lambda x, i: T.gather_at(x, points if i is None else points[i:i + 1]), xs,
             seed=case)
@@ -738,13 +745,19 @@ class TestExampleAxis:
         np.testing.assert_array_equal(batch[0], one)
 
     def test_gather_points_must_match_the_examples(self):
+        """Points are one signed integer N x P x 2 array; lists are refused,
+        not converted, also where they would make one, and so are unsigned
+        arrays, whose largest values would wrap around to negative indices."""
         x = Tensor(np.zeros((2, 3, 4, 4)))
-        for points in ([(0, 0)], [[(0, 0)]], [[(0, 0)], [(1, 1), (2, 2)]], [[(0, 0, 1)]] * 2):
-            with pytest.raises(ContractViolation):
+        for points in (np.array([(0, 0)]), np.array([[(0, 0)]]), np.zeros((3, 1, 2), int),
+                       np.array([[(0, 0, 1)]] * 2), [[(0, 0)], [(1, 1)]],
+                       [[(0, 0)], [(1, 1), (2, 2)]], [[], []], [[(0, 0)], [(2**70, 0)]],
+                       np.full((2, 1, 2), 2**64 - 1, dtype=np.uint64)):
+            with pytest.raises(ContractViolation, match="integer N x P x 2 array"):
                 T.gather_at(x, points)
         with pytest.raises(ContractViolation, match="outside"):
-            T.gather_at(x, [[(0, 0)], [(4, 0)]])
-        assert T.gather_at(x, [[], []]).shape == (2, 0, 3)
+            T.gather_at(x, np.array([[(0, 0)], [(4, 0)]]))
+        assert T.gather_at(x, np.zeros((2, 0, 2), int)).shape == (2, 0, 3)
 
 
 _GRID = Tensor(np.zeros((2, 3, 4)))
@@ -768,9 +781,12 @@ def _discovery(step, grid):
     (lambda: tmr_squash(_GRID), "N x K x H x W"),
     (lambda: _discovery(predict_confidence, _GRID), "N x C x H x W"),
     (lambda: _discovery(concentration_forward, _GRID), "N x 2 x H x W"),
-    (lambda: T.gather_at(_GRID, [(0, 0), (1, 2)]), "N x C x H x W"),
-    (lambda: T.gather_at(Tensor(np.zeros((1, 2, 3, 4))), [(0, 0), (1, 2)]), "N x P"),
-    (lambda: T.gather_at(Tensor(np.zeros((2, 2, 3, 4))), []), "N x P"),
+    (lambda: T.gather_at(_GRID, np.array([(0, 0), (1, 2)])), "N x C x H x W"),
+    (lambda: T.gather_at(Tensor(np.zeros((1, 2, 3, 4))), np.array([(0, 0), (1, 2)])), "N x P"),
+    (lambda: T.gather_at(Tensor(np.zeros((2, 2, 3, 4))), np.zeros((0, 2), int)), "N x P"),
+    (lambda: T.gather_at(Tensor(np.zeros((1, 2, 3, 4))), np.array([[(0.0, 1.0)]])), "N x P"),
+    (lambda: T.gather_at(Tensor(np.zeros((1, 2, 3, 4))), np.array([[(True, False)]])),
+     "N x P"),
     (lambda: T.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
      "N x D"),
     (lambda: T.logsumexp(Tensor(np.zeros(3))), "N x C"),
@@ -778,12 +794,12 @@ def _discovery(step, grid):
     (lambda: T.concat([Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))]), "N x ..."),
 ], ids=["adaptive_avg_pool", "channel_sum", "map_peaks", "truncated_max_squash",
         "extract_key_parts", "tmr_squash", "predict_confidence", "concentration_forward",
-        "gather_at_grid",
-        "gather_at_pairs", "gather_at_no_pairs", "linear", "logsumexp", "concat_scalar",
-        "concat_vector"])
+        "gather_at_grid", "gather_at_pairs", "gather_at_no_pairs", "gather_at_float",
+        "gather_at_bool", "linear", "logsumexp", "concat_scalar", "concat_vector"])
 def test_per_example_forms_are_rejected(op, shape):
     """Every op but ``conv2d`` takes N-leading batches only: a C x H x W grid,
     a K x H x W map, a 1-D row, P pairs for one grid or a part without the
-    shared leading axis raises, naming the form it needs."""
+    shared leading axis raises, naming the form it needs.  So do float and
+    bool points, which would be truncated or read as 0 and 1."""
     with pytest.raises(ContractViolation, match=re.escape(shape)):
         op()

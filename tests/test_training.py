@@ -95,6 +95,25 @@ class TestTrainLoop:
         assert str(err.value) == ("non-finite loss at epoch 2, batch 1: "
                                   "operation 'conv2d' produced non-finite values")
 
+    def test_a_diverged_batch_runs_its_forward_pass_once(self, monkeypatch):
+        """The op is named from the graph the batch's loss already recorded:
+        no batch's loss is computed twice, and no ``NoGrad`` is left open."""
+        cfg = tiny_run_config(learning_rate=1e9, epochs=3)
+        model, _ = tiny_models(cfg)
+        data, _ = generate_dataset(cfg.data)
+        calls = []
+
+        def batch_loss(*args):
+            calls.append(args)
+            return _batch_loss(*args)
+
+        monkeypatch.setattr(training, "_batch_loss", batch_loss)
+        with pytest.raises(TrainingDivergence, match="operation 'conv2d'") as err:
+            train(model, data, cfg.train)
+        batches = -(-len(data) // cfg.train.batch_size)
+        assert len(calls) == (err.value.epoch - 1) * batches + err.value.batch + 1
+        assert not T._no_grad
+
     def test_a_nan_that_relu_hides_still_stops_training(self):
         """relu maps a NaN conv output to 0, so the loss stays finite; the
         momentum step's check of the updated weights catches it."""
