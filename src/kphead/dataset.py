@@ -81,6 +81,26 @@ class ToyExample:
     planted_points: list[tuple[int, int]] = field(default_factory=list)
 
 
+def check_examples(examples: list[ToyExample], num_classes: int, caller: str) -> None:
+    """Refuse, naming ``caller`` and the first offending example, an empty
+    list, a class that is not an integer in [0, num_classes], or a ``y_hat``
+    that is not 1 exactly when the class is not 0 (background), as a dataset
+    file would."""
+    if not examples:
+        raise ContractViolation(f"{caller}: empty dataset")
+    for i, ex in enumerate(examples):
+        if isinstance(ex.class_id, bool) or not isinstance(ex.class_id, (int, np.integer)):
+            raise ContractViolation(f"{caller}: example {i}: class_id {ex.class_id!r} is not "
+                                    f"an integer")
+        if not 0 <= ex.class_id <= num_classes:
+            raise ContractViolation(f"{caller}: example {i}: class_id {ex.class_id} outside "
+                                    f"[0, {num_classes}]")
+        if ex.y_hat != (ex.class_id != 0):
+            raise ContractViolation(f"{caller}: example {i}: y_hat {ex.y_hat} disagrees with "
+                                    f"class_id {ex.class_id} (y_hat is 1 exactly when "
+                                    f"class_id is not 0)")
+
+
 def class_signatures(spec: ToyDatasetSpec) -> np.ndarray:
     """Fixed per-class signature vectors, shape (num_classes, D, C).
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ToyExample
-from .errors import ContractViolation
+from .dataset import ToyExample, check_examples
 from .losses import BACKGROUND
 from .tensor import NoGrad
 
@@ -77,20 +76,9 @@ def evaluate(model, examples: list[ToyExample]) -> Metrics:
     setting, the baseline's fc1 alone).  At the FPN-VOC head shapes, and for
     the toy baseline's 16-example passes, the metrics are the same bytes
     either way (see ``tensor.linear``)."""
-    if not examples:
-        raise ContractViolation("evaluate: empty dataset")
     cfg = model.head_cfg
-    class_ids = np.array([ex.class_id for ex in examples])
-    bad = (class_ids < 0) | (class_ids > cfg.num_classes)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ContractViolation(f"evaluate: example {i}: class_id {class_ids[i]} outside "
-                                f"[0, {cfg.num_classes}]")
-    for i, ex in enumerate(examples):
-        if ex.y_hat != (ex.class_id != BACKGROUND):
-            raise ContractViolation(f"evaluate: example {i}: y_hat {ex.y_hat} disagrees with "
-                                    f"class_id {ex.class_id} (y_hat is 1 exactly when "
-                                    f"class_id is not 0)")
+    check_examples(examples, cfg.num_classes, "evaluate")
+    class_ids = np.array([ex.class_id for ex in examples], dtype=np.intp)
     passes = []
     with NoGrad():
         for first in range(0, len(examples), EVAL_CHUNK):

@@ -8,6 +8,18 @@ compares against central finite differences.  Where the forward pass has
 non-smooth loci (relu kinks, smooth-L1 transitions, argmax ties), which
 finite differences cannot probe, inputs are re-sampled until it stays clear
 of them.
+
+The whole-head check (``condensed_head_loss``) takes its analytic gradients
+from one backward pass of ``full_condensed_forward``, as training runs it,
+and differences the input, discovery and global-branch tensors against that
+full forward.  The FC, classifier and regressor tensors (995 of its 1,148
+values) feed nothing upstream of the head tail, so they are differenced
+against the tail alone: ``head_forward``, the detection loss and the
+discovery objective, on the key-part block, global map and objective of one
+unperturbed pass.  The forward pass is deterministic and
+``finite_diff_grad`` restores each element exactly, so those cached values
+are the bytes every full pass would recompute, and each estimate is the
+same as against the full forward.
 """
 
 from __future__ import annotations
@@ -16,9 +28,11 @@ import numpy as np
 
 from . import losses
 from . import tensor as T
-from .discovery import DiscoveryConfig, init_discovery_params, named_tensors, tmr_squash
+from .discovery import (DiscoveryConfig, concentration_forward, init_discovery_params,
+                        named_tensors, tmr_squash)
 from .errors import ConfigError
-from .head import HeadConfig, HeadOutput, full_condensed_forward, init_head_params
+from .head import (HeadConfig, HeadOutput, full_condensed_forward, head_forward,
+                   init_head_params, key_part_modeling)
 from .tensor import KinkWatch, Tensor, backward, finite_diff_grad
 
 GRAD_TOL = 1e-4
@@ -33,30 +47,37 @@ def max_relative_error(analytic: np.ndarray, estimate: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - estimate) / denom))
 
 
-def _compare(build, checked: list[Tensor]) -> float:
-    """Backward once, then finite-difference each checked tensor."""
+def _compare(build, checked: list[Tensor], tail=None) -> float:
+    """Backward once over ``build``, then finite-difference each checked
+    tensor against ``build``, except the tensors that ``tail()`` yields with
+    a build of their own, which are differenced against that build."""
     loss = build()
     backward(loss)
     grads = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
              for t in checked]
+    fd_builds = {id(t): build for t in checked}
+    if tail is not None:
+        tail_tensors, tail_build = tail()
+        fd_builds.update((id(t), tail_build) for t in tail_tensors)
     worst = 0.0
     for t, analytic in zip(checked, grads):
-        fd = finite_diff_grad(lambda _: build(), t, FD_STEP)
+        fd_build = fd_builds[id(t)]
+        fd = finite_diff_grad(lambda _: fd_build(), t, FD_STEP)
         worst = max(worst, max_relative_error(analytic, fd))
     return worst
 
 
 def _clear_of_kinks(make_case, rng):
-    """Re-sample deterministically until the probe forward pass, which
-    records no graph, keeps a margin around every kink/tie."""
+    """Re-sample deterministically until the probe forward pass of the
+    case's ``build``, which records no graph, keeps a margin around every
+    kink/tie."""
     base = int(rng.integers(2 ** 31))
     for attempt in range(200):
-        case_rng = np.random.default_rng([base, attempt])
-        build, checked = make_case(case_rng)
+        case = make_case(np.random.default_rng([base, attempt]))
         with KinkWatch() as watch, T.NoGrad():
-            build()
+            case[0]()
         if watch.min_margin > KINK_MARGIN:
-            return build, checked
+            return case
     raise RuntimeError(f"no kink-free sample found from base seed {base}")
 
 
@@ -65,8 +86,9 @@ def _param(rng, shape) -> Tensor:
 
 
 def _checked(make_case, kinks: bool = True):
-    """A check that draws a case ``(build, checked)`` from its rng, clear of
-    kinks if ``kinks`` is set, and compares the checked gradients."""
+    """A check that draws a case ``(build, checked)``, or ``(build, checked,
+    tail)`` (see ``_compare``), from its rng, clear of kinks if ``kinks`` is
+    set, and compares the checked gradients."""
 
     def check(rng) -> float:
         return _compare(*(_clear_of_kinks(make_case, rng) if kinks else make_case(rng)))
@@ -132,14 +154,32 @@ def _condensed_head_case(rng):
     x = Tensor(rng.standard_normal((2, 7, 7)), requires_grad=True)
     box = rng.standard_normal(4)
 
+    def loss(output, objective):
+        return T.add(losses.detection_loss(output, [1], [box], head_cfg), objective)
+
     def build():
         fwd = full_condensed_forward([x], disc_params, head_params, disc_cfg, head_cfg)
-        det = losses.detection_loss(fwd.output, [1], [box], head_cfg)
-        return T.add(det, losses.discovery_objective(fwd.maps, [1]))
+        return loss(fwd.output, losses.discovery_objective(fwd.maps, [1]))
+
+    def tail():
+        """The FC, classifier and regressor tensors, with a build that reruns
+        only the head tail on one unperturbed pass's upstream values: the
+        key-part block, the global map and the discovery objective."""
+        with T.NoGrad():
+            fwd = full_condensed_forward([x], disc_params, head_params, disc_cfg, head_cfg)
+            grids = T.stack([x])
+            source = (concentration_forward(grids, disc_params, disc_cfg)
+                      if disc_cfg.gather_from_refined else grids)
+            z_k = key_part_modeling(source, fwd.maps, fwd.points)
+            objective = losses.discovery_objective(fwd.maps, [1])
+        tensors = [t for layer in (head_params.fc, head_params.cls, head_params.reg)
+                   for t in (layer.weight, layer.bias)]
+        return tensors, lambda: loss(head_forward(z_k, fwd.global_map, head_params, head_cfg),
+                                     objective)
 
     checked = [x] + [t for _, t in named_tensors("discovery", disc_params)
                                       + named_tensors("head", head_params)]
-    return build, checked
+    return build, checked, tail
 
 
 # the repeated points check that gradients accumulate

@@ -71,15 +71,20 @@ def detection_loss(out: HeadOutput, classes: Sequence[int],
                    boxes: Sequence[Sequence[float]], cfg: HeadConfig) -> Tensor:
     """Sum over the N output rows of cross-entropy between row i's class
     logits and ``classes[i]``, plus smooth L1 between that class's 4 box
-    offsets and ``boxes[i]``; background rows have no regression term."""
+    offsets and ``boxes[i]``; background rows have no regression term.  A
+    class is an ``int`` or numpy integer; a float or bool is refused, not
+    truncated to a class."""
     n = len(classes)
     if out.v_cls.shape != (n, cfg.cls_len) or out.v_reg.shape != (n, cfg.reg_len):
         raise ContractViolation(
             f"detection_loss: outputs {out.v_cls.shape} and {out.v_reg.shape} "
             f"for {n} targets")
     for c in classes:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+            raise ContractViolation(f"target_class={c!r} is not an integer class id")
         if not (0 <= c <= cfg.num_classes):
             raise ContractViolation(f"target_class={c} outside [0, {cfg.num_classes}]")
+    classes = [int(c) for c in classes]  # reg_start's arithmetic would wrap a uint8
     # the 1 x 1 x N x C views let gather_at pick one entry per (row, column) point
     picked = T.gather_at(T.reshape(out.v_cls, (1, 1, n, cfg.cls_len)),
                          np.array(list(enumerate(classes)), dtype=np.intp).reshape(1, n, 2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, tensor
-from .dataset import ToyExample
+from .dataset import ToyExample, check_examples
 from .discovery import DiscoveryConfig, DiscoveryParams, init_discovery_params, named_tensors
 from .errors import ConfigError, ContractViolation, TrainingDivergence
 from .head import (BaselineParams, Forward, HeadConfig, HeadParams, baseline_forward,
@@ -133,7 +133,8 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     starts at zero on every call.  The loss per batch is the detection loss
     plus ``okpd_loss_weight`` times the discovery objective (condensed model
     only), divided by the batch size if ``batch_mean`` is set.  Returns with
-    no gradient attached to any parameter.
+    no gradient attached to any parameter.  Examples that ``evaluate`` would
+    refuse (``dataset.check_examples``) are refused before any step.
 
     Finiteness is checked twice per step, not per op.  A non-finite batch
     loss stops training before ``backward``: TrainingDivergence names the
@@ -152,8 +153,7 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     The step's bytes are those of the one-thread step, and the products'
     bytes are the same at the FPN-VOC head shapes (see ``tensor.linear``).
     """
-    if not examples:
-        raise ContractViolation("train: empty dataset")
+    check_examples(examples, model.head_cfg.num_classes, "train")
     named = model.named_tensors()
     for _, t in named:
         t.grad = None

@@ -1,6 +1,7 @@
 """Backward-pass semantics: graph replay rules, gradient routing, and
 agreement with central finite differences."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -386,3 +387,41 @@ class TestGradcheckSuite:
         """Every parameter of the condensed head matches finite differences."""
         err = gradcheck.CHECKS["condensed_head_loss"](np.random.default_rng([5, 1]))
         assert err < gradcheck.GRAD_TOL
+
+    @pytest.mark.parametrize("gather_from_refined", [False, True])
+    def test_tail_differences_are_the_full_builds_bytes(self, gather_from_refined,
+                                                         monkeypatch):
+        """The classifier and regressor, differenced against the head tail on
+        cached upstream values, give the full build's estimates exactly, with
+        the key parts gathered from either grid.  The same ops run on the same
+        bytes either way, so no kink clearance is needed."""
+        disc, head = gradcheck.small_head_configs()
+        disc = dataclasses.replace(disc, gather_from_refined=gather_from_refined)
+        monkeypatch.setattr(gradcheck, "small_head_configs", lambda: (disc, head))
+        build, _, tail = gradcheck._condensed_head_case(np.random.default_rng(0))
+        tensors, tail_build = tail()
+        cls_reg = tensors[2:]
+        assert sum(t.size for t in cls_reg) == 99
+        for t in cls_reg:
+            full = finite_diff_grad(lambda _: build(), t, gradcheck.FD_STEP)
+            assert np.array_equal(finite_diff_grad(lambda _: tail_build(), t, gradcheck.FD_STEP),
+                                  full)
+
+    def test_the_tail_split_differences_every_tensor_once(self, monkeypatch):
+        """Upstream and tail groups together difference each of the whole-head
+        check's 19 tensors once: 1,148 values, two evaluations each."""
+        differenced, evals = [], []
+
+        def counting(f, x, step):
+            differenced.append(x)
+
+            def counted(t):
+                evals.append(t)
+                return f(t)
+            return finite_diff_grad(counted, x, step)
+
+        monkeypatch.setattr(gradcheck, "finite_diff_grad", counting)
+        gradcheck.CHECKS["condensed_head_loss"](np.random.default_rng([0, 0, 12]))
+        assert len(differenced) == len({id(t) for t in differenced}) == 19
+        assert sum(t.size for t in differenced) == 1148
+        assert len(evals) == 2296

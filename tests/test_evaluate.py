@@ -187,6 +187,18 @@ class TestEvaluateRefusesBadClasses:
                            match=rf"example 5: class_id {class_id} outside \[0, 2\]"):
             evaluate(models[kind], test_set)
 
+    @pytest.mark.parametrize("class_id", [1.0, 1.5, True])
+    def test_a_class_that_is_not_an_integer_is_refused(self, class_id, monkeypatch):
+        """A float or bool class is refused by name before a forward pass, not
+        left to fail as an index."""
+        models, test_set = _small_models_and_test_set()
+        test_set[5] = dataclasses.replace(test_set[5], y_hat=1, class_id=class_id)
+        model = models["condensed"]
+        monkeypatch.setattr(model, "forward", None)
+        with pytest.raises(ContractViolation,
+                           match=rf"example 5: class_id {class_id} is not an integer"):
+            evaluate(model, test_set)
+
     @pytest.mark.parametrize("y_hat, class_id", [(1, 0), (0, 2), (7, 1)])
     @pytest.mark.parametrize("kind", ["condensed", "baseline"])
     def test_a_label_that_disagrees_with_the_class_is_refused(self, kind, y_hat, class_id,

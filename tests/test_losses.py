@@ -1,6 +1,8 @@
 """Training objectives: worked smooth-L1 arithmetic and loss contracts."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +256,25 @@ class TestDetectionLoss:
         out = HeadOutput(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 12))))
         with pytest.raises(ContractViolation):
             detection_loss(out, [4], [np.zeros(4)], self.CFG)
+
+    @pytest.mark.parametrize("target", [1.5, 1.9, 1.0, True, np.bool_(True), np.float64(1.0)])
+    def test_non_integer_class_rejected(self, target):
+        """A float or bool class is refused by value, not truncated to a class."""
+        out = HeadOutput(Tensor(np.array([[0.0, 1.0, 2.0, 0.5]])), Tensor(np.zeros((1, 12))))
+        with pytest.raises(ContractViolation,
+                           match=rf"target_class={re.escape(repr(target))} is not an integer"):
+            detection_loss(out, [target], [np.zeros(4)], self.CFG)
+
+    @pytest.mark.parametrize("target", [np.int64(70), np.uint8(70)])
+    def test_a_numpy_integer_class_is_its_int(self, target):
+        """Class 70's offsets start at 276, past a uint8."""
+        cfg = dataclasses.replace(self.CFG, num_classes=70)
+        rng = np.random.default_rng(10)
+        out = HeadOutput(Tensor(rng.standard_normal((1, 71))),
+                         Tensor(rng.standard_normal((1, 280))))
+        box = rng.standard_normal(4)
+        assert detection_loss(out, [target], [box], cfg).item() == \
+            detection_loss(out, [70], [box], cfg).item()
 
     def test_matches_cross_entropy_plus_box_oracle(self):
         rng = np.random.default_rng(8)

@@ -12,7 +12,7 @@ import oracles
 from kphead import tensor as T
 from kphead import training
 from kphead.dataset import ToyDatasetSpec, generate_dataset
-from kphead.errors import TrainingDivergence
+from kphead.errors import ContractViolation, TrainingDivergence
 from kphead.head import baseline_forward
 from kphead.runconfig import RunConfig
 from kphead.tensor import Tensor, backward
@@ -125,6 +125,35 @@ class TestTrainLoop:
             train(model, data, cfg.train)
         assert (err.value.epoch, err.value.batch) == (1, 0)
         assert "parameter 'discovery.block0.reduce.weight'" in str(err.value)
+
+    @pytest.mark.parametrize("y_hat, class_id", [(1, 0), (0, 2), (7, 1)])
+    @pytest.mark.parametrize("kind", ["condensed", "baseline"])
+    def test_a_label_that_disagrees_with_the_class_is_refused(self, kind, y_hat, class_id):
+        """As in ``evaluate``, a mismatch is refused by example before any
+        step: no parameter moves."""
+        cfg = tiny_run_config()
+        condensed, baseline = tiny_models(cfg)
+        model = condensed if kind == "condensed" else baseline
+        data, _ = generate_dataset(cfg.data)
+        data[5] = dataclasses.replace(data[5], y_hat=y_hat, class_id=class_id)
+        before = [t.data.copy() for _, t in model.named_tensors()]
+        with pytest.raises(ContractViolation,
+                           match=rf"train: example 5: y_hat {y_hat} disagrees with "
+                                 rf"class_id {class_id}"):
+            train(model, data, cfg.train)
+        for (name, t), want in zip(model.named_tensors(), before):
+            assert np.array_equal(t.data, want), name
+
+    @pytest.mark.parametrize("class_id, problem", [(3, r"outside \[0, 2\]"),
+                                                   (1.5, "is not an integer")])
+    def test_a_bad_class_is_refused(self, class_id, problem):
+        cfg = tiny_run_config()
+        model, _ = tiny_models(cfg)
+        data, _ = generate_dataset(cfg.data)
+        data[3] = dataclasses.replace(data[3], y_hat=1, class_id=class_id)
+        with pytest.raises(ContractViolation,
+                           match=rf"train: example 3: class_id {class_id} {problem}"):
+            train(model, data, cfg.train)
 
 
 class TestMomentumStep:
