@@ -297,3 +297,14 @@ def evaluate_loops(model, examples):
         bg_peak_mean=float(np.mean(bg_peaks)) if bg_peaks else 0.0,
         mean_distinct_parts=float(np.mean(distinct)) if distinct else 0.0,
     )
+
+
+def first_uncovered_byte(payload_size, spans):
+    """The first byte of a ``payload_size``-byte parameter payload that no
+    ``(offset, stop)`` span covers, or None: a boolean mask over the whole
+    payload, set span by span, as ``training.load_params`` first checked
+    coverage."""
+    covered = np.zeros(payload_size, dtype=bool)
+    for offset, stop in spans:
+        covered[offset:stop] = True
+    return None if covered.all() else int(np.argmin(covered))

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kphead import tensor as T
@@ -413,6 +415,17 @@ class TestSplitProducts:
                 rtol=1e-12)
 
 
+@st.composite
+def payload_rows(draw):
+    """A payload size in bytes and (byte offset, value count) manifest rows
+    that each lie inside it: overlapping, apart, empty or none at all."""
+    words = draw(st.integers(0, 40)) // 4
+    size = 4 * words + draw(st.integers(0, 3))
+    row = st.integers(0, words).flatmap(
+        lambda lo: st.tuples(st.just(4 * lo), st.integers(0, words - lo)))
+    return size, draw(st.lists(row, max_size=6))
+
+
 class TestParameterFiles:
     def test_round_trip_at_f32_precision(self, tmp_path):
         cfg = tiny_run_config()
@@ -471,6 +484,109 @@ class TestParameterFiles:
         tensor_rows = manifest[manifest.index("tensors:") + 1:]
         assert len(tensor_rows) == len(model.named_tensors())
         assert tensor_rows[0].split()[2] == "0"
+
+    @pytest.mark.parametrize("pick", [0, 1], ids=["condensed", "baseline"])
+    def test_payload_is_each_tensor_in_f32_across_small_blocks(self, tmp_path, monkeypatch,
+                                                               pick):
+        """With 7-value blocks, most tensors end inside a block; the payload,
+        written over a longer earlier file, is still each tensor's f32 bytes
+        in order, and the loaded arrays are f32 views that restore the
+        f32-rounded parameters exactly."""
+        monkeypatch.setattr(training, "_SAVE_BLOCK", 7)
+        cfg = tiny_run_config()
+        model = tiny_models(cfg)[pick]
+        assert any(t.size % 7 for _, t in model.named_tensors())
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"\xff" * (4 * model.scalar_count() + 5))
+        save_params(path, model, {})
+        assert path.read_bytes() == b"".join(t.data.astype("<f4").tobytes()
+                                             for _, t in model.named_tensors())
+        _, _, tensors = load_params(path)
+        assert all(arr.dtype == np.dtype("<f4") for arr in tensors.values())
+        fresh = tiny_models(cfg)[pick]
+        restore_into(fresh, tensors)
+        for (name, t), (_, got) in zip(model.named_tensors(), fresh.named_tensors()):
+            assert got.data.tobytes() == t.data.astype("<f4").astype(np.float64).tobytes(), name
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+    def test_a_value_that_is_not_a_finite_f32_is_refused(self, tmp_path, monkeypatch, value):
+        """The bad value sits in the third 7-value block of a tensor; nothing
+        is left that ``load_params`` could read."""
+        monkeypatch.setattr(training, "_SAVE_BLOCK", 7)
+        model, _ = tiny_models(tiny_run_config())
+        name, t = model.named_tensors()[0]
+        assert name == "discovery.block0.reduce.weight" and t.size > 21
+        t.data.reshape(-1)[17] = value
+        path = tmp_path / "params.bin"
+        path.write_bytes(b"an earlier payload")
+        Path(manifest_path(path)).write_text("an earlier manifest\n")
+        with pytest.raises(ContractViolation) as info:
+            save_params(path, model, {})
+        assert str(info.value) == (f"{path}: tensor 'discovery.block0.reduce.weight' holds "
+                                   "a value that is not a finite f32 at index 17")
+        assert not path.exists() and not Path(manifest_path(path)).exists()
+
+    def test_a_value_that_rounds_to_the_largest_f32_is_saved(self, tmp_path):
+        model, _ = tiny_models(tiny_run_config())
+        big = float(np.finfo(np.float32).max) * (1 + 2.0 ** -26)
+        model.named_tensors()[0][1].data.reshape(-1)[0] = big
+        save_params(tmp_path / "params.bin", model, {})
+        _, _, tensors = load_params(tmp_path / "params.bin")
+        assert tensors["discovery.block0.reduce.weight"].reshape(-1)[0] == np.finfo(np.float32).max
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=payload_rows())
+    @example(case=(12, [])).via("no rows over a non-empty payload")
+    @example(case=(10, [(0, 2)])).via("trailing bytes past the last value")
+    @example(case=(16, [(0, 2), (4, 1), (8, 0), (12, 1)])).via("a gap and a zero-size row")
+    @example(case=(16, [(4, 3), (0, 2), (4, 0), (8, 0)])).via("overlapping rows")
+    def test_coverage_matches_the_boolean_mask(self, tmp_path_factory, case):
+        """``load_params`` accepts a payload whose every byte lies in some
+        tensor, and otherwise names the first byte that lies in none, as a
+        boolean mask over the payload does."""
+        size, rows = case
+        path = tmp_path_factory.mktemp("cover") / "p.bin"
+        path.write_bytes(bytes(size))
+        lines = [f"t{i} {count} {offset}" for i, (offset, count) in enumerate(rows)]
+        Path(manifest_path(path)).write_bytes(
+            "\n".join(["kphead-params v1", "model = condensed", "tensors:", *lines, ""]).encode())
+        byte = oracles.first_uncovered_byte(size, [(o, o + 4 * c) for o, c in rows])
+        if byte is None:
+            _, _, tensors = load_params(path)
+            assert [arr.size for arr in tensors.values()] == [c for _, c in rows]
+        else:
+            with pytest.raises(ContractViolation) as info:
+                load_params(path)
+            assert str(info.value) == f"{path}: payload byte {byte} lies in no tensor of the manifest"
+
+    @pytest.mark.parametrize("lines, values, want", [
+        (["kphead-params v0", "tensors:", "a 1 0"], [1.0],
+         "{m}: not a parameter manifest"),
+        (["kphead-params v1", "tensors:", "a 1x 0"], [1.0],
+         "{m}: manifest is cut short (no final newline)"),
+        (["kphead-params v1", "tensors:", "a 1 0", "a 1 64", "b 1x 0", ""], [1.0],
+         "{m}: malformed tensor row 'b 1x 0'"),
+        (["kphead-params v1", "tensors:", "a 1 0", "a 1 64", "b 1 64", ""], [1.0],
+         "{m}: tensor 'a' is listed twice"),
+        (["kphead-params v1", "tensors:", "a 1 0", "b 1 4", "c 1 64", "d 1 8", ""],
+         [1.0, 2.0, 3.0, np.nan],
+         "{p}: tensor 'c' (1 values at byte 64) lies outside the 16-byte payload"),
+        (["kphead-params v1", "tensors:", "a 1 2", ""], [1.0],
+         "{p}: tensor 'a' (1 values at byte 2) lies outside the 4-byte payload"),
+        (["kphead-params v1", "tensors:", "a -1 0", ""], [1.0],
+         "{p}: tensor 'a' (-1 values at byte 0) lies outside the 4-byte payload"),
+        (["kphead-params v1", "tensors:", "a 1 0", "b 2x1 4", ""], [1.0, 2.0, np.inf, 0.0],
+         "{p}: tensor 'b' holds a non-finite value at index 1"),
+    ], ids=["banner", "final-newline", "malformed-row", "listed-twice", "outside",
+            "unaligned", "negative-shape", "non-finite"])
+    def test_refusals_keep_their_messages_and_order(self, tmp_path, lines, values, want):
+        """Each file also holds the faults checked after the one named."""
+        path = tmp_path / "p.bin"
+        path.write_bytes(np.array(values, dtype="<f4").tobytes())
+        Path(manifest_path(path)).write_bytes("\n".join(lines).encode())
+        with pytest.raises(ContractViolation) as info:
+            load_params(path)
+        assert str(info.value) == want.format(m=manifest_path(path), p=path)
 
     def test_write_log_schema(self, tmp_path):
         cfg = tiny_run_config()
