@@ -190,7 +190,9 @@ CHECKS = {
     "conv2d": _projected(lambda x, w, b: T.conv2d(x, w, b, groups=2, dilation=2),
                          (2, 4, 4, 3), (4, 2, 3, 3), (4,)),
     "adaptive_avg_pool": _projected(lambda x: T.adaptive_avg_pool(x, 4), (2, 2, 7, 5)),
-    "linear": _projected(lambda x, w, b: T.linear(x, w, b), (2, 8), (3, 8), (3,)),
+    # x is drawn as 2 x 2 x 4 and reshaped to the 2 x 8 batch that linear maps
+    "linear": _projected(lambda x, w, b: T.linear(T.reshape(x, (2, 8)), w, b),
+                         (2, 2, 4), (3, 8), (3,)),
     "relu": _projected(lambda x: T.relu(x), (24,), kinks=True),
     # perfbench reports gradcheck.add_mul_div.s
     "add_mul_div": _projected(lambda a, b: T.mul(T.add(a, b), T.sub(a, b)), (6,), (6,)),

@@ -6,7 +6,9 @@ channel-summed maps toward 1 on foregrounds (uniqueness term).  Both take
 the batch's N x K x H x W squashed maps, and each is one smooth L1 over the
 peaks of the whole batch.  The toy
 detection loss is cross-entropy over class logits plus smooth L1 on the
-target class's box offsets, summed over a batch's output rows.  Every term
+target class's box offsets, summed over a batch's output rows, and records
+one ``class_box_loss`` node: ``detection_loss`` checks the classes and boxes
+and builds their index arrays.  Every term
 is a plain sum over the batch, the paper's written form; training divides
 the weighted total by the batch size when ``TrainConfig.batch_mean`` is set.
 """
@@ -73,28 +75,30 @@ def detection_loss(out: HeadOutput, classes: Sequence[int],
     logits and ``classes[i]``, plus smooth L1 between that class's 4 box
     offsets and ``boxes[i]``; background rows have no regression term.  A
     class is an ``int`` or numpy integer; a float or bool is refused, not
-    truncated to a class."""
+    truncated to a class.  ``boxes`` holds one box per row, and each
+    foreground row's box must have shape (4,).  The loss is one
+    ``class_box_loss`` node."""
     n = len(classes)
     if out.v_cls.shape != (n, cfg.cls_len) or out.v_reg.shape != (n, cfg.reg_len):
         raise ContractViolation(
             f"detection_loss: outputs {out.v_cls.shape} and {out.v_reg.shape} "
             f"for {n} targets")
+    if len(boxes) != n:
+        raise ContractViolation(f"detection_loss: {len(boxes)} boxes for {n} classes")
     for c in classes:
         if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
             raise ContractViolation(f"target_class={c!r} is not an integer class id")
         if not (0 <= c <= cfg.num_classes):
             raise ContractViolation(f"target_class={c} outside [0, {cfg.num_classes}]")
-    classes = [int(c) for c in classes]  # reg_start's arithmetic would wrap a uint8
-    # the 1 x 1 x N x C views let gather_at pick one entry per (row, column) point
-    picked = T.gather_at(T.reshape(out.v_cls, (1, 1, n, cfg.cls_len)),
-                         np.array(list(enumerate(classes)), dtype=np.intp).reshape(1, n, 2))
-    ce = T.sum_all(T.logsumexp(out.v_cls) - T.reshape(picked, (n,)))
-    fg = [i for i, c in enumerate(classes) if c != BACKGROUND]
-    if not fg:
-        return ce
-    points = [(i, cfg.reg_start(classes[i]) + j) for i in fg for j in range(4)]
-    pred = T.gather_at(T.reshape(out.v_reg, (1, 1, n, cfg.reg_len)),
-                       np.array(points, dtype=np.intp).reshape(1, -1, 2))
-    target = Tensor(np.concatenate([boxes[i] for i in fg]).reshape(1, -1, 1))
-    reg = T.sum_all(T.smooth_l1(pred, target))
-    return T.add(ce, reg)
+    class_ids = np.array(classes, dtype=np.intp)  # reg_start's arithmetic would wrap a uint8
+    fg = (class_ids != BACKGROUND).nonzero()[0]
+    targets = [np.asarray(boxes[i], dtype=np.float64) for i in fg]
+    for i, box in zip(fg, targets):
+        if box.shape != (4,):
+            raise ContractViolation(
+                f"detection_loss: the box of foreground row {i} has shape {box.shape}, not (4,)")
+    points = np.empty((fg.size, 4, 2), dtype=np.intp)  # (row, col) of each box offset
+    points[..., 0] = fg[:, None]
+    points[..., 1] = np.add.outer(cfg.reg_start(class_ids[fg]), np.arange(4))
+    return T.class_box_loss(out.v_cls, out.v_reg, class_ids, points.reshape(-1, 2),
+                            np.concatenate(targets) if targets else np.zeros(0))

@@ -3,8 +3,9 @@
 The operation set is exactly what the condensed detection head needs:
 convolution (grouped, dilated, same-padded), adaptive average pooling,
 affine maps, relu/add/concat/stack/pick plumbing, the truncated-max squash,
-peak lookup and feature gathering, plus the scalar arithmetic the training
-objectives are built from.
+peak lookup and feature gathering, the scalar arithmetic the discovery
+objective is built from, and ``class_box_loss``, the detection loss's
+cross-entropy and box terms as one graph node.
 
 The recorded graph lives in the output tensors themselves: every operation
 stores its tag, its input references and a backward closure over the saved
@@ -24,8 +25,9 @@ bytes at the FPN-VOC head shapes, but not at every shape (see ``linear``).
 Every op but ``conv2d`` takes one form, a batch led by its example axis N:
 the grid and map ops (``adaptive_avg_pool``, ``gather_at``,
 ``truncated_max_squash``, ``map_peaks``, ``channel_sum``) take N x C x H x W,
-``linear`` and ``logsumexp`` take N x D rows, and ``concat`` joins parts that
-share their leading axis N, row by row.  ``conv2d`` takes N x C x H x W and
+``linear`` and ``logsumexp`` take N x D rows, ``class_box_loss`` N x C logits
+and N x R box offsets, and ``concat`` joins parts that share their leading
+axis N, row by row.  ``conv2d`` takes N x C x H x W and
 also one C x H x W grid, the N = 1 case with the example axis dropped; a
 batched ``conv2d`` sums its examples' weight-gradient products.  ``stack``
 joins N tensors into a batch and ``pick`` reads one example back out of it,
@@ -380,20 +382,91 @@ def sum_all(t: Tensor) -> Tensor:
     return _record(np.asarray(t.data.sum()), "sum", (t,), bwd)
 
 
+def _lse_softmax(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's log(sum(exp(row))), an N-vector, and its softmax, N x C,
+    of N x C rows, computed with each row's max shifted out."""
+    m = rows.max(axis=-1, keepdims=True)
+    shifted = np.exp(rows - m)
+    total = shifted.sum(axis=-1, keepdims=True)
+    return (m + np.log(total))[..., 0], shifted / total
+
+
 def logsumexp(t: Tensor) -> Tensor:
     """log(sum(exp(row))) for each row of an N x C tensor, an N-vector,
     computed with each row's max shifted out."""
     if t.data.ndim != 2:
         raise ContractViolation(f"logsumexp needs N x C rows, got shape {t.shape}")
-    m = t.data.max(axis=-1, keepdims=True)
-    shifted = np.exp(t.data - m)
-    total = shifted.sum(axis=-1, keepdims=True)
-    softmax = shifted / total
+    lse, softmax = _lse_softmax(t.data)
 
     def bwd(g):
-        _accumulate(t, g.reshape(m.shape) * softmax, fresh=True)
+        _accumulate(t, g[:, None] * softmax, fresh=True)
 
-    return _record((m + np.log(total))[..., 0], "logsumexp", (t,), bwd)
+    return _record(lse, "logsumexp", (t,), bwd)
+
+
+def class_box_loss(v_cls: Tensor, v_reg: Tensor, classes: np.ndarray,
+                   box_points: np.ndarray, box_targets: np.ndarray) -> Tensor:
+    """The detection loss of N output rows as one node: the sum over rows i
+    of the cross-entropy ``logsumexp(v_cls[i]) - v_cls[i, classes[i]]``,
+    plus the sum over the B (row, col) pairs of ``box_points`` of the smooth
+    L1 distance between ``v_reg[row, col]`` and ``box_targets[b]``.
+
+    ``v_cls`` is N x C and ``v_reg`` N x R; ``classes`` is a signed integer
+    N-vector, ``box_points`` a signed integer B x 2 array and ``box_targets``
+    a B-vector.  The value is the cross-entropy terms' sum plus the box
+    terms' sum, and the backward adds g * softmax to ``v_cls``, then -g at
+    each row's class, and g * clip(d, -1, 1) at each box point of ``v_reg``,
+    accumulating on repeated points: the bytes of ``sum_all`` over
+    ``logsumexp`` minus the picked logits, added to ``sum_all`` over
+    ``smooth_l1``.  With no box points ``v_reg`` is not an input of the
+    node and gets no gradient.  The box terms note smooth L1's kink margin.
+    """
+    if v_cls.data.ndim != 2 or v_reg.data.ndim != 2 or v_cls.shape[0] != v_reg.shape[0]:
+        raise ContractViolation(f"class_box_loss needs N x C logits and N x R offsets, "
+                                f"got shapes {v_cls.shape} and {v_reg.shape}")
+    n, c = v_cls.shape
+    targets = np.asarray(box_targets, dtype=np.float64)
+    if not (isinstance(classes, np.ndarray) and classes.dtype.kind == "i"
+            and classes.shape == (n,)
+            and isinstance(box_points, np.ndarray) and box_points.dtype.kind == "i"
+            and box_points.ndim == 2 and box_points.shape[1] == 2
+            and targets.shape == box_points.shape[:1]):
+        raise ContractViolation(
+            f"class_box_loss: classes must be a signed integer N-vector, box_points a "
+            f"signed integer B x 2 array of (row, col) pairs and box_targets a B-vector, "
+            f"for N = {n}")
+    rows = np.arange(n)
+    try:  # unlike an index, a position outside the shape raises even when negative
+        picks = np.ravel_multi_index((rows, classes), v_cls.shape)
+    except ValueError:
+        bad = classes[(classes < 0) | (classes >= c)][0]
+        raise ContractViolation(f"class_box_loss: class {bad} outside [0, {c})") from None
+    try:
+        boxes = np.ravel_multi_index(tuple(box_points.T), v_reg.shape)
+    except ValueError:
+        bad = box_points[((box_points < 0) | (box_points >= v_reg.shape)).any(axis=1)][0]
+        raise ContractViolation(f"class_box_loss: box point {tuple(bad.tolist())} outside "
+                                f"the {v_reg.shape} offsets") from None
+    lse, softmax = _lse_softmax(v_cls.data)
+    loss = (lse - v_cls.data.reshape(-1)[picks]).sum()
+    if boxes.size:
+        d = v_reg.data.reshape(-1)[boxes] - targets
+        absd = np.abs(d)
+        if _kink_watches:
+            _note_kink_margin(float(np.min(np.abs(absd - 1.0))))
+        loss = loss + np.where(absd < 1.0, 0.5 * d * d, absd - 0.5).sum()
+
+    def bwd(g):
+        g = float(g.reshape(()))
+        _accumulate(v_cls, g * softmax, fresh=True)
+        if v_cls.requires_grad:
+            v_cls.grad[rows, classes] -= g
+        if boxes.size:
+            buf = np.zeros_like(v_reg.data)
+            np.add.at(buf.reshape(-1), boxes, g * np.clip(d, -1.0, 1.0))
+            _accumulate(v_reg, buf, fresh=True)
+
+    return _record(loss, "class_box_loss", (v_cls, v_reg) if boxes.size else (v_cls,), bwd)
 
 
 # -- structural ops --------------------------------------------------------

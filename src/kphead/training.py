@@ -143,7 +143,8 @@ def train(model, examples: list[ToyExample], cfg: TrainConfig) -> list[EpochLog]
     holds NaN or Inf (``tensor._first_non_finite_op``).  That op read no
     non-finite output of another op, so it is where the bad value started.
     Where one batch has two such ops, this may name a different one than
-    the first of them to run.  The loss alone misses a NaN that relu or TMR
+    the first of them to run.  A bad value that starts in the detection
+    loss names ``class_box_loss``, its one node.  The loss alone misses a NaN that relu or TMR
     maps to 0, so ``_momentum_step`` also checks each updated weight and
     raises TrainingDivergence naming the parameter.
 

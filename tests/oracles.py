@@ -11,7 +11,8 @@ import numpy as np
 from kphead.dataset import class_signatures
 from kphead.evaluate import EVAL_CHUNK, Metrics, chance_recall_estimate
 from kphead.losses import BACKGROUND
-from kphead.tensor import NoGrad, backward
+from kphead import tensor as T
+from kphead.tensor import NoGrad, Tensor, backward
 from kphead.training import EpochLog, _batch_loss
 
 
@@ -190,6 +191,28 @@ def recorded_nodes(*roots):
 def cross_entropy_ref(logits, target):
     m = max(logits)
     return m + math.log(sum(math.exp(v - m) for v in logits)) - logits[target]
+
+
+def detection_loss_chain(out, classes, boxes, cfg):
+    """The detection loss as the chain of single ops it was built from
+    before ``class_box_loss`` fused it: ``reshape`` views that let
+    ``gather_at`` pick each row's target logit and its class's 4 box
+    offsets, then ``logsumexp``, ``sub``, ``sum_all``, ``smooth_l1`` against a
+    constant target, ``sum_all`` and ``add``.  Background rows have no box
+    term; with none in the batch the loss is the cross-entropy sum alone."""
+    n = len(classes)
+    classes = [int(c) for c in classes]
+    picked = T.gather_at(T.reshape(out.v_cls, (1, 1, n, cfg.cls_len)),
+                         np.array(list(enumerate(classes)), dtype=np.intp).reshape(1, n, 2))
+    ce = T.sum_all(T.logsumexp(out.v_cls) - T.reshape(picked, (n,)))
+    fg = [i for i, c in enumerate(classes) if c != BACKGROUND]
+    if not fg:
+        return ce
+    points = [(i, cfg.reg_start(classes[i]) + j) for i in fg for j in range(4)]
+    pred = T.gather_at(T.reshape(out.v_reg, (1, 1, n, cfg.reg_len)),
+                       np.array(points, dtype=np.intp).reshape(1, -1, 2))
+    target = Tensor(np.concatenate([boxes[i] for i in fg]).reshape(1, -1, 1))
+    return T.add(ce, T.sum_all(T.smooth_l1(pred, target)))
 
 
 def nearest_signature_accuracy(examples, spec):

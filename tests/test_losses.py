@@ -6,15 +6,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kphead import tensor as T
 from kphead.discovery import tmr_squash
 from kphead.errors import ContractViolation
+from kphead.gradcheck import small_head_configs
 from kphead.head import HeadConfig, HeadOutput
 from kphead.losses import (detection_loss, discovery_objective, discriminative_loss,
                            uniqueness_loss)
-from kphead.tensor import Tensor, backward
+from kphead.tensor import KinkWatch, Tensor, backward
 
 
 def maps_with_peaks(peaks, shape=(4, 4)):
@@ -302,3 +305,82 @@ class TestDetectionLoss:
         out = HeadOutput(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 12))))
         with pytest.raises(ContractViolation):
             detection_loss(out, [1], [np.zeros(4)], self.CFG)
+
+    @pytest.mark.parametrize("n_boxes", [1, 3])
+    def test_one_box_per_row(self, n_boxes):
+        """Too few boxes once raised a bare IndexError; too many were ignored."""
+        cfg = small_head_configs()[1]
+        out = HeadOutput(Tensor(np.zeros((2, cfg.cls_len))), Tensor(np.zeros((2, cfg.reg_len))))
+        with pytest.raises(ContractViolation,
+                           match=rf"^detection_loss: {n_boxes} boxes for 2 classes$"):
+            detection_loss(out, [1, 1], [np.zeros(4)] * n_boxes, cfg)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (5,), (4, 1), (1, 4), ()])
+    def test_a_foreground_box_must_have_shape_4(self, shape):
+        """A 2 x 2 box was once flattened and accepted, and a 3- or 5-long
+        one refused under smooth_l1's name."""
+        cfg = small_head_configs()[1]
+        out = HeadOutput(Tensor(np.zeros((2, cfg.cls_len))), Tensor(np.zeros((2, cfg.reg_len))))
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"detection_loss: the box of foreground row 1 has shape {shape}, not (4,)")):
+            detection_loss(out, [0, 2], [np.zeros(4), np.zeros(shape)], cfg)
+
+    def test_a_background_rows_box_is_not_read(self):
+        rng = np.random.default_rng(11)
+        out = HeadOutput(Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 12))))
+        box = rng.standard_normal(4)
+        want = detection_loss(out, [1, 0], [box, np.zeros(4)], self.CFG).data.tobytes()
+        for ignored in (np.zeros(3), np.zeros((2, 2)), [], None):
+            assert detection_loss(out, [1, 0], [box, ignored], self.CFG).data.tobytes() == want
+
+    def test_the_loss_is_one_node(self):
+        out = HeadOutput(Tensor(np.zeros((2, 4)), requires_grad=True),
+                         Tensor(np.zeros((2, 12)), requires_grad=True))
+        loss = detection_loss(out, [3, 0], [np.ones(4), np.zeros(4)], self.CFG)
+        assert loss.op == "class_box_loss"
+        assert [t.op for t in oracles.recorded_nodes(loss)] == ["class_box_loss"]
+
+
+@st.composite
+def detection_batches(draw):
+    """N rows of random logits and offsets with their classes and boxes, for
+    a head of 1 to 5 classes with per-class or shared box offsets: all
+    background, all foreground, mixed, or one repeated class."""
+    n = draw(st.integers(1, 16), label="N")
+    num_classes = draw(st.integers(1, 5), label="classes")
+    cfg = HeadConfig(channels=8, num_classes=num_classes, num_parts=1, pool_len=1,
+                     height=4, width=4, channel_keep=0.5, hidden=4,
+                     reg_per_class=draw(st.booleans(), label="reg_per_class"))
+    mix = draw(st.sampled_from(["background", "foreground", "mixed", "repeated"]), label="mix")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if mix == "repeated":
+        classes = [int(rng.integers(num_classes + 1))] * n
+    else:
+        low, high = {"background": (0, 1), "foreground": (1, num_classes + 1),
+                     "mixed": (0, num_classes + 1)}[mix]
+        classes = [int(c) for c in rng.integers(low, high, size=n)]
+    scale = draw(st.sampled_from([1.0, 1.0 / n]), label="scale")
+    return (cfg, classes, rng.standard_normal((n, cfg.cls_len)),
+            rng.standard_normal((n, cfg.reg_len)), list(rng.standard_normal((n, 4))), scale)
+
+
+class TestDetectionLossMatchesTheChain:
+    @staticmethod
+    def run(loss_fn, cfg, classes, logits, offsets, boxes, scale):
+        """Loss bytes, both gradients' bytes (None where there is none) and
+        the kink margin of one forward and backward, the loss scaled by
+        ``scale`` as ``batch_mean`` scales it."""
+        out = HeadOutput(Tensor(logits.copy(), requires_grad=True),
+                         Tensor(offsets.copy(), requires_grad=True))
+        with KinkWatch() as watch:
+            loss = loss_fn(out, classes, boxes, cfg)
+        backward(T.mul(loss, Tensor(scale)) if scale != 1.0 else loss)
+        return (loss.data.tobytes(), watch.min_margin,
+                *(None if t.grad is None else t.grad.tobytes() for t in (out.v_cls, out.v_reg)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=detection_batches())
+    def test_loss_gradients_and_kink_margin_are_the_chains_bytes(self, case):
+        got = self.run(detection_loss, *case)
+        assert got == self.run(oracles.detection_loss_chain, *case)
+        assert (got[3] is None) == (set(case[1]) == {0})

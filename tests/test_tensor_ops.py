@@ -339,6 +339,75 @@ class TestElementwiseAndConcat:
             np.testing.assert_allclose(leaf.grad, fd, atol=1e-8)
 
 
+def _class_box_inputs(rng, n=3, c=4, r=6):
+    return (Tensor(rng.standard_normal((n, c)), requires_grad=True),
+            Tensor(rng.standard_normal((n, r)), requires_grad=True))
+
+
+class TestClassBoxLoss:
+    def test_value_is_cross_entropy_plus_box_terms(self):
+        rng = np.random.default_rng(12)
+        v_cls, v_reg = _class_box_inputs(rng)
+        classes = np.array([1, 0, 3])
+        points = np.array([(0, 2), (2, 5), (0, 0)])
+        targets = rng.standard_normal(3)
+        want = sum(oracles.cross_entropy_ref(list(v_cls.data[i]), c)
+                   for i, c in enumerate(classes))
+        want += sum(oracles.smooth_l1_ref(v_reg.data[i, j], t)
+                    for (i, j), t in zip(points, targets))
+        got = T.class_box_loss(v_cls, v_reg, classes, points, targets)
+        assert got.item() == pytest.approx(want, rel=1e-14)
+
+    def test_gradients_match_finite_differences_with_repeated_points(self):
+        """A box point named twice adds both of its terms' gradients."""
+        rng = np.random.default_rng(13)
+        v_cls, v_reg = _class_box_inputs(rng)
+        classes = np.array([2, 2, 0])
+        points = np.array([(1, 4), (0, 1), (1, 4), (2, 0)])
+        targets = rng.standard_normal(4)
+
+        def loss(_):
+            return T.class_box_loss(v_cls, v_reg, classes, points, targets)
+
+        T.backward(loss(None))
+        for t in (v_cls, v_reg):
+            np.testing.assert_allclose(t.grad, T.finite_diff_grad(loss, t), atol=1e-8)
+        d = v_reg.data[1, 4] - targets[[0, 2]]
+        assert v_reg.grad[1, 4] == np.clip(d[0], -1, 1) + np.clip(d[1], -1, 1) != 0.0
+        assert v_reg.grad[1, 3] == 0.0
+
+    def test_no_box_points_give_the_offsets_no_gradient(self):
+        """``v_reg`` is not an input of a loss with no box terms."""
+        v_cls, v_reg = _class_box_inputs(np.random.default_rng(14))
+        loss = T.class_box_loss(v_cls, v_reg, np.array([0, 1, 0]), np.zeros((0, 2), int),
+                                np.zeros(0))
+        assert loss._parents == (v_cls,)
+        T.backward(loss)
+        assert v_reg.grad is None
+        np.testing.assert_allclose(v_cls.grad.sum(axis=1), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("args, message", [
+        ((np.zeros(3), np.zeros((3, 6)), [0, 0, 0]), "N x C logits and N x R offsets"),
+        ((np.zeros((3, 4)), np.zeros((2, 6)), [0, 0, 0]), "N x C logits and N x R offsets"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0.0, 0.0, 0.0]), "signed integer N-vector"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, 0]), "signed integer N-vector"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, 4, 0]), "class 4 outside [0, 4)"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, -1, 0]), "class -1 outside [0, 4)"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, 0, 0], [(0, 0), (0, 6)]), "(0, 6) outside the (3, 6)"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, 0, 0], [(-1, 0)]), "(-1, 0) outside the (3, 6)"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, 0, 0], [(0, 0)], [1.0, 2.0]), "B-vector"),
+        ((np.zeros((3, 4)), np.zeros((3, 6)), [0, 0, 0], [(0.0, 0.0)]), "B x 2"),
+    ], ids=["logits_1d", "rows_differ", "float_classes", "short_classes", "class_past_c",
+            "negative_class", "point_past_r", "negative_point", "targets_differ",
+            "float_points"])
+    def test_bad_inputs_are_refused(self, args, message):
+        v_cls, v_reg, classes, *rest = args
+        points = np.array(rest[0] if rest else np.zeros((0, 2), int))
+        targets = rest[1] if len(rest) > 1 else np.zeros(len(points))
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            T.class_box_loss(Tensor(v_cls), Tensor(v_reg), np.array(classes), points, targets)
+
+
 class TestArgmax2d:
     """The 2-D argmax ``extract_key_parts`` reads a key part at: the first
     row-major maximum of each map."""

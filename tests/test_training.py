@@ -693,8 +693,8 @@ class TestBatchAxis:
         pick of its input from the batch (block 0 picks from the grids, which
         need no gradient, and records no pick).  Each block's stack, relu, 1x1
         conv and add, the predict conv, TMR, the head and the losses record a
-        fixed count per batch (39 for a batch with a foreground and a
-        background)."""
+        fixed count per batch (29 for a batch with a foreground and a
+        background; the detection loss is one ``class_box_loss`` node)."""
         cfg = RunConfig()
         cfg.data = dataclasses.replace(cfg.data, n_train=32, n_test=1)
         examples = generate_dataset(cfg.data)[0]
@@ -709,7 +709,7 @@ class TestBatchAxis:
         per_example = 2 * cfg.discovery_config().num_blocks - 1
         assert per_example == 3
         for n in (2, 3, 8, 16):
-            assert recorded_nodes(ordered[:n]) == per_example * n + 39, n
+            assert recorded_nodes(ordered[:n]) == per_example * n + 29, n
 
     def test_head_weights_enter_linear_once_per_batch(self, monkeypatch):
         cfg = tiny_run_config(epochs=1, batch_size=8)
